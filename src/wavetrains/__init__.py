@@ -33,7 +33,6 @@ from .numerics import (
     central_diff,
     cumulative_simpson,
     is_power_of_two,
-    rk4_integrate,
     simpson,
 )
 from .mathieu import (
@@ -98,7 +97,7 @@ __all__ = [
     "QuadratureOrderWarning", "StabilityRegionWarning", "TooFewPoints",
     "UnknownPreset", "WavetrainError",
     "SampledFunction", "UniformGrid", "build_space_grid", "central_diff",
-    "cumulative_simpson", "is_power_of_two", "rk4_integrate", "simpson",
+    "cumulative_simpson", "is_power_of_two", "simpson",
     "ClassicalInit", "ClassicalState", "PolarState", "PolarTrajectory",
     "Trajectory", "TrapParameters", "eq14_reference", "first_integral",
     "mathieu_residual", "picard_iterate", "polar_decompose",

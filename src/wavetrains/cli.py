@@ -41,6 +41,7 @@ from .errors import ConfigError, UnknownPreset, WavetrainError
 from .mathieu import (
     ClassicalInit,
     TrapParameters,
+    _wronskian,
     mathieu_residual,
     picard_iterate,
     polar_decompose,
@@ -257,15 +258,11 @@ def _render(cfg: RunConfig, columns, rows, meta_pairs) -> str:
 # --------------------------------------------------------------------------
 # commands
 
-def _first_integral_series(traj) -> np.ndarray:
-    return traj.phi1 * traj.dphi2 - traj.phi2 * traj.dphi1
-
-
 def run_classical(cfg: RunConfig) -> str:
     """t, phi1, phi2, rho, theta, drho, dtheta, c0_residual per sample."""
     params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
-    wron = _first_integral_series(traj)
+    wron = _wronskian(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
     scale = max(abs(ptraj.c0), np.finfo(float).tiny)
     rows = np.column_stack([
         traj.t[idx], traj.phi1[idx], traj.phi2[idx],

@@ -1,10 +1,11 @@
 """Generic numerical kernels shared by all other modules.
 
-Fixed-step RK4 integration, composite Simpson quadrature (plain and
-cumulative), second-order central differences, and uniform-grid
-construction.  Everything here is a pure function of its inputs; the
-record types are frozen.  Quadrature sums use numpy's pairwise
-summation, so results do not depend on any parallel reduction order.
+Composite Simpson quadrature (plain and cumulative), second-order
+central differences, and uniform-grid construction (RK4 step matrices
+live in ``mathieu``).  Everything here is a pure function of its
+inputs; the record types are frozen.  Quadrature sums use numpy's
+pairwise summation, so results do not depend on any parallel reduction
+order.
 """
 
 from __future__ import annotations
@@ -78,34 +79,6 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("sampled values contain NaN or infinity")
-
-
-def rk4_integrate(rhs, y0, grid: UniformGrid) -> np.ndarray:
-    """Classic fixed-step fourth-order Runge-Kutta.
-
-    ``rhs(t, y) -> dy/dt`` with y a 1-D state vector.  Returns the states
-    at every grid point, shape (grid.count, len(y0)).  Global error is
-    O(step^4) for smooth right-hand sides.
-    """
-    y = np.asarray(y0, dtype=float if not np.iscomplexobj(y0) else complex).ravel()
-    out = np.empty((grid.count, y.size), dtype=y.dtype)
-    out[0] = y
-    h = grid.step
-    h2 = 0.5 * h
-    h6 = h / 6.0
-    t = grid.start
-    isfinite = np.isfinite
-    for i in range(1, grid.count):
-        k1 = np.asarray(rhs(t, y))
-        k2 = np.asarray(rhs(t + h2, y + h2 * k1))
-        k3 = np.asarray(rhs(t + h2, y + h2 * k2))
-        k4 = np.asarray(rhs(t + h, y + h * k3))
-        y = y + h6 * (k1 + 2.0 * (k2 + k3) + k4)
-        if not isfinite(y).all():
-            raise NonFiniteValue(f"RK4 state became non-finite at t = {t + h}")
-        t = grid.start + i * h
-        out[i] = y
-    return out
 
 
 def _simpson_array(y: np.ndarray, step: float, warn: bool = False):

@@ -2,6 +2,7 @@
 first integral, and the equation-of-motion residual checks."""
 
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -11,6 +12,7 @@ from wavetrains import (
     BranchJump,
     ClassicalInit,
     EmptyGrid,
+    NonFiniteValue,
     NonZeroStart,
     OriginCrossing,
     StabilityRegionWarning,
@@ -31,7 +33,14 @@ from wavetrains.errors import GridMismatch
 from wavetrains.mathieu import PolarState
 from wavetrains.numerics import SampledFunction, central_diff
 
-from conftest import FOUR_PI, SOLITON_INIT, SOLITON_PARAMS
+from conftest import (
+    COLLAPSE_INIT,
+    COLLAPSE_PARAMS,
+    FOUR_PI,
+    SOLITON_INIT,
+    SOLITON_PARAMS,
+)
+from rk4_reference import loop_classical
 
 HALF_PI = 0.5 * math.pi
 
@@ -153,6 +162,66 @@ def test_solve_classical_rejects_bad_span():
         solve_classical(SOLITON_PARAMS, SOLITON_INIT, (1.0, 2.0), 1e-2)
     with pytest.raises(ValueError):
         solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0), 0.0)
+
+
+# the step-matrix product against the one-step-per-iteration loop: N eps
+# relative to the amplitude, N = 2^14 being the equivalence test's count
+LOOP_TOL = 2**14 * np.finfo(float).eps
+DATA = pytest.mark.parametrize(
+    "params, init",
+    [(SOLITON_PARAMS, SOLITON_INIT), (COLLAPSE_PARAMS, COLLAPSE_INIT)],
+    ids=["soliton", "collapse"])
+
+
+def _loop_gap(params, init, t_final, n_steps):
+    """Largest |solve_classical - loop| over phi1, phi2 and their
+    derivatives, relative to max(1, amplitude)."""
+    traj = solve_classical(params, init, (0.0, t_final), t_final / n_steps)
+    assert traj.grid.count == n_steps + 1
+    ref = loop_classical(params, init, traj.grid)
+    amp = max(float(np.max(np.abs(r))) for r in ref)
+    got = (traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
+    gap = max(float(np.max(np.abs(x - r))) for x, r in zip(got, ref))
+    return gap / max(1.0, amp)
+
+
+@DATA
+def test_solve_classical_matches_loop_reference(params, init):
+    assert _loop_gap(params, init, FOUR_PI, 2**14) <= LOOP_TOL
+
+
+@DATA
+@pytest.mark.parametrize("n_steps", [1, 2, 1009],
+                         ids=["one-step", "two-steps-h-2pi", "prime-count"])
+def test_solve_classical_edge_counts_match_loop_reference(params, init, n_steps):
+    # two steps of 2pi put h sqrt(k) = pi beyond RK4's stability limit,
+    # so padding the last block with real steps would overflow; 1009
+    # steps leave a partial block
+    assert _loop_gap(params, init, FOUR_PI, n_steps) <= LOOP_TOL
+
+
+def test_solve_classical_flags_nonfinite_states():
+    # h sqrt(k) = 5 lies beyond RK4's limit 2 sqrt(2): every step scales
+    # the state by about 21, so it overflows within the 800 steps
+    params = TrapParameters(u2=100.0, v=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue):
+            solve_classical(params, SOLITON_INIT, (0.0, 400.0), 0.5)
+
+
+def test_solve_classical_peak_memory_per_step():
+    # the trajectory keeps 32 B/step and the step matrices take 32 more;
+    # temporaries for every step on top of those would not fit
+    n_steps = 2**17
+    tracemalloc.start()
+    try:
+        solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, FOUR_PI),
+                        FOUR_PI / n_steps)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * n_steps
 
 
 # ---------------------------------------------------- polar decomposition

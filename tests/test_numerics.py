@@ -16,10 +16,11 @@ from wavetrains import (
     central_diff,
     cumulative_simpson,
     is_power_of_two,
-    rk4_integrate,
     simpson,
 )
 from wavetrains.errors import GridMismatch
+
+from rk4_reference import rk4_integrate
 
 
 # ---------------------------------------------------------------- grids
