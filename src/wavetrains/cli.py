@@ -64,6 +64,7 @@ from .trains import (
     count_nodes,
     hermite_table,
     mean_energy,
+    mean_energy_moments,
     overlap,
     psi_on_grid,
     train_frame,
@@ -313,15 +314,17 @@ def run_snapshot(cfg: RunConfig) -> str:
 
 
 def run_series(cfg: RunConfig) -> str:
-    """t, x_c, rho, E_n per time sample."""
+    """t, x_c, rho, E_n per time sample.
+
+    E_n comes from the exact second moments of the state
+    (``mean_energy_moments``), so no spatial grid is built; the verify
+    battery keeps the quadrature ``mean_energy`` as its independent check."""
     params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     spec = _effective_spec(cfg, ptraj.c0)
-    grid = _space_grid(cfg, ptraj, spec)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
-    t = traj.t[idx]
     xc = (spec.b0 / spec.c0) * traj.phi1[idx]
-    energy = np.array([mean_energy(ptraj, spec, float(tv), grid) for tv in t])
-    rows = np.column_stack([t, xc, ptraj.rho[idx], energy])
+    energy = mean_energy_moments(ptraj, spec, idx)
+    rows = np.column_stack([traj.t[idx], xc, ptraj.rho[idx], energy])
     return _render(cfg, ["t", "xc", "rho", "energy"], rows, _meta_common(ptraj.c0))
 
 
@@ -543,9 +546,11 @@ def main(argv=None) -> int:
             dt = None
             if args.dt is not None:
                 values = parse_pi_times(args.dt)
-                if len(values) != 1 or values[0] <= 0:
-                    raise ConfigError(f"--dt wants one positive value, got {args.dt!r}")
+                if len(values) != 1 or not 0 < values[0] < math.inf:
+                    raise ConfigError(f"--dt wants one positive finite value, got {args.dt!r}")
                 dt = values[0]
+            if not 0 <= args.tolerance < math.inf:
+                raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
             text, ok = run_oracle_compare(cfg, dt=dt, tolerance=args.tolerance)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")

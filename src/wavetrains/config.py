@@ -15,10 +15,14 @@ import json
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .errors import ConfigError, UnknownPreset
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
+_CSV_BLOCK = 4096  # rows per formatting block in render_csv
+MAX_N = 200  # stable range of TrainSpec.a0 and hermite_scaled
 
 
 @dataclass(frozen=True)
@@ -191,10 +195,18 @@ def from_dict(data: dict) -> RunConfig:
 
 def validate(cfg: RunConfig) -> RunConfig:
     """Invariant checks shared by file configs and flag overrides."""
+    for group in _GROUPS:
+        for name, value in vars(getattr(cfg, group)).items():
+            values = value if name == "times" else (value,)
+            if any(isinstance(v, float) and not math.isfinite(v) for v in values):
+                raise ConfigError(f"{group}.{name} must be finite, got {value!r}")
     if not (cfg.params.u2 > 0):
         raise ConfigError(f"params.u2 must be positive, got {cfg.params.u2}")
     if cfg.train.n < 0:
         raise ConfigError(f"train.n must be >= 0, got {cfg.train.n}")
+    if cfg.train.n > MAX_N:
+        raise ConfigError(f"train.n must be <= {MAX_N}, the stable range of the "
+                          f"Hermite recurrence and normalization; got {cfg.train.n}")
     if cfg.train.declared_c0 is not None and not (cfg.train.declared_c0 > 0):
         raise ConfigError(f"train.declared_c0 must be positive, got {cfg.train.declared_c0}")
     if cfg.solver.iterations < 0:
@@ -301,13 +313,21 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
                meta: list[tuple[str, str]] | None = None) -> str:
     """CSV with a self-describing comment header: every config field as a
     ``# key = value`` line, optional extra metadata lines, the column
-    names, then the data at 17 significant digits."""
+    names, then the data at 17 significant digits.
+
+    Rows are formatted a block at a time, one ``%`` operation per block
+    of ``_CSV_BLOCK`` rows; the bytes equal a per-value
+    ``f"{float(v):.17g}"`` join."""
     lines = [f"# {key} = {value}" for key, value in flat_items(cfg)]
     for key, value in meta or []:
         lines.append(f"# {key} = {value}")
     lines.append(",".join(columns))
-    for row in rows:
-        lines.append(",".join(f"{float(v):.17g}" for v in row))
+    data = np.asarray(rows, dtype=float)
+    if data.size:
+        row_fmt = ",".join(["%.17g"] * data.shape[1])
+        for start in range(0, len(data), _CSV_BLOCK):
+            block = data[start:start + _CSV_BLOCK]
+            lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
     return "\n".join(lines) + "\n"
 
 

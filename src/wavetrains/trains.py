@@ -233,14 +233,28 @@ def _as_polar(traj: Trajectory | PolarTrajectory) -> PolarTrajectory:
     return traj if isinstance(traj, PolarTrajectory) else polar_decompose(traj)
 
 
+def _phase_rate(spec: TrainSpec, rho, theta, drho, dtheta, k):
+    """Coefficients (quad, lin, const) of dTheta_n/dt = quad x^2 - lin x + const.
+
+    Evaluated analytically from rho, drho, theta, dtheta with ddrho taken
+    from the polar equation of motion ddrho = rho dtheta^2 - k rho (no
+    numerical time differencing); scalars or equal-shape arrays.
+    """
+    # d/dt(drho/(2 rho)) with ddrho = rho dtheta^2 - k rho
+    quad = 0.5 * (dtheta**2 - k) - 0.5 * drho**2 / rho**2
+    lin = spec.b0 * (dtheta * np.cos(theta) * rho - drho * np.sin(theta)) / rho**2
+    const = (spec.b0**2 / (2.0 * spec.c0)) * dtheta * np.cos(2.0 * theta) \
+        - (0.5 + spec.n) * dtheta
+    return quad, lin, const
+
+
 def mean_energy(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
                 t: float, grid: UniformGrid) -> float:
-    """Average energy E_n(t) = <psi_n| i d/dt |psi_n> = -int R_n^2 dTheta_n/dt dx.
+    """Average energy E_n(t) = <psi_n| i d/dt |psi_n> = -int R_n^2 dTheta_n/dt dx
+    by Simpson quadrature on the supplied grid.
 
-    dTheta_n/dt is evaluated analytically from rho, drho, theta, dtheta
-    with ddrho taken from the polar equation of motion
-    ddrho = rho dtheta^2 - k rho (no numerical time differencing); the x
-    integral is Simpson quadrature on the supplied grid.
+    This is the independent check of ``mean_energy_moments``, which gives
+    the same value in closed form; the verify battery keeps this route.
     """
     ptraj = _as_polar(traj)
     i = ptraj.grid.index_of(t)
@@ -249,14 +263,27 @@ def mean_energy(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
     x = grid.points()
     frame = TrainFrame(t=s.t, rho=s.rho, theta=s.theta, drho=s.drho, spec=spec)
     r2 = amplitude(frame, x) ** 2
-    # d/dt(drho/(2 rho)) with ddrho = rho dtheta^2 - k rho
-    quad = 0.5 * (s.dtheta**2 - k) - 0.5 * s.drho**2 / s.rho**2
-    lin = spec.b0 * (s.dtheta * math.cos(s.theta) * s.rho
-                     - s.drho * math.sin(s.theta)) / s.rho**2
-    const = (spec.b0**2 / (2.0 * spec.c0)) * s.dtheta * math.cos(2.0 * s.theta) \
-        - (0.5 + spec.n) * s.dtheta
+    quad, lin, const = _phase_rate(spec, s.rho, s.theta, s.drho, s.dtheta, k)
     theta_t = quad * x * x - lin * x + const
     return float(-np.real(_simpson_array(r2 * theta_t, grid.step)))
+
+
+def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndarray:
+    """E_n at the trajectory samples ``idx`` (an index array) in closed form.
+
+    R_n^2 is a normalized density with exact moments <x> = x_c and
+    <x^2> = rho^2 (n + 1/2)/c0 + x_c^2, x_c = (b0/c0) rho cos(theta), so
+    E_n = -(quad <x^2> - lin x_c + const) with the ``_phase_rate``
+    coefficients: no spatial grid, vectorized over all samples.
+    """
+    idx = np.asarray(idx)
+    rho, theta = ptraj.rho[idx], ptraj.theta[idx]
+    k = ptraj.params.k(ptraj.grid.start + idx * ptraj.grid.step)
+    quad, lin, const = _phase_rate(spec, rho, theta, ptraj.drho[idx],
+                                   ptraj.dtheta[idx], k)
+    xc = (spec.b0 / spec.c0) * rho * np.cos(theta)
+    x2 = rho**2 * (spec.n + 0.5) / spec.c0 + xc**2
+    return -(quad * x2 - lin * xc + const)
 
 
 def verify_eq4(traj: Trajectory | PolarTrajectory, spec: TrainSpec,

@@ -12,10 +12,13 @@ import pytest
 
 from wavetrains.cli import main
 from wavetrains.config import (
+    MAX_N,
     RunConfig,
+    flat_items,
     from_dict,
     parse_pi_times,
     preset,
+    render_csv,
     to_dict,
 )
 from wavetrains.errors import ConfigError, UnknownPreset
@@ -215,6 +218,77 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert rc == 2
 
 
+# Every non-finite float input, given as a flag where one exists and
+# through a config file otherwise.
+NON_FINITE_INPUTS = [
+    ("params.u2", {"params": {"u2": math.inf}}, []),
+    ("params.v", {"params": {"v": math.nan}}, []),
+    ("init.a", {"init": {"a": math.nan}}, []),
+    ("init.b", {"init": {"b": math.inf}}, []),
+    ("init.alpha", {"init": {"alpha": -math.inf}}, []),
+    ("init.beta", {"init": {"beta": math.nan}}, []),
+    ("train.b0", None, ["--b0", "nan"]),
+    ("train.declared_c0", None, ["--declared-c0", "inf"]),
+    ("solver.rk4_step", None, ["--rk4-step", "nan"]),
+    ("time.t_final", None, ["--t-final", "inf"]),
+    ("time.times", None, ["--times", "0,nan"]),
+    ("space.half_width", None, ["--half-width", "inf", "--grid-points", "1024"]),
+    ("space.center", None, ["--center=-inf"]),
+]
+
+
+@pytest.mark.parametrize("key, config, flags", NON_FINITE_INPUTS,
+                         ids=[case[0] for case in NON_FINITE_INPUTS])
+def test_non_finite_input_is_usage_error(tmp_path, capsys, key, config, flags):
+    if config is None:
+        source = ["--preset", "static"]
+    else:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(config))
+        source = ["--config", str(path)]
+    command = "snapshot" if key == "time.times" else "series"
+    rc, out, err = run_cli(capsys, [command] + source + flags)
+    assert rc == 2
+    assert out == ""
+    assert err.count("\n") == 1 and err.startswith(f"error: {key} must be finite")
+
+
+def test_quantum_number_is_capped():
+    # from_dict validates; nothing is run
+    assert from_dict({"train": {"n": MAX_N}}).train.n == MAX_N
+    with pytest.raises(ConfigError, match="train.n"):
+        from_dict({"train": {"n": MAX_N + 1}})
+
+
+def _render_csv_per_value(cfg, columns, rows, meta):
+    lines = [f"# {key} = {value}" for key, value in flat_items(cfg)]
+    lines += [f"# {key} = {value}" for key, value in meta]
+    lines.append(",".join(columns))
+    lines += [",".join(f"{float(v):.17g}" for v in row) for row in rows]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+def test_render_csv_matches_per_value_format(count):
+    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+               2.2250738585072014e-308 / 3, 0.1, -1.0 / 3.0, 7.0]
+    width = len(special)
+    rng = np.random.default_rng(count)
+    rows = rng.standard_normal((count, width)) \
+        * 10.0 ** rng.integers(-300, 300, (count, width))
+    rows[:1] = special
+    columns = [f"c{j}" for j in range(width)]
+    meta = [("extra", "1")]
+    expected = _render_csv_per_value(RunConfig(), columns, rows.tolist(), meta)
+    for given in (rows, rows.tolist()):
+        got = render_csv(RunConfig(), columns, given, meta=meta)
+        # the first differing line, not pytest's quadratic diff of two
+        # multi-megabyte strings
+        diff = next(((i, a, b) for i, (a, b) in enumerate(zip(
+            got.split("\n"), expected.split("\n"))) if a != b), None)
+        assert diff is None and len(got) == len(expected), diff
+
+
 def test_pi_unit_time_parsing():
     assert tuple(parse_pi_times("0,0.5pi,2pi")) == (0.0, 0.5 * math.pi,
                                                     2.0 * math.pi)
@@ -278,6 +352,11 @@ def test_oracle_compare_flag_validation(capsys):
     rc, _, _ = run_cli(capsys, ["oracle-compare", "--preset", "static",
                                 "--times", "0.5", "--dt", "-0.01"])
     assert rc == 2
+    for flag, value in (("--dt", "nan"), ("--dt", "inf"),
+                        ("--tolerance", "nan"), ("--tolerance", "-1")):
+        rc, _, err = run_cli(capsys, ["oracle-compare", "--preset", "static",
+                                      "--times", "0.5", flag, value])
+        assert rc == 2 and err.startswith(f"error: {flag}")
 
 
 def test_oracle_compare_fails_tight_tolerance(capsys):

@@ -22,6 +22,7 @@ from wavetrains import (
     hermite_scaled,
     hermite_table,
     mean_energy,
+    mean_energy_moments,
     overlap,
     psi,
     psi_on_grid,
@@ -297,6 +298,10 @@ def test_static_spectrum_is_half_integer(static_polar):
         spec = TrainSpec(n=n, b0=0.0, c0=static_polar.c0)
         e = mean_energy(static_polar, spec, 0.0, grid)
         assert abs(e - (n + 0.5)) < 1e-9
+        idx = np.arange(0, static_polar.grid.count, 97)
+        closed = mean_energy_moments(static_polar, spec, idx)
+        assert closed.shape == idx.shape
+        assert float(np.max(np.abs(closed - (n + 0.5)))) < 1e-9
 
 
 def test_energy_ladder_is_affine(soliton_polar, soliton_spec):
@@ -316,14 +321,18 @@ def test_energy_ladder_is_affine(soliton_polar, soliton_spec):
 
 def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
     # independent evaluation through the exact second moment
-    # <x^2> = rho^2 (n + 1/2)/c0 + x_c^2 instead of grid quadrature
+    # <x^2> = rho^2 (n + 1/2)/c0 + x_c^2 instead of grid quadrature; both
+    # the quadrature and the vectorized closed form are held to it, and to
+    # each other
     for ptraj, b0 in ((soliton_polar, -10.0), (collapse_polar, 0.02)):
         for n in (0, 4, 8):
             spec = TrainSpec(n=n, b0=b0, c0=ptraj.c0)
             grid = auto_space_grid(ptraj, TrainSpec(n=8, b0=b0, c0=ptraj.c0))
-            for t in _sample_times(ptraj, 5):
-                i = ptraj.grid.index_of(float(t))
-                s = ptraj.state(i)
+            times = _sample_times(ptraj, 5)
+            idx = np.array([ptraj.grid.index_of(float(t)) for t in times])
+            closed = mean_energy_moments(ptraj, spec, idx)
+            for t, i, closed_t in zip(times, idx, closed):
+                s = ptraj.state(int(i))
                 k = float(ptraj.params.k(s.t))
                 xc = (b0 / spec.c0) * s.rho * math.cos(s.theta)
                 x2 = s.rho ** 2 * (n + 0.5) / spec.c0 + xc ** 2
@@ -335,6 +344,8 @@ def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
                 expected = -(quad * x2 - lin * xc + const)
                 measured = mean_energy(ptraj, spec, float(t), grid)
                 assert abs(measured - expected) < 1e-10 * max(1.0, abs(expected))
+                assert abs(closed_t - expected) < 1e-10 * max(1.0, abs(expected))
+                assert abs(closed_t - measured) < 1e-10 * max(1.0, abs(measured))
 
 
 # --------------------------------------------------- coefficient-ODE checks
