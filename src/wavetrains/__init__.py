@@ -32,23 +32,20 @@ from .numerics import (
     build_space_grid,
     central_diff,
     cumulative_simpson,
+    field_integral,
     is_power_of_two,
     simpson,
 )
 from .mathieu import (
     ClassicalInit,
-    ClassicalState,
-    PolarState,
     PolarTrajectory,
     Trajectory,
     TrapParameters,
-    eq14_reference,
     first_integral,
     mathieu_residual,
     picard_iterate,
     polar_decompose,
     polar_ode_residuals,
-    riccati_c,
     solve_classical,
     unperturbed_solution,
 )
@@ -98,11 +95,10 @@ __all__ = [
     "QuadratureOrderWarning", "StabilityRegionWarning", "TooFewPoints",
     "UnknownPreset", "WavetrainError",
     "SampledFunction", "UniformGrid", "build_space_grid", "central_diff",
-    "cumulative_simpson", "is_power_of_two", "simpson",
-    "ClassicalInit", "ClassicalState", "PolarState", "PolarTrajectory",
-    "Trajectory", "TrapParameters", "eq14_reference", "first_integral",
-    "mathieu_residual", "picard_iterate", "polar_decompose",
-    "polar_ode_residuals", "riccati_c", "solve_classical",
+    "cumulative_simpson", "field_integral", "is_power_of_two", "simpson",
+    "ClassicalInit", "PolarTrajectory", "Trajectory", "TrapParameters",
+    "first_integral", "mathieu_residual", "picard_iterate",
+    "polar_decompose", "polar_ode_residuals", "solve_classical",
     "unperturbed_solution",
     "CoefficientSet", "FieldGrid", "TrainFrame", "TrainSpec", "amplitude",
     "auto_space_grid", "center_orbit", "coefficients",

@@ -41,14 +41,14 @@ from .errors import ConfigError, UnknownPreset, WavetrainError
 from .mathieu import (
     ClassicalInit,
     TrapParameters,
-    _wronskian,
+    first_integral,
     mathieu_residual,
     picard_iterate,
     polar_decompose,
     polar_ode_residuals,
     solve_classical,
 )
-from .numerics import UniformGrid, build_space_grid
+from .numerics import UniformGrid, build_space_grid, field_integral
 from .splitstep import (
     PropagatorConfig,
     l2_density_distance,
@@ -69,8 +69,8 @@ from .trains import (
     psi_on_grid,
     train_frame,
     verify_eq4,
+    xi_of,
 )
-from .numerics import _simpson_array
 
 
 # --------------------------------------------------------------------------
@@ -263,7 +263,7 @@ def run_classical(cfg: RunConfig) -> str:
     """t, phi1, phi2, rho, theta, drho, dtheta, c0_residual per sample."""
     params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
-    wron = _wronskian(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
+    wron = first_integral(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
     scale = max(abs(ptraj.c0), np.finfo(float).tiny)
     rows = np.column_stack([
         traj.t[idx], traj.phi1[idx], traj.phi2[idx],
@@ -463,16 +463,14 @@ def _battery(cfg: RunConfig) -> dict:
     x = grid.points()
     worst_cross = 0.0
     for tv in t_checks:
-        i = ptraj.grid.index_of(float(tv))
-        s = ptraj.state(i)
-        table = hermite_table(min(n_hi, 8), math.sqrt(spec.c0) / s.rho * x
-                              - spec.b0 / math.sqrt(spec.c0) * math.cos(s.theta))
+        frame = train_frame(ptraj, spec, float(tv))
+        table = hermite_table(min(n_hi, 8), xi_of(frame, x))
         # Theta_n - Theta_m = -(n - m) theta is x-independent, so
         # |<m|n>| = |int R_m R_n dx| = (sqrt(c0)/rho) |int h_m h_n dx|
-        weight = math.sqrt(spec.c0) / s.rho
+        weight = math.sqrt(spec.c0) / frame.rho
         for m in range(table.shape[0]):
             for n2 in range(m + 1, table.shape[0]):
-                val = abs(float(_simpson_array(table[m] * table[n2], grid.step)) * weight)
+                val = abs(float(field_integral(table[m] * table[n2], grid.step)) * weight)
                 worst_cross = max(worst_cross, val)
     check("orthogonality", worst_cross, 1e-6)
 

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, UnknownPreset
+from .numerics import is_power_of_two
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
@@ -226,7 +227,7 @@ def validate(cfg: RunConfig) -> RunConfig:
             raise ConfigError("space.policy 'explicit' needs grid_points and half_width")
     if cfg.space.grid_points is not None:
         gp = cfg.space.grid_points
-        if gp < 2 or (gp & (gp - 1)) != 0:
+        if gp < 2 or not is_power_of_two(gp):
             raise ConfigError(f"space.grid_points must be a power of two >= 2, got {gp}")
     if cfg.output.format not in ("csv", "json"):
         raise ConfigError(f"output.format must be 'csv' or 'json', got {cfg.output.format!r}")

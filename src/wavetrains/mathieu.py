@@ -9,6 +9,7 @@ steps are 2x2 matrices (the equation is linear) built at once in closed
 form and composed by a blocked prefix product.  The polar decomposition
 phi = rho * exp(i*theta) and the first integral c0 = rho^2 * dtheta =
 phi1*dphi2 - phi2*dphi1 feed the quantum construction in ``trains``.
+Both trajectory records hold whole arrays on one uniform time grid.
 """
 
 from __future__ import annotations
@@ -82,37 +83,9 @@ class ClassicalInit:
     beta: float
 
 
-@dataclass(frozen=True)
-class ClassicalState:
-    """One sample of the complex classical solution, split into real and
-    imaginary components and their time derivatives."""
-
-    t: float
-    phi1: float
-    phi2: float
-    dphi1: float
-    dphi2: float
-
-
-@dataclass(frozen=True)
-class PolarState:
-    """One sample of the polar form phi = rho*exp(i*theta); theta is the
-    unwrapped (continuous) branch."""
-
-    t: float
-    rho: float
-    theta: float
-    drho: float
-    dtheta: float
-
-
-def _wronskian(phi1, phi2, dphi1, dphi2):
+def first_integral(phi1, phi2, dphi1, dphi2):
+    """Conserved Wronskian phi1*dphi2 - phi2*dphi1 (scalars or arrays)."""
     return phi1 * dphi2 - phi2 * dphi1
-
-
-def first_integral(state: ClassicalState) -> float:
-    """Conserved Wronskian-like combination phi1*dphi2 - phi2*dphi1."""
-    return _wronskian(state.phi1, state.phi2, state.dphi1, state.dphi2)
 
 
 @dataclass(frozen=True)
@@ -135,7 +108,7 @@ class Trajectory:
     max_c0_drift: float = field(init=False)
 
     def __post_init__(self):
-        w = _wronskian(self.phi1, self.phi2, self.dphi1, self.dphi2)
+        w = first_integral(self.phi1, self.phi2, self.dphi1, self.dphi2)
         c0 = float(w[0])
         scale = max(abs(c0), np.finfo(float).tiny)
         object.__setattr__(self, "c0", c0)
@@ -144,15 +117,6 @@ class Trajectory:
     @property
     def t(self) -> np.ndarray:
         return self.grid.points()
-
-    def state(self, i: int) -> ClassicalState:
-        return ClassicalState(
-            t=float(self.grid.start + i * self.grid.step),
-            phi1=float(self.phi1[i]),
-            phi2=float(self.phi2[i]),
-            dphi1=float(self.dphi1[i]),
-            dphi2=float(self.dphi2[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -172,17 +136,11 @@ class PolarTrajectory:
     def t(self) -> np.ndarray:
         return self.grid.points()
 
-    def state(self, i: int) -> PolarState:
-        return PolarState(
-            t=float(self.grid.start + i * self.grid.step),
-            rho=float(self.rho[i]),
-            theta=float(self.theta[i]),
-            drho=float(self.drho[i]),
-            dtheta=float(self.dtheta[i]),
-        )
 
-
-def _unperturbed_arrays(init: ClassicalInit, params: TrapParameters, t):
+def unperturbed_solution(init: ClassicalInit, params: TrapParameters, t):
+    """V = 0 solution phi1 = A cos(Ut+alpha), phi2 = B cos(Ut+beta) with
+    exact derivatives, as (phi1, phi2, dphi1, dphi2) at a scalar or array
+    t; also supplies the t = 0 initial data for both solvers."""
     u = params.u
     t = np.asarray(t, dtype=float)
     phi1 = init.a * np.cos(u * t + init.alpha)
@@ -190,15 +148,6 @@ def _unperturbed_arrays(init: ClassicalInit, params: TrapParameters, t):
     dphi1 = -init.a * u * np.sin(u * t + init.alpha)
     dphi2 = -init.b * u * np.sin(u * t + init.beta)
     return phi1, phi2, dphi1, dphi2
-
-
-def unperturbed_solution(init: ClassicalInit, params: TrapParameters, t: float) -> ClassicalState:
-    """V = 0 solution phi1 = A cos(Ut+alpha), phi2 = B cos(Ut+beta) with
-    exact derivatives; also supplies the t = 0 initial data for both
-    solvers."""
-    phi1, phi2, dphi1, dphi2 = _unperturbed_arrays(init, params, t)
-    return ClassicalState(t=float(t), phi1=float(phi1), phi2=float(phi2),
-                          dphi1=float(dphi1), dphi2=float(dphi2))
 
 
 def _as_time_grid(t_grid) -> UniformGrid:
@@ -253,7 +202,7 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
     sinu = np.sin(u * t)
     cos2 = np.cos(2.0 * t)
 
-    base1, base2, dbase1, dbase2 = _unperturbed_arrays(init, params, t)
+    base1, base2, dbase1, dbase2 = unperturbed_solution(init, params, t)
     out = []
     for base, dbase in ((base1, dbase1), (base2, dbase2)):
         phi = base.copy()
@@ -269,32 +218,6 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
     (phi1, dphi1), (phi2, dphi2) = out
     return Trajectory(params=params, init=init, grid=grid,
                       phi1=phi1, phi2=phi2, dphi1=dphi1, dphi2=dphi2)
-
-
-def eq14_reference(t):
-    """Closed-form single-pass iterate for the benchmark drive
-    U = 0.5, V = 0.05, A = B = 1, alpha = 0, beta = -pi/2.
-
-    Evaluating the two integrals of one Picard pass in closed form (plain
-    trigonometric integration, re-derivable with any CAS) gives
-
-        phi1 = cos(t/2) + (V/U) [ cos(3t/2)/8 + cos(5t/2)/24 - cos(t/2)/6 ],
-        phi2 = sin(t/2) + (V/U) [ sin(t/2)/6  - sin(3t/2)/8  + sin(5t/2)/24 ].
-
-    Exists purely as an independent test fixture for ``picard_iterate``.
-    Returns the pair (phi1, phi2), vectorized over t.
-    """
-    t = np.asarray(t, dtype=float)
-    c = 0.05 / 0.5
-    phi1 = (np.cos(0.5 * t)
-            + c * (np.cos(1.5 * t) / 8.0 + np.cos(2.5 * t) / 24.0
-                   - np.cos(0.5 * t) / 6.0))
-    phi2 = (np.sin(0.5 * t)
-            + c * (np.sin(0.5 * t) / 6.0 - np.sin(1.5 * t) / 8.0
-                   + np.sin(2.5 * t) / 24.0))
-    if phi1.ndim == 0:
-        return float(phi1), float(phi2)
-    return phi1, phi2
 
 
 def _mul2(a, b):
@@ -388,9 +311,8 @@ def solve_classical(params: TrapParameters, init: ClassicalInit,
     n_steps = max(1, math.ceil(t1 / step - 1e-12))
     grid = UniformGrid(start=0.0, step=t1 / n_steps, count=n_steps + 1)
 
-    s0 = unperturbed_solution(init, params, 0.0)
     phi1, phi2, dphi1, dphi2 = _rk4_scan(params, grid,
-                                         (s0.phi1, s0.phi2, s0.dphi1, s0.dphi2))
+                                         unperturbed_solution(init, params, 0.0))
     return Trajectory(params=params, init=init, grid=grid,
                       phi1=phi1, phi2=phi2, dphi1=dphi1, dphi2=dphi2)
 
@@ -409,7 +331,7 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
     if np.any(rho == 0.0):
         i = int(np.argmin(rho))
         raise OriginCrossing(f"rho = 0 at sample {i} (t = {traj.grid.start + i * traj.grid.step})")
-    dtheta = _wronskian(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2) / rho**2
+    dtheta = first_integral(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2) / rho**2
     if np.max(np.abs(dtheta)) * traj.grid.step >= np.pi:
         raise BranchJump(
             "adjacent samples advance the phase by >= pi; refine the time grid"
@@ -419,13 +341,6 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
     return PolarTrajectory(params=traj.params, grid=traj.grid, rho=rho,
                            theta=theta, drho=drho, dtheta=dtheta,
                            c0=traj.c0, max_c0_drift=traj.max_c0_drift)
-
-
-def riccati_c(p: PolarState) -> complex:
-    """Complex width/phase variable c = dtheta/2 - i*drho/(2*rho)."""
-    if not (p.rho > 0):
-        raise OriginCrossing(f"rho must be positive, got {p.rho}")
-    return 0.5 * p.dtheta - 0.5j * p.drho / p.rho
 
 
 def polar_ode_residuals(ptraj: PolarTrajectory, params: TrapParameters,

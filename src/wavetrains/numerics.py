@@ -1,17 +1,19 @@
 """Generic numerical kernels shared by all other modules.
 
-Composite Simpson quadrature (plain and cumulative), second-order
-central differences, and uniform-grid construction (RK4 step matrices
-live in ``mathieu``).  Everything here is a pure function of its
-inputs; the record types are frozen.  Quadrature sums use numpy's
-pairwise summation, so results do not depend on any parallel reduction
-order.
+Two quadratures with separate jobs: composite Simpson (plain and
+cumulative) for time integrals, and the rectangle rule ``field_integral``
+for every spatial integral of a decaying field (norms, overlaps,
+distances).  Also second-order central differences and uniform-grid
+construction (RK4 step matrices live in ``mathieu``).  Everything here
+is a pure function of its inputs; the record types are frozen.
+Quadrature sums use numpy's pairwise summation, so results do not depend
+on any parallel reduction order.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -49,26 +51,20 @@ class UniformGrid:
     def points(self) -> np.ndarray:
         return self.start + np.arange(self.count) * self.step
 
-    def index_of(self, value: float, tol: float = 1e-9) -> int:
-        """Index of the grid point equal to ``value`` (within ``tol``)."""
+    def index_of(self, value: float) -> int:
+        """Index of the grid point equal to ``value`` (within 1e-9)."""
         i = int(round((value - self.start) / self.step))
-        if i < 0 or i >= self.count or abs(self.start + i * self.step - value) > tol:
+        if i < 0 or i >= self.count or abs(self.start + i * self.step - value) > 1e-9:
             raise GridMismatch(f"{value} is not a point of this grid")
         return i
 
 
 @dataclass(frozen=True)
 class SampledFunction:
-    """Values of a function on a UniformGrid.
-
-    ``accuracy_order`` is set by producers whose output carries a known
-    discretization order (e.g. central differences); None means exact
-    sampling.
-    """
+    """Values of a function on a UniformGrid."""
 
     grid: UniformGrid
     values: np.ndarray
-    accuracy_order: int | None = field(default=None)
 
     def __post_init__(self):
         vals = np.asarray(self.values)
@@ -81,43 +77,45 @@ class SampledFunction:
             raise NonFiniteValue("sampled values contain NaN or infinity")
 
 
-def _simpson_array(y: np.ndarray, step: float, warn: bool = False):
-    """Composite Simpson on equally spaced samples (last axis).
+def simpson(samples: SampledFunction):
+    """Composite Simpson integral of a SampledFunction; O(step^4) for
+    smooth integrands.
 
     An even sample count (odd interval count) degrades the final interval
-    to the trapezoid rule; with ``warn`` it emits QuadratureOrderWarning.
-    Internal field-grid quadratures keep ``warn`` off because their
-    power-of-two grids are even by construction and the final interval
-    sits on fully decayed tails.
+    to the trapezoid rule and emits QuadratureOrderWarning.
     """
-    y = np.asarray(y)
+    y = samples.values
+    step = samples.grid.step
     n = y.shape[-1]
     if n < 3:
         raise TooFewPoints(f"Simpson needs >= 3 samples, got {n}")
     tail = 0.0
     if n % 2 == 0:
-        if warn:
-            warnings.warn(
-                "even sample count: trapezoid rule on the last interval "
-                "degrades the composite order",
-                QuadratureOrderWarning,
-                stacklevel=3,
-            )
-        tail = 0.5 * step * (y[..., -2] + y[..., -1])
-        y = y[..., :-1]
+        warnings.warn(
+            "even sample count: trapezoid rule on the last interval "
+            "degrades the composite order",
+            QuadratureOrderWarning,
+            stacklevel=2,
+        )
+        tail = 0.5 * step * (y[-2] + y[-1])
+        y = y[:-1]
     core = (step / 3.0) * (
-        y[..., 0]
-        + y[..., -1]
-        + 4.0 * np.sum(y[..., 1:-1:2], axis=-1)
-        + 2.0 * np.sum(y[..., 2:-2:2], axis=-1)
+        y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
     )
     return core + tail
 
 
-def simpson(samples: SampledFunction):
-    """Composite Simpson integral of a SampledFunction; O(step^4) for
-    smooth integrands (see ``_simpson_array`` for the even-count rule)."""
-    return _simpson_array(samples.values, samples.grid.step, warn=True)
+def field_integral(y: np.ndarray, step: float):
+    """Rectangle-rule integral sum(y) * step over the last axis.
+
+    The one quadrature for spatial integrals of decaying fields: norms,
+    overlaps and distances.  It is spectrally accurate for grid-resolved
+    states whose tails have decayed at the grid edges (unlike Simpson,
+    whose alternating weights pick up near-Nyquist content on marginal
+    grids), and the squared norm it gives is the exact invariant of the
+    split-step scheme (Parseval).
+    """
+    return np.sum(y, axis=-1) * step
 
 
 def cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
@@ -180,7 +178,7 @@ def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
                  - 56.0 * y[-4] + 11.0 * y[-5]) / (12.0 * h * h)
     else:
         raise ValueError(f"order must be 1 or 2, got {order}")
-    return SampledFunction(samples.grid, d, accuracy_order=2)
+    return SampledFunction(samples.grid, d)
 
 
 def is_power_of_two(count: int) -> bool:

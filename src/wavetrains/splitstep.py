@@ -24,8 +24,8 @@ import numpy as np
 
 from .errors import AliasingRisk, GridMismatch, InvalidCount, NormDrift
 from .mathieu import PolarTrajectory, TrapParameters
-from .numerics import UniformGrid, build_space_grid, is_power_of_two, _simpson_array
-from .trains import FieldGrid, TrainSpec
+from .numerics import UniformGrid, build_space_grid, field_integral, is_power_of_two
+from .trains import NORM_TOL, FieldGrid, TrainSpec
 
 
 @dataclass(frozen=True)
@@ -44,24 +44,14 @@ class PropagatorConfig:
             raise ValueError(f"time step must be positive, got {self.dt}")
 
 
-def _parseval_norm(values: np.ndarray, step: float) -> float:
-    """Uniform-weight (rectangle-rule) L2 norm; exactly FFT-invariant."""
-    return float(np.sqrt(np.sum(np.abs(values) ** 2) * step))
-
-
 def renormalized(field: FieldGrid) -> FieldGrid:
-    """Rescale a field to unit rectangle-rule (Parseval) norm.
+    """Rescale a field to unit rectangle-rule norm (``FieldGrid.norm``).
 
-    The rectangle rule is spectrally accurate for grid-resolved decaying
-    states — unlike Simpson quadrature, whose alternating weights pick up
-    near-Nyquist content on marginal grids — and it is the exact invariant
-    of the split-step scheme, so a state prepared this way stays unit to
-    roundoff throughout a propagation.  The stored ``norm`` metadata
-    remains the Simpson value."""
-    values = field.values / _parseval_norm(field.values, field.grid.step)
-    norm = float(np.real(_simpson_array(np.abs(values) ** 2, field.grid.step)))
-    return FieldGrid(grid=field.grid, t=field.t, values=values, norm=norm,
-                     norm_deficit=abs(norm - 1.0) > 1e-6)
+    That norm is the exact (Parseval) invariant of the split-step scheme,
+    so a state prepared this way stays unit to roundoff throughout a
+    propagation."""
+    return FieldGrid(grid=field.grid, t=field.t,
+                     values=field.values / math.sqrt(field.norm))
 
 
 def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
@@ -72,9 +62,10 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
 
     Preconditions and guards:
 
-    * ``psi0.grid`` must equal ``config.grid`` and carry rectangle-rule
-      norm within 1e-6 of 1 — the scheme's own invariant metric; see
-      ``renormalized`` (GridMismatch / ValueError otherwise);
+    * ``psi0.grid`` must equal ``config.grid`` and ``psi0`` must not be
+      flagged ``norm_deficit`` — its rectangle-rule norm is the scheme's
+      own invariant metric; see ``renormalized`` (GridMismatch /
+      ValueError otherwise);
     * every recorded time and ``t_final`` must sit on the step lattice
       t0 + m dt (GridMismatch otherwise);
     * the potential phase per step must stay below pi/2 at the grid edge,
@@ -87,11 +78,10 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     grid = config.grid
     if psi0.grid != grid:
         raise GridMismatch("initial field lives on a different grid than the propagator")
-    start_norm = _parseval_norm(psi0.values, grid.step)
-    if abs(start_norm - 1.0) > 1e-6:
+    if psi0.norm_deficit:
         raise ValueError(
-            f"initial field rectangle-rule norm {start_norm:.8g} is not within "
-            "1e-6 of 1; renormalize or enlarge the grid first"
+            f"initial field rectangle-rule norm {psi0.norm:.8g} is not within "
+            f"{NORM_TOL:g} of 1; renormalize or enlarge the grid first"
         )
     dt = config.dt
     t0 = psi0.t
@@ -129,16 +119,11 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     full_kin = half_kin * half_kin
     x2 = x * x
 
-    norm0 = _parseval_norm(psi0.values, grid.step)
+    norm0 = math.sqrt(psi0.norm)
     out: dict[int, FieldGrid] = {}
 
-    def record(m: int, vals: np.ndarray):
-        norm = float(np.real(_simpson_array(np.abs(vals) ** 2, grid.step)))
-        out[m] = FieldGrid(grid=grid, t=t0 + m * dt, values=vals,
-                           norm=norm, norm_deficit=abs(norm - 1.0) > 1e-6)
-
     def check_drift(norm: float, m: int):
-        drift = abs(norm - norm0)
+        drift = abs(math.sqrt(norm) - norm0)
         if drift > 1e-8:
             raise NormDrift(
                 f"norm drifted by {drift:.3g} after step {m}; "
@@ -146,7 +131,7 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
             )
 
     if 0 in record_steps:
-        record(0, psi0.values.astype(complex, copy=True))
+        out[0] = FieldGrid(grid=grid, t=t0, values=psi0.values.copy())
     if n_steps == 0:
         return [out[m] for m in record_steps]
 
@@ -162,16 +147,16 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
         last = m + 1 == n_steps
         if last or (m + 1 in record_set):
             psi = half_kin * psi
-            pos = np.fft.ifft(psi)
-            check_drift(_parseval_norm(pos, grid.step), m + 1)
+            field = FieldGrid(grid=grid, t=t0 + (m + 1) * dt, values=np.fft.ifft(psi))
+            check_drift(field.norm, m + 1)
             if m + 1 in record_set:
-                record(m + 1, pos)
+                out[m + 1] = field
             if not last:
                 psi = half_kin * psi  # leading half kick of the next step
         else:
             psi = full_kin * psi
-            # unnormalized FFT scales the L2 norm by sqrt(count)
-            check_drift(_parseval_norm(psi, grid.step) / math.sqrt(grid.count), m + 1)
+            # unnormalized FFT scales the squared L2 norm by count
+            check_drift(field_integral(np.abs(psi) ** 2, grid.step) / grid.count, m + 1)
     return [out[m] for m in record_steps]
 
 
@@ -199,17 +184,16 @@ def tdse_residual(fields: list[FieldGrid], params: TrapParameters) -> float:
     psi_xx[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
     k = float(params.k(f1.t))
     resid = 1j * psi_t + 0.5 * psi_xx - 0.5 * k * x * x * v
-    num = math.sqrt(float(np.real(_simpson_array(np.abs(resid) ** 2, grid.step))))
-    den = math.sqrt(float(np.real(_simpson_array(np.abs(v) ** 2, grid.step))))
-    return num / den
+    return math.sqrt(field_integral(np.abs(resid) ** 2, grid.step) / f1.norm)
 
 
 def l2_density_distance(field_a: FieldGrid, field_b: FieldGrid) -> float:
-    """L2 distance of the densities, [int (|psi_a|^2 - |psi_b|^2)^2 dx]^(1/2)."""
+    """L2 distance of the densities, [int (|psi_a|^2 - |psi_b|^2)^2 dx]^(1/2)
+    by the rectangle rule."""
     if field_a.grid != field_b.grid:
         raise GridMismatch("density distance needs one shared grid")
     diff = field_a.density() - field_b.density()
-    return math.sqrt(float(_simpson_array(diff * diff, field_a.grid.step)))
+    return math.sqrt(field_integral(diff * diff, field_a.grid.step))
 
 
 def propagation_grid(ptraj: PolarTrajectory, spec: TrainSpec,

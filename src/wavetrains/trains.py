@@ -11,13 +11,20 @@ where (rho, theta) is the polar form of the classical solution and
 c0 = rho^2 dtheta its first integral.  The density has n+1 humps sharing
 one moving, breathing envelope; the hump pattern's center follows the
 classical orbit x_c = (b0/c0) phi1.
+
+Each formula is written once and takes scalars or equal-shape arrays of
+the polar samples: ``coefficients`` (the ansatz b, c, e, f, a_n),
+``_phase_rate`` (dTheta_n/dt) and ``_hermite_rows`` (the Hermite
+recurrence).  Every spatial integral is the rectangle rule
+``numerics.field_integral``.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -27,9 +34,11 @@ from .errors import (
     NonPositiveC0,
     NormDeficitWarning,
 )
-from .mathieu import PolarState, PolarTrajectory, Trajectory, polar_decompose
-from .numerics import UniformGrid, central_diff, _simpson_array, build_space_grid
+from .mathieu import PolarTrajectory, Trajectory
+from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
 from .numerics import SampledFunction
+
+NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 
 
 @dataclass(frozen=True)
@@ -58,13 +67,13 @@ class TrainSpec:
                                - self.n * math.log(2.0) - math.lgamma(self.n + 1)))
 
 
-@dataclass(frozen=True)
-class CoefficientSet:
-    """The time-dependent coefficients of the test-function ansatz at one
-    instant: complex b and a_n, real width parameter e > 0 and shift f."""
+class CoefficientSet(NamedTuple):
+    """The time-dependent coefficients of the test-function ansatz: complex
+    b, Riccati variable c and a_n, real width parameter e > 0 and shift f;
+    each a scalar or an array of the samples' shape."""
 
-    t: float
     b: complex
+    c: complex
     e: float
     f: float
     a_n: complex
@@ -85,62 +94,67 @@ class TrainFrame:
 class FieldGrid:
     """Complex wavefunction samples on a uniform spatial grid at one time.
 
-    ``norm`` is the Simpson quadrature of |psi|^2 on the grid;
-    ``norm_deficit`` flags a norm visibly different from 1 (grid too small
-    or too coarse for the state)."""
+    ``norm`` is the rectangle-rule integral of |psi|^2 on the grid
+    (``field_integral``), computed here and nowhere else; ``norm_deficit``
+    flags |norm - 1| > NORM_TOL (grid too small or too coarse for the
+    state)."""
 
     grid: UniformGrid
     t: float
     values: np.ndarray
-    norm: float
-    norm_deficit: bool
+    norm: float = field(init=False)
+    norm_deficit: bool = field(init=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "values", np.asarray(self.values, dtype=complex))
+        values = np.asarray(self.values, dtype=complex)
+        norm = float(field_integral(np.abs(values) ** 2, self.grid.step))
+        object.__setattr__(self, "values", values)
+        object.__setattr__(self, "norm", norm)
+        object.__setattr__(self, "norm_deficit", abs(norm - 1.0) > NORM_TOL)
 
     def density(self) -> np.ndarray:
         return np.abs(self.values) ** 2
 
 
-def hermite_scaled(n: int, xi):
-    """Normalized Hermite function h_n(xi) = H_n(xi) e^(-xi^2/2) / sqrt(sqrt(pi) 2^n n!).
-
-    Evaluated by the numerically stable scaled three-term recurrence
-    h_{k+1} = xi sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}; no overflow
-    for n <= 200, |xi| <= 50 (far tails underflow harmlessly to zero).
-    """
-    if n < 0:
-        raise NegativeIndex(f"function index must be >= 0, got {n}")
-    xi = np.asarray(xi, dtype=float)
+def _hermite_rows(nmax: int, xi: np.ndarray):
+    """Yield h_0 .. h_nmax by the numerically stable scaled three-term
+    recurrence h_{k+1} = xi sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1},
+    holding two rows at a time; no overflow for n <= 200, |xi| <= 50 (far
+    tails underflow harmlessly to zero)."""
+    if nmax < 0:
+        raise NegativeIndex(f"function index must be >= 0, got {nmax}")
     h_prev = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n == 0:
-        return h_prev if h_prev.ndim else float(h_prev)
-    h = math.sqrt(2.0) * xi * h_prev
-    for k in range(1, n):
+    yield h_prev
+    if nmax >= 1:
+        h = math.sqrt(2.0) * xi * h_prev
+        yield h
+    for k in range(1, nmax):
         h, h_prev = xi * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev, h
+        yield h
+
+
+def hermite_scaled(n: int, xi):
+    """Normalized Hermite function h_n(xi) = H_n(xi) e^(-xi^2/2) / sqrt(sqrt(pi) 2^n n!),
+    the last row of ``_hermite_rows`` (two rows in memory at a time)."""
+    for h in _hermite_rows(n, np.asarray(xi, dtype=float)):
+        pass
     return h if h.ndim else float(h)
 
 
 def hermite_table(nmax: int, xi) -> np.ndarray:
     """h_0..h_nmax stacked along the first axis (one recurrence pass)."""
-    if nmax < 0:
-        raise NegativeIndex(f"function index must be >= 0, got {nmax}")
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = np.empty((nmax + 1,) + xi.shape)
-    table[0] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if nmax >= 1:
-        table[1] = math.sqrt(2.0) * xi * table[0]
-    for k in range(1, nmax):
-        table[k + 1] = (xi * math.sqrt(2.0 / (k + 1)) * table[k]
-                        - math.sqrt(k / (k + 1.0)) * table[k - 1])
-    return table
+    # each row is copied into the preallocated table as it is produced
+    return np.fromiter(_hermite_rows(nmax, xi), dtype=(float, xi.shape),
+                       count=nmax + 1)
 
 
 def train_frame(ptraj: PolarTrajectory, spec: TrainSpec, t: float) -> TrainFrame:
     """Frame at a sampled time of the polar trajectory."""
     i = ptraj.grid.index_of(t)
-    s = ptraj.state(i)
-    return TrainFrame(t=s.t, rho=s.rho, theta=s.theta, drho=s.drho, spec=spec)
+    return TrainFrame(t=float(ptraj.grid.start + i * ptraj.grid.step),
+                      rho=float(ptraj.rho[i]), theta=float(ptraj.theta[i]),
+                      drho=float(ptraj.drho[i]), spec=spec)
 
 
 def xi_of(frame: TrainFrame, x):
@@ -150,20 +164,20 @@ def xi_of(frame: TrainFrame, x):
     return sc * np.asarray(x, dtype=float) / frame.rho - (s.b0 / sc) * math.cos(frame.theta)
 
 
-def coefficients(p: PolarState, spec: TrainSpec) -> CoefficientSet:
-    """Ansatz coefficients at one instant:
+def coefficients(spec: TrainSpec, rho, theta, drho, dtheta) -> CoefficientSet:
+    """Ansatz coefficients from polar samples (scalars or equal-shape arrays):
 
-    b = b0 e^(-i theta)/rho,  e = sqrt(c0)/rho (= sqrt(dtheta)),
-    f = (b0/sqrt(c0)) cos theta,
+    b = b0 e^(-i theta)/rho,  c = dtheta/2 - i drho/(2 rho),
+    e = sqrt(c0)/rho (= sqrt(dtheta)),  f = (b0/sqrt(c0)) cos theta,
     a_n = (A0/sqrt(rho)) exp{-i[(1/2+n) theta - (b0^2/(4 c0)) sin 2 theta]}.
     """
     sc = math.sqrt(spec.c0)
-    b = spec.b0 * np.exp(-1j * p.theta) / p.rho
-    e = sc / p.rho
-    f = (spec.b0 / sc) * math.cos(p.theta)
-    phase = (0.5 + spec.n) * p.theta - (spec.b0**2 / (4.0 * spec.c0)) * math.sin(2.0 * p.theta)
-    a_n = spec.a0 / math.sqrt(p.rho) * np.exp(-1j * phase)
-    return CoefficientSet(t=p.t, b=complex(b), e=float(e), f=float(f), a_n=complex(a_n))
+    phase = (0.5 + spec.n) * theta - (spec.b0**2 / (4.0 * spec.c0)) * np.sin(2.0 * theta)
+    return CoefficientSet(b=spec.b0 * np.exp(-1j * theta) / rho,
+                          c=0.5 * dtheta - 0.5j * drho / rho,
+                          e=sc / rho,
+                          f=(spec.b0 / sc) * np.cos(theta),
+                          a_n=spec.a0 / np.sqrt(rho) * np.exp(-1j * phase))
 
 
 def amplitude(frame: TrainFrame, x):
@@ -187,22 +201,21 @@ def psi(frame: TrainFrame, x):
     return amplitude(frame, x) * np.exp(1j * phase(frame, x))
 
 
-def psi_on_grid(frame: TrainFrame, grid: UniformGrid, norm_tol: float = 1e-6) -> FieldGrid:
-    """Vectorized psi over a grid, with the Simpson norm recorded.
+def psi_on_grid(frame: TrainFrame, grid: UniformGrid) -> FieldGrid:
+    """Vectorized psi over a grid, with its rectangle-rule norm recorded.
 
-    Sets the norm-deficit flag (and warns) when |norm - 1| > norm_tol,
-    which indicates the grid does not cover or resolve the state."""
-    values = psi(frame, grid.points())
-    norm = float(np.real(_simpson_array(np.abs(values) ** 2, grid.step)))
-    deficit = abs(norm - 1.0) > norm_tol
-    if deficit:
+    Warns (NormDeficitWarning) when the FieldGrid flags |norm - 1| >
+    NORM_TOL, which indicates the grid does not cover or resolve the
+    state."""
+    field_grid = FieldGrid(grid=grid, t=frame.t, values=psi(frame, grid.points()))
+    if field_grid.norm_deficit:
         warnings.warn(
-            f"grid norm {norm:.6g} differs from 1 by more than {norm_tol:g}; "
+            f"grid norm {field_grid.norm:.6g} differs from 1 by more than {NORM_TOL:g}; "
             "the grid is too small or too coarse for this state",
             NormDeficitWarning,
             stacklevel=2,
         )
-    return FieldGrid(grid=grid, t=frame.t, values=values, norm=norm, norm_deficit=deficit)
+    return field_grid
 
 
 def center_orbit(traj: Trajectory | PolarTrajectory, spec: TrainSpec, t):
@@ -218,19 +231,15 @@ def center_orbit(traj: Trajectory | PolarTrajectory, spec: TrainSpec, t):
 
 
 def overlap(field_a: FieldGrid, field_b: FieldGrid) -> complex:
-    """Simpson quadrature of conj(psi_a) psi_b on the shared grid."""
+    """Rectangle-rule integral of conj(psi_a) psi_b on the shared grid."""
     if field_a.grid != field_b.grid:
         raise GridMismatch("overlap needs identical grids")
     if abs(field_a.t - field_b.t) > 1e-9 * max(1.0, abs(field_a.t), abs(field_b.t)):
         raise GridMismatch(
             f"overlap needs matching times, got {field_a.t!r} and {field_b.t!r}"
         )
-    return complex(_simpson_array(np.conj(field_a.values) * field_b.values,
+    return complex(field_integral(np.conj(field_a.values) * field_b.values,
                                   field_a.grid.step))
-
-
-def _as_polar(traj: Trajectory | PolarTrajectory) -> PolarTrajectory:
-    return traj if isinstance(traj, PolarTrajectory) else polar_decompose(traj)
 
 
 def _phase_rate(spec: TrainSpec, rho, theta, drho, dtheta, k):
@@ -248,24 +257,22 @@ def _phase_rate(spec: TrainSpec, rho, theta, drho, dtheta, k):
     return quad, lin, const
 
 
-def mean_energy(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
+def mean_energy(ptraj: PolarTrajectory, spec: TrainSpec,
                 t: float, grid: UniformGrid) -> float:
     """Average energy E_n(t) = <psi_n| i d/dt |psi_n> = -int R_n^2 dTheta_n/dt dx
-    by Simpson quadrature on the supplied grid.
+    by rectangle-rule quadrature on the supplied grid.
 
     This is the independent check of ``mean_energy_moments``, which gives
     the same value in closed form; the verify battery keeps this route.
     """
-    ptraj = _as_polar(traj)
-    i = ptraj.grid.index_of(t)
-    s = ptraj.state(i)
-    k = float(ptraj.params.k(s.t))
+    frame = train_frame(ptraj, spec, t)
+    dtheta = float(ptraj.dtheta[ptraj.grid.index_of(t)])
+    k = float(ptraj.params.k(frame.t))
     x = grid.points()
-    frame = TrainFrame(t=s.t, rho=s.rho, theta=s.theta, drho=s.drho, spec=spec)
     r2 = amplitude(frame, x) ** 2
-    quad, lin, const = _phase_rate(spec, s.rho, s.theta, s.drho, s.dtheta, k)
+    quad, lin, const = _phase_rate(spec, frame.rho, frame.theta, frame.drho, dtheta, k)
     theta_t = quad * x * x - lin * x + const
-    return float(-np.real(_simpson_array(r2 * theta_t, grid.step)))
+    return float(-field_integral(r2 * theta_t, grid.step))
 
 
 def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndarray:
@@ -286,7 +293,7 @@ def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndar
     return -(quad * x2 - lin * xc + const)
 
 
-def verify_eq4(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
+def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
                t_grid: UniformGrid | None = None,
                relative: bool = False) -> dict[str, float]:
     """Max residual of each coefficient ODE of the ansatz,
@@ -296,33 +303,21 @@ def verify_eq4(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
         i (da_n/dt)/a_n = i f df/dt - b^2/2 + c + n e^2,
 
     with every time derivative taken by central differences on the
-    sampled coefficients.  Residuals converge to zero at second order as
-    the time grid refines.  ``t_grid`` defaults to the trajectory's own
+    ``coefficients`` at the sampled times.  Residuals converge to zero at
+    second order as the time grid refines.  ``t_grid`` defaults to the trajectory's own
     grid; a coarser grid must hit trajectory samples exactly.  With
     ``relative=True`` each residual is divided by the largest term
     magnitude in its equation (scale-free cancellation quality).
     """
-    ptraj = _as_polar(traj)
     if t_grid is None:
         sub = ptraj.grid
         idx = np.arange(sub.count)
     else:
         sub = t_grid
         idx = np.array([ptraj.grid.index_of(tv) for tv in sub.points()])
-    rho = ptraj.rho[idx]
-    theta = ptraj.theta[idx]
-    drho = ptraj.drho[idx]
-    dtheta = ptraj.dtheta[idx]
-    t = sub.points()
-    k = ptraj.params.k(t)
-
-    b = spec.b0 * np.exp(-1j * theta) / rho
-    c = 0.5 * dtheta - 0.5j * drho / rho
-    e = math.sqrt(spec.c0) / rho
-    f = (spec.b0 / math.sqrt(spec.c0)) * np.cos(theta)
-    a = spec.a0 / np.sqrt(rho) * np.exp(
-        -1j * ((0.5 + spec.n) * theta
-               - (spec.b0**2 / (4.0 * spec.c0)) * np.sin(2.0 * theta)))
+    k = ptraj.params.k(sub.points())
+    b, c, e, f, a = coefficients(spec, ptraj.rho[idx], ptraj.theta[idx],
+                                 ptraj.drho[idx], ptraj.dtheta[idx])
 
     def ddt(vals):
         return central_diff(SampledFunction(sub, vals), order=1).values
@@ -349,8 +344,7 @@ def verify_eq4(traj: Trajectory | PolarTrajectory, spec: TrainSpec,
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
-                    count: int | None = None,
-                    points_per_wave: float = 16.0) -> UniformGrid:
+                    count: int | None = None) -> UniformGrid:
     """Run-wide grid: span = [min x_c - w, max x_c + w] with
     w = 8 (max rho / sqrt(c0)) sqrt(2n + 1); the factor 8 keeps the
     truncated mass far below quadrature tolerances.
@@ -358,8 +352,8 @@ def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
     When ``count`` is omitted, the power-of-two count is chosen so the
     fastest Hermite oscillation of the narrowest visited packet (local
     wavelength 2 pi sigma / sqrt(2n+1), sigma = rho/sqrt(c0)) keeps at
-    least ``points_per_wave`` samples — enough for node and maxima
-    counting on the emitted data (clamped to [256, 2^20]).
+    least 16 samples — enough for node and maxima counting on the
+    emitted data (clamped to [256, 2^20]).
     """
     sc = math.sqrt(spec.c0)
     xc = (spec.b0 / spec.c0) * ptraj.rho * np.cos(ptraj.theta)
@@ -370,26 +364,23 @@ def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
     half = 0.5 * (hi - lo)
     if count is None:
         sigma_min = float(np.min(ptraj.rho)) / sc
-        dx = 2.0 * math.pi * sigma_min / (points_per_wave * math.sqrt(2.0 * spec.n + 1.0))
+        dx = 2.0 * math.pi * sigma_min / (16.0 * math.sqrt(2.0 * spec.n + 1.0))
         count = 1 << max(8, min(20, math.ceil(math.log2(2.0 * half / dx))))
     return build_space_grid(center, half, count)
 
 
-def count_nodes(frame: TrainFrame, grid: UniformGrid | None = None) -> int:
+def count_nodes(frame: TrainFrame) -> int:
     """Interior zeros of the signed amplitude R_n (sign changes between
     adjacent samples, values below 1e-12 of the peak ignored).
 
-    Without an explicit grid, a dedicated xi grid dense enough for the
-    n-th Hermite function (>= 16 points per oscillation) is used, so the
-    count is exactly n for any healthy frame."""
+    R_n is h_n(xi) up to a positive factor, so the count runs on a
+    dedicated xi grid dense enough for the n-th Hermite function (>= 16
+    points per oscillation) and is exactly n for any healthy frame."""
     n = frame.spec.n
-    if grid is None:
-        m = math.sqrt(2.0 * n + 1.0) + 4.0
-        per_osc = 16.0 * math.sqrt(2.0 * n + 1.0)
-        npts = 1 << max(6, math.ceil(math.log2(per_osc * 2.0 * m / (2.0 * math.pi))))
-        vals = hermite_scaled(n, np.linspace(-m, m, npts + 1))
-    else:
-        vals = amplitude(frame, grid.points())
+    m = math.sqrt(2.0 * n + 1.0) + 4.0
+    per_osc = 16.0 * math.sqrt(2.0 * n + 1.0)
+    npts = 1 << max(6, math.ceil(math.log2(per_osc * 2.0 * m / (2.0 * math.pi))))
+    vals = hermite_scaled(n, np.linspace(-m, m, npts + 1))
     thr = 1e-12 * float(np.max(np.abs(vals)))
     live = vals[np.abs(vals) > thr]
     return int(np.count_nonzero(np.signbit(live[1:]) != np.signbit(live[:-1])))

@@ -1,6 +1,6 @@
 """Shared fixtures: the three reference parameter sets and their classical
 trajectories, solved once per session at the resolution the acceptance
-criteria need."""
+criteria need, and the closed-form single Picard pass of eq. (14)."""
 
 import math
 
@@ -85,6 +85,32 @@ def static_polar(static_traj):
 @pytest.fixture(scope="session")
 def static_spec(static_polar):
     return TrainSpec(n=8, b0=0.0, c0=static_polar.c0)
+
+
+def eq14_reference(t):
+    """Closed-form single-pass iterate for the benchmark drive
+    U = 0.5, V = 0.05, A = B = 1, alpha = 0, beta = -pi/2.
+
+    Evaluating the two integrals of one Picard pass in closed form (plain
+    trigonometric integration, re-derivable with any CAS) gives
+
+        phi1 = cos(t/2) + (V/U) [ cos(3t/2)/8 + cos(5t/2)/24 - cos(t/2)/6 ],
+        phi2 = sin(t/2) + (V/U) [ sin(t/2)/6  - sin(3t/2)/8  + sin(5t/2)/24 ].
+
+    An independent fixture for ``picard_iterate``.  Returns the pair
+    (phi1, phi2), vectorized over t.
+    """
+    t = np.asarray(t, dtype=float)
+    c = 0.05 / 0.5
+    phi1 = (np.cos(0.5 * t)
+            + c * (np.cos(1.5 * t) / 8.0 + np.cos(2.5 * t) / 24.0
+                   - np.cos(0.5 * t) / 6.0))
+    phi2 = (np.sin(0.5 * t)
+            + c * (np.sin(0.5 * t) / 6.0 - np.sin(1.5 * t) / 8.0
+                   + np.sin(2.5 * t) / 24.0))
+    if phi1.ndim == 0:
+        return float(phi1), float(phi2)
+    return phi1, phi2
 
 
 @pytest.fixture()

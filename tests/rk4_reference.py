@@ -42,12 +42,12 @@ def rk4_integrate(rhs, y0, grid: UniformGrid) -> np.ndarray:
 def loop_classical(params, init, grid: UniformGrid):
     """phi1, phi2, dphi1, dphi2 of phi'' = -k(t) phi on ``grid`` by the
     loop above, from the initial data ``solve_classical`` uses."""
-    s0 = unperturbed_solution(init, params, 0.0)
+    phi1, phi2, dphi1, dphi2 = unperturbed_solution(init, params, 0.0)
     u2, v = params.u2, params.v
 
     def rhs(t, y):
         kk = u2 + v * math.cos(2.0 * t)
         return np.array([y[1], -kk * y[0], y[3], -kk * y[2]])
 
-    ys = rk4_integrate(rhs, [s0.phi1, s0.dphi1, s0.phi2, s0.dphi2], grid)
+    ys = rk4_integrate(rhs, [phi1, dphi1, phi2, dphi2], grid)
     return ys[:, 0], ys[:, 2], ys[:, 1], ys[:, 3]

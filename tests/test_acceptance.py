@@ -20,7 +20,6 @@ from wavetrains import (
     build_space_grid,
     auto_space_grid,
     center_orbit,
-    eq14_reference,
     l2_density_distance,
     mean_energy,
     overlap,
@@ -48,6 +47,7 @@ from conftest import (
     STATIC_INIT,
     STATIC_PARAMS,
     TWO_PI,
+    eq14_reference,
 )
 
 

@@ -18,19 +18,18 @@ from wavetrains import (
     StabilityRegionWarning,
     Trajectory,
     TrapParameters,
+    TrainSpec,
     UniformGrid,
-    eq14_reference,
+    coefficients,
     first_integral,
     mathieu_residual,
     picard_iterate,
     polar_decompose,
     polar_ode_residuals,
-    riccati_c,
     solve_classical,
     unperturbed_solution,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.mathieu import PolarState
 from wavetrains.numerics import SampledFunction, central_diff
 
 from conftest import (
@@ -39,6 +38,7 @@ from conftest import (
     FOUR_PI,
     SOLITON_INIT,
     SOLITON_PARAMS,
+    eq14_reference,
 )
 from rk4_reference import loop_classical
 
@@ -51,14 +51,14 @@ def test_unperturbed_cosine_values():
     params = TrapParameters(u2=0.25, v=0.05)
     init = ClassicalInit(a=1.0, b=1.0, alpha=0.0, beta=-HALF_PI)
 
-    s0 = unperturbed_solution(init, params, 0.0)
-    assert s0.phi1 == 1.0
-    assert s0.dphi1 == 0.0
-    assert abs(s0.phi2) < 1e-15       # cos(-pi/2)
-    assert s0.dphi2 == 0.5            # -B U sin(-pi/2)
+    phi1, phi2, dphi1, dphi2 = unperturbed_solution(init, params, 0.0)
+    assert phi1 == 1.0
+    assert dphi1 == 0.0
+    assert abs(phi2) < 1e-15          # cos(-pi/2)
+    assert dphi2 == 0.5               # -B U sin(-pi/2)
 
-    s_pi = unperturbed_solution(init, params, math.pi)
-    assert abs(s_pi.phi1) < 1e-15     # cos(pi/2)
+    phi1_pi = unperturbed_solution(init, params, math.pi)[0]
+    assert abs(phi1_pi) < 1e-15       # cos(pi/2)
 
 
 # --------------------------------------------------- Picard iteration
@@ -287,32 +287,30 @@ def test_first_integral_trig_oracle(rng):
     init = ClassicalInit(a=1.0, b=1.0, alpha=0.0, beta=-HALF_PI)
     for t in rng.uniform(0.0, FOUR_PI, size=10):
         state = unperturbed_solution(init, params, float(t))
-        assert abs(first_integral(state) - 0.5) < 1e-12
+        assert abs(first_integral(*state) - 0.5) < 1e-12
 
     degenerate = ClassicalInit(a=1.0, b=2.0, alpha=0.7, beta=0.7)
     state = unperturbed_solution(degenerate, params, 1.3)
-    assert abs(first_integral(state)) < 1e-15
+    assert abs(first_integral(*state)) < 1e-15
 
     squeezed = ClassicalInit(a=0.02, b=10.0, alpha=0.0, beta=-HALF_PI)
     state = unperturbed_solution(squeezed, params, 2.1)
-    assert abs(first_integral(state) - 0.1) < 1e-12
+    assert abs(first_integral(*state) - 0.1) < 1e-12
 
 
 # ------------------------------------------------------- Riccati variable
 
 def test_riccati_on_circle():
-    p = PolarState(t=0.0, rho=1.0, theta=0.0, drho=0.0, dtheta=1.0)
-    c = riccati_c(p)
+    spec = TrainSpec(n=0, b0=0.0, c0=1.0)
+    c = coefficients(spec, rho=1.0, theta=0.0, drho=0.0, dtheta=1.0).c
     assert c == 0.5 + 0.0j
 
 
-def test_riccati_from_trajectory(soliton_polar):
-    s = soliton_polar.state(0)
-    c = riccati_c(s)
-    assert c.real == 0.5 * s.dtheta
-    assert c.imag == -0.5 * s.drho / s.rho
-    with pytest.raises(OriginCrossing):
-        riccati_c(PolarState(t=0.0, rho=0.0, theta=0.0, drho=0.0, dtheta=1.0))
+def test_riccati_from_trajectory(soliton_polar, soliton_spec):
+    p = soliton_polar
+    c = coefficients(soliton_spec, p.rho[0], p.theta[0], p.drho[0], p.dtheta[0]).c
+    assert c.real == 0.5 * p.dtheta[0]
+    assert c.imag == -0.5 * p.drho[0] / p.rho[0]
 
 
 def test_riccati_equation_residual_converges():
@@ -320,7 +318,8 @@ def test_riccati_equation_residual_converges():
         traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT,
                                (0.0, FOUR_PI), FOUR_PI / n)
         p = polar_decompose(traj)
-        c = 0.5 * p.dtheta - 0.5j * p.drho / p.rho
+        spec = TrainSpec(n=0, b0=0.0, c0=p.c0)
+        c = coefficients(spec, p.rho, p.theta, p.drho, p.dtheta).c
         dc = central_diff(SampledFunction(p.grid, c), order=1).values
         return float(np.max(np.abs(1j * dc - 2.0 * c * c
                                    + 0.5 * p.params.k(p.t))))

@@ -53,6 +53,13 @@ def test_version_flag(capsys):
     assert out.strip() == "wavetrains 0.1.0"
 
 
+def test_package_exports_resolve():
+    namespace: dict = {}
+    exec("from wavetrains import *", namespace)
+    import wavetrains
+    assert set(wavetrains.__all__) <= set(namespace)
+
+
 def test_unknown_preset_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, ["classical", "--preset", "nope"])
     assert rc == 2
@@ -324,12 +331,23 @@ def test_verify_soliton_passes(capsys):
 
 def test_verify_fails_on_coarse_grid(capsys):
     rc, out, _ = run_cli(capsys, ["verify", "--preset", "static",
-                                  "--grid-points", "32", "--half-width", "6"])
+                                  "--grid-points", "16", "--half-width", "6"])
     assert rc == 1
     report = json.loads(out)
     assert report["passed"] is False
     failed = {ch["name"] for ch in report["checks"] if not ch["passed"]}
     assert "normalization" in failed
+
+
+def test_verify_passes_on_smallest_resolving_grid(capsys):
+    # 32 points over [-6, 6) resolve the n = 8 check state: the
+    # rectangle-rule norm is within 4e-7 of 1
+    rc, out, _ = run_cli(capsys, ["verify", "--preset", "static",
+                                  "--grid-points", "32", "--half-width", "6"])
+    assert rc == 0
+    report = json.loads(out)
+    assert report["passed"] is True
+    assert all(ch["passed"] for ch in report["checks"])
 
 
 # --------------------------------------------------------- oracle-compare

@@ -173,7 +173,6 @@ def test_central_diff_linear_exact():
     grid = UniformGrid(start=0.0, step=0.1, count=21)
     d = central_diff(SampledFunction(grid, grid.points()), order=1)
     assert np.allclose(d.values, 1.0, atol=1e-12)
-    assert d.accuracy_order == 2
 
 
 def test_central_diff_second_derivative_quadratic_exact():

@@ -33,8 +33,7 @@ TWO_PI = 2.0 * math.pi
 def _gaussian_field(grid, t=0.0):
     x = grid.points()
     values = (math.pi ** -0.25) * np.exp(-0.5 * x * x).astype(complex)
-    return renormalized(FieldGrid(grid=grid, t=t, values=values,
-                                  norm=1.0, norm_deficit=False))
+    return renormalized(FieldGrid(grid=grid, t=t, values=values))
 
 
 def _rectangle_fidelity(a, b):
@@ -107,8 +106,7 @@ def test_record_times_come_back_in_order(static_polar):
 def test_evolve_requires_unit_norm():
     grid = build_space_grid(0.0, 8.0, 256)
     field = _gaussian_field(grid)
-    off = FieldGrid(grid=grid, t=0.0, values=1.01 * field.values,
-                    norm=field.norm, norm_deficit=False)
+    off = FieldGrid(grid=grid, t=0.0, values=1.01 * field.values)
     cfg = PropagatorConfig(grid=grid, dt=1e-2)
     with pytest.raises(ValueError):
         split_step_evolve(off, STATIC_PARAMS, cfg, 1e-1)
@@ -172,8 +170,7 @@ def test_tdse_residual_scale_invariant(soliton_polar, soliton_spec):
     frames = _soliton_triplet(soliton_polar, soliton_spec, 128, grid)
     base = tdse_residual(frames, SOLITON_PARAMS)
     scale = 3.0 * np.exp(0.7j)
-    scaled = [FieldGrid(grid=f.grid, t=f.t, values=scale * f.values,
-                        norm=f.norm, norm_deficit=f.norm_deficit)
+    scaled = [FieldGrid(grid=f.grid, t=f.t, values=scale * f.values)
               for f in frames]
     assert abs(tdse_residual(scaled, SOLITON_PARAMS) - base) < 1e-13 * base
 
@@ -199,8 +196,7 @@ def test_density_distance_identities():
     field = _gaussian_field(grid)
     assert l2_density_distance(field, field) == 0.0
     rotated = FieldGrid(grid=grid, t=field.t,
-                        values=np.exp(1.3j) * field.values,
-                        norm=field.norm, norm_deficit=field.norm_deficit)
+                        values=np.exp(1.3j) * field.values)
     assert l2_density_distance(field, rotated) < 1e-12
     with pytest.raises(GridMismatch):
         l2_density_distance(field, _gaussian_field(build_space_grid(0.0, 8.0,

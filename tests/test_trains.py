@@ -24,6 +24,7 @@ from wavetrains import (
     mean_energy,
     mean_energy_moments,
     overlap,
+    propagation_grid,
     psi,
     psi_on_grid,
     train_frame,
@@ -31,7 +32,7 @@ from wavetrains import (
     xi_of,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.mathieu import PolarState
+from wavetrains.numerics import SampledFunction, simpson
 from wavetrains.trains import TrainFrame, amplitude, coefficients
 
 from conftest import FOUR_PI
@@ -77,8 +78,7 @@ def test_hermite_unit_norm():
     xi = grid.points()
     for n in (0, 1, 5, 12, 20):
         h = hermite_scaled(n, xi)
-        from wavetrains.numerics import _simpson_array
-        assert abs(_simpson_array(h * h, grid.step) - 1.0) < 1e-10
+        assert abs(simpson(SampledFunction(grid, h * h)) - 1.0) < 1e-10
 
 
 def test_hermite_matches_polynomial_reference(rng):
@@ -135,8 +135,7 @@ def test_xi_vanishes_on_center_orbit(soliton_polar, soliton_spec):
 
 def test_coefficients_zero_phase_state():
     spec = TrainSpec(n=3, b0=2.0, c0=0.25)
-    p = PolarState(t=0.0, rho=1.0, theta=0.0, drho=0.3, dtheta=0.25)
-    cs = coefficients(p, spec)
+    cs = coefficients(spec, rho=1.0, theta=0.0, drho=0.3, dtheta=0.25)
     assert cs.e == 0.5                      # sqrt(c0)
     assert cs.f == 4.0                      # b0/sqrt(c0)
     assert cs.b == 2.0 + 0.0j
@@ -145,8 +144,7 @@ def test_coefficients_zero_phase_state():
 
 def test_coefficients_centered_reduction():
     spec = TrainSpec(n=3, b0=0.0, c0=0.5)
-    p = PolarState(t=1.0, rho=1.2, theta=0.8, drho=-0.1, dtheta=0.5 / 1.44)
-    cs = coefficients(p, spec)
+    cs = coefficients(spec, rho=1.2, theta=0.8, drho=-0.1, dtheta=0.5 / 1.44)
     assert cs.b == 0.0 + 0.0j
     assert cs.f == 0.0
     expected = spec.a0 / math.sqrt(1.2) * np.exp(-1j * 3.5 * 0.8)
@@ -154,7 +152,8 @@ def test_coefficients_centered_reduction():
 
 
 def test_coefficients_soliton_initial(soliton_polar, soliton_spec):
-    cs = coefficients(soliton_polar.state(0), soliton_spec)
+    p = soliton_polar
+    cs = coefficients(soliton_spec, p.rho[0], p.theta[0], p.drho[0], p.dtheta[0])
     assert abs(cs.e - math.sqrt(0.5)) < 1e-12
     assert abs(cs.f - (-10.0 / math.sqrt(0.5))) < 1e-12
 
@@ -166,9 +165,10 @@ def test_width_parameter_consistency(soliton_polar, soliton_spec):
     e_theta = np.sqrt(soliton_polar.dtheta[idx])
     assert float(np.max(np.abs(e_rho - e_theta) / e_theta)) < 1e-8
     # |b| = |b0|/rho
-    for i in idx[:10]:
-        cs = coefficients(soliton_polar.state(int(i)), soliton_spec)
-        assert abs(abs(cs.b) - 10.0 / soliton_polar.rho[i]) < 1e-12
+    first = idx[:10]
+    cs = coefficients(soliton_spec, soliton_polar.rho[first], soliton_polar.theta[first],
+                      soliton_polar.drho[first], soliton_polar.dtheta[first])
+    assert float(np.max(np.abs(np.abs(cs.b) - 10.0 / soliton_polar.rho[first]))) < 1e-12
 
 
 # ------------------------------------------------------------- the states
@@ -215,6 +215,18 @@ def test_tiny_grid_raises_norm_deficit(soliton_polar, soliton_spec):
     with pytest.warns(NormDeficitWarning):
         field = psi_on_grid(frame, tiny)
     assert field.norm_deficit
+
+
+def test_collapse_state_is_unit_on_propagation_grid(collapse_polar, collapse_spec):
+    # regression guard: on this grid Simpson's alternating weights read the
+    # squeezed collapse state's norm as 0.99934 and warned falsely
+    grid = propagation_grid(collapse_polar, collapse_spec)
+    assert grid.count == 16384
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", NormDeficitWarning)
+        field = psi_on_grid(train_frame(collapse_polar, collapse_spec, 0.0), grid)
+    assert abs(field.norm - 1.0) < 1e-6
+    assert not field.norm_deficit
 
 
 def test_centered_states_have_even_density(static_polar):
@@ -332,15 +344,16 @@ def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
             idx = np.array([ptraj.grid.index_of(float(t)) for t in times])
             closed = mean_energy_moments(ptraj, spec, idx)
             for t, i, closed_t in zip(times, idx, closed):
-                s = ptraj.state(int(i))
-                k = float(ptraj.params.k(s.t))
-                xc = (b0 / spec.c0) * s.rho * math.cos(s.theta)
-                x2 = s.rho ** 2 * (n + 0.5) / spec.c0 + xc ** 2
-                quad = 0.5 * (s.dtheta ** 2 - k) - 0.5 * s.drho ** 2 / s.rho ** 2
-                lin = b0 * (s.dtheta * math.cos(s.theta) * s.rho
-                            - s.drho * math.sin(s.theta)) / s.rho ** 2
-                const = (b0 ** 2 / (2.0 * spec.c0)) * s.dtheta \
-                    * math.cos(2.0 * s.theta) - (0.5 + n) * s.dtheta
+                rho, theta = float(ptraj.rho[i]), float(ptraj.theta[i])
+                drho, dtheta = float(ptraj.drho[i]), float(ptraj.dtheta[i])
+                k = float(ptraj.params.k(float(t)))
+                xc = (b0 / spec.c0) * rho * math.cos(theta)
+                x2 = rho ** 2 * (n + 0.5) / spec.c0 + xc ** 2
+                quad = 0.5 * (dtheta ** 2 - k) - 0.5 * drho ** 2 / rho ** 2
+                lin = b0 * (dtheta * math.cos(theta) * rho
+                            - drho * math.sin(theta)) / rho ** 2
+                const = (b0 ** 2 / (2.0 * spec.c0)) * dtheta \
+                    * math.cos(2.0 * theta) - (0.5 + n) * dtheta
                 expected = -(quad * x2 - lin * xc + const)
                 measured = mean_energy(ptraj, spec, float(t), grid)
                 assert abs(measured - expected) < 1e-10 * max(1.0, abs(expected))
