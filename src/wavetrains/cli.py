@@ -51,6 +51,7 @@ from .mathieu import (
 from .numerics import UniformGrid, build_space_grid, field_integral
 from .splitstep import (
     PropagatorConfig,
+    aliasing_dt_bound,
     l2_density_distance,
     propagation_grid,
     renormalized,
@@ -63,7 +64,7 @@ from .trains import (
     count_density_maxima,
     count_nodes,
     hermite_table,
-    mean_energy,
+    mean_energy_levels,
     mean_energy_moments,
     overlap,
     psi_on_grid,
@@ -318,7 +319,7 @@ def run_series(cfg: RunConfig) -> str:
 
     E_n comes from the exact second moments of the state
     (``mean_energy_moments``), so no spatial grid is built; the verify
-    battery keeps the quadrature ``mean_energy`` as its independent check."""
+    battery keeps the quadrature (``mean_energy_levels``) as its check."""
     params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     spec = _effective_spec(cfg, ptraj.c0)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
@@ -330,13 +331,11 @@ def run_series(cfg: RunConfig) -> str:
 
 def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
              times) -> float:
-    """Default propagation step: fine enough for ~1e-4 splitting error at
-    figure scale (t_final/2048 per pi of horizon) and 90% of the aliasing
-    cap, rounded down so every requested time is a step multiple."""
-    edge = max(abs(grid.start), abs(grid.stop - grid.step))
-    k_max = params.u2 + abs(params.v)
-    cap = 0.9 * math.pi / (k_max * edge * edge)
-    target = min(math.pi / 2048.0, cap)
+    """Default propagation step: the accuracy target pi/2048 (~1e-4
+    splitting error at figure scale) unless 90% of the sampling bound
+    ``aliasing_dt_bound`` is smaller, rounded down so every requested time
+    is a step multiple; accuracy is certified by closed-form distances."""
+    target = min(math.pi / 2048.0, 0.9 * aliasing_dt_bound(params, grid))
     count = _commensurate_count(t_final, times, target)
     return t_final / count
 
@@ -478,8 +477,8 @@ def _battery(cfg: RunConfig) -> dict:
     e_idx = _sample_indices(ptraj.grid.count, 10)
     worst_aff = 0.0
     for tv in ptraj.t[e_idx]:
-        energies = [mean_energy(ptraj, TrainSpec(n=m, b0=spec.b0, c0=spec.c0),
-                                float(tv), grid) for m in range(8)]
+        energies = mean_energy_levels(ptraj, TrainSpec(n=7, b0=spec.b0, c0=spec.c0),
+                                      float(tv), grid)
         diffs = np.diff(energies)
         ref = diffs[0]
         worst_aff = max(worst_aff, float(np.max(np.abs(diffs - ref)) / abs(ref)))

@@ -56,8 +56,9 @@ class UnknownPreset(WavetrainError):
 
 
 class AliasingRisk(WavetrainError):
-    """The potential phase advance per split step at the grid edge exceeds
-    pi/2; the propagator result would alias."""
+    """The split-step kick's local wavenumber k_max x_edge dt at the grid
+    edge reaches half of Nyquist, pi/(2 dx): the field would alias (a
+    sampling guard; accuracy is certified by closed-form distances)."""
 
 
 class NormDrift(WavetrainError):

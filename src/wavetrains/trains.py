@@ -34,7 +34,7 @@ from .errors import (
     NonPositiveC0,
     NormDeficitWarning,
 )
-from .mathieu import PolarTrajectory, Trajectory
+from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
 from .numerics import SampledFunction
 
@@ -218,15 +218,12 @@ def psi_on_grid(frame: TrainFrame, grid: UniformGrid) -> FieldGrid:
     return field_grid
 
 
-def center_orbit(traj: Trajectory | PolarTrajectory, spec: TrainSpec, t):
+def center_orbit(ptraj: PolarTrajectory, spec: TrainSpec, t):
     """Center x_c(t) = (b0/c0) rho cos(theta) = (b0/c0) phi1, the orbit of
     a classical oscillator; evaluated at sampled times (linear
     interpolation between samples)."""
-    if isinstance(traj, PolarTrajectory):
-        phi1 = traj.rho * np.cos(traj.theta)
-    else:
-        phi1 = traj.phi1
-    xc = (spec.b0 / spec.c0) * np.interp(np.asarray(t, dtype=float), traj.t, phi1)
+    xc = (spec.b0 / spec.c0) * np.interp(np.asarray(t, dtype=float), ptraj.t,
+                                         ptraj.rho * np.cos(ptraj.theta))
     return float(xc) if xc.ndim == 0 else xc
 
 
@@ -265,14 +262,26 @@ def mean_energy(ptraj: PolarTrajectory, spec: TrainSpec,
     This is the independent check of ``mean_energy_moments``, which gives
     the same value in closed form; the verify battery keeps this route.
     """
+    return float(mean_energy_levels(ptraj, spec, t, grid)[-1])
+
+
+def mean_energy_levels(ptraj: PolarTrajectory, spec: TrainSpec,
+                       t: float, grid: UniformGrid) -> np.ndarray:
+    """``mean_energy`` of every level m = 0 .. n sharing ``spec``'s b0 and c0,
+    with all R_m^2 taken from one ``hermite_table`` pass."""
     frame = train_frame(ptraj, spec, t)
     dtheta = float(ptraj.dtheta[ptraj.grid.index_of(t)])
     k = float(ptraj.params.k(frame.t))
     x = grid.points()
-    r2 = amplitude(frame, x) ** 2
-    quad, lin, const = _phase_rate(spec, frame.rho, frame.theta, frame.drho, dtheta, k)
-    theta_t = quad * x * x - lin * x + const
-    return float(-field_integral(r2 * theta_t, grid.step))
+    quad, lin, _ = _phase_rate(spec, frame.rho, frame.theta, frame.drho, dtheta, k)
+    theta_x = quad * x * x - lin * x
+    scale = spec.c0**0.25 / math.sqrt(frame.rho)
+    energies = np.empty(spec.n + 1)
+    for m, h in enumerate(hermite_table(spec.n, xi_of(frame, x))):
+        const = _phase_rate(TrainSpec(n=m, b0=spec.b0, c0=spec.c0), frame.rho,
+                            frame.theta, frame.drho, dtheta, k)[2]
+        energies[m] = -field_integral((scale * h) ** 2 * (theta_x + const), grid.step)
+    return energies
 
 
 def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndarray:

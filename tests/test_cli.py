@@ -10,7 +10,9 @@ import subprocess
 import numpy as np
 import pytest
 
-from wavetrains.cli import main
+from wavetrains import propagation_grid
+from wavetrains.cli import _auto_dt, main
+from wavetrains.splitstep import aliasing_dt_bound
 from wavetrains.config import (
     MAX_N,
     RunConfig,
@@ -22,6 +24,8 @@ from wavetrains.config import (
     to_dict,
 )
 from wavetrains.errors import ConfigError, UnknownPreset
+
+from conftest import COLLAPSE_PARAMS
 
 
 def run_cli(capsys, argv):
@@ -398,3 +402,10 @@ def test_console_script_entry_point():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "# snapshot.0.nodes = 0" in proc.stdout
+
+
+def test_auto_dt_is_accuracy_limited_on_collapse_grid(collapse_polar, collapse_spec):
+    grid = propagation_grid(collapse_polar, collapse_spec)
+    half_pi = 0.5 * math.pi
+    assert _auto_dt(COLLAPSE_PARAMS, grid, half_pi, (half_pi,)) == math.pi / 2048
+    assert aliasing_dt_bound(COLLAPSE_PARAMS, grid) > 100 * math.pi / 2048

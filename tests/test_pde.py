@@ -9,23 +9,27 @@ import pytest
 
 from wavetrains import (
     AliasingRisk,
+    ClassicalInit,
     FieldGrid,
     NormDeficitWarning,
+    NormDrift,
     PropagatorConfig,
     TrainSpec,
     UniformGrid,
     build_space_grid,
     l2_density_distance,
+    polar_decompose,
     propagation_grid,
     psi_on_grid,
     renormalized,
+    solve_classical,
     split_step_evolve,
     tdse_residual,
     train_frame,
 )
 from wavetrains.errors import GridMismatch, InvalidCount
 
-from conftest import SOLITON_PARAMS, STATIC_PARAMS
+from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
 
 TWO_PI = 2.0 * math.pi
 
@@ -138,6 +142,67 @@ def test_evolve_rejects_aliasing_risk():
     cfg = PropagatorConfig(grid=grid, dt=0.5)
     with pytest.raises(AliasingRisk):
         split_step_evolve(field, STATIC_PARAMS, cfg, 1.0)
+
+
+def test_evolve_refuses_kick_past_nyquist():
+    # a static-trap state squeezed from width 3 to 1/3 over pi/2; on 32
+    # points over [-16, 16) the kick's edge wavenumber x_edge dt = 4 pi is
+    # four times Nyquist (pi/dx = pi), k x_edge dt dx = 12.6, and with the
+    # guard bypassed two steps of pi/4 miss the density by 0.8 (peak 1.7)
+    half_pi = 0.5 * math.pi
+    init = ClassicalInit(a=3.0, b=1.0 / 3.0, alpha=0.0, beta=-half_pi)
+    ptraj = polar_decompose(solve_classical(STATIC_PARAMS, init, (0.0, half_pi),
+                                            half_pi / 4096))
+    spec = TrainSpec(n=0, b0=0.0, c0=ptraj.c0)
+    dt = 0.25 * math.pi
+    coarse = build_space_grid(0.0, 16.0, 32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormDeficitWarning)
+        psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), coarse))
+    with pytest.raises(AliasingRisk):
+        split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(coarse, dt), half_pi)
+    # the same step on a grid 16x finer passes the guard and is right
+    fine = build_space_grid(0.0, 16.0, 512)
+    psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), fine))
+    (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(fine, dt), half_pi)
+    exact = psi_on_grid(train_frame(ptraj, spec, half_pi), fine)
+    assert l2_density_distance(final, exact) < 5e-3
+
+
+def _collapse_start(collapse_polar, collapse_spec):
+    grid = propagation_grid(collapse_polar, collapse_spec)
+    return renormalized(psi_on_grid(train_frame(collapse_polar, collapse_spec, 0.0), grid))
+
+
+def test_evolve_accepts_accuracy_step_on_collapse_grid(collapse_polar, collapse_spec):
+    psi0 = _collapse_start(collapse_polar, collapse_spec)
+    grid = psi0.grid
+    dt = math.pi / 2048
+    # the absolute edge phase k_max x_edge^2 dt / 2 is far past pi/2 (a cap
+    # this step once failed), but the kick's edge wavenumber is far below
+    # Nyquist
+    k_max = COLLAPSE_PARAMS.u2 + abs(COLLAPSE_PARAMS.v)
+    assert 0.5 * k_max * grid.start ** 2 * dt > 0.5 * math.pi
+    assert k_max * abs(grid.start) * dt * grid.step < 1e-2
+    (final,) = split_step_evolve(psi0, COLLAPSE_PARAMS, PropagatorConfig(grid, dt),
+                                 0.5 * math.pi)
+    exact = psi_on_grid(train_frame(collapse_polar, collapse_spec, 0.5 * math.pi), grid)
+    assert l2_density_distance(final, exact) < 1e-6
+
+
+def test_norm_drift_aborts_lossy_step(monkeypatch, collapse_polar, collapse_spec):
+    psi0 = _collapse_start(collapse_polar, collapse_spec)
+    cfg = PropagatorConfig(psi0.grid, math.pi / 2048)
+    split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 16 * cfg.dt)  # healthy: no raise
+
+    exact_fft = np.fft.fft
+
+    def lossy_fft(a, out=None):
+        return np.multiply(exact_fft(a), 1.001, out=out)
+
+    monkeypatch.setattr(np.fft, "fft", lossy_fft)
+    with pytest.raises(NormDrift):
+        split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 16 * cfg.dt)
 
 
 # -------------------------------------------------------------- residuals

@@ -22,6 +22,7 @@ from wavetrains import (
     hermite_scaled,
     hermite_table,
     mean_energy,
+    mean_energy_levels,
     mean_energy_moments,
     overlap,
     propagation_grid,
@@ -32,8 +33,8 @@ from wavetrains import (
     xi_of,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.numerics import SampledFunction, simpson
-from wavetrains.trains import TrainFrame, amplitude, coefficients
+from wavetrains.numerics import SampledFunction, field_integral, simpson
+from wavetrains.trains import TrainFrame, _phase_rate, amplitude, coefficients
 
 from conftest import FOUR_PI
 
@@ -252,16 +253,13 @@ def test_node_count_tracks_quantum_number(soliton_polar):
 
 def test_center_orbit_values(soliton_traj, soliton_polar, soliton_spec):
     assert abs(center_orbit(soliton_polar, soliton_spec, 0.0) - (-20.0)) < 1e-9
-    # identical through either representation
+    # the polar form rho cos(theta) against (b0/c0) phi1 of the Cartesian
+    # trajectory
     t = np.linspace(0.0, FOUR_PI, 33)
-    xc_polar = center_orbit(soliton_polar, soliton_spec, t)
-    xc_cart = center_orbit(soliton_traj, soliton_spec, t)
-    assert np.allclose(xc_polar, xc_cart, atol=1e-9)
-    # (b0/c0) phi1 directly
-    assert np.allclose(xc_cart,
+    assert np.allclose(center_orbit(soliton_polar, soliton_spec, t),
                        (soliton_spec.b0 / soliton_spec.c0)
                        * np.interp(t, soliton_traj.t, soliton_traj.phi1),
-                       atol=1e-12)
+                       atol=1e-9)
 
 
 def test_center_orbit_fixed_when_centered(soliton_polar):
@@ -329,6 +327,27 @@ def test_energy_ladder_is_affine(soliton_polar, soliton_spec):
     coeffs = np.polyfit(np.arange(8), energies, deg=1)
     fit = np.polyval(coeffs, np.arange(8))
     assert float(np.max(np.abs(fit - energies))) < 1e-6 * abs(coeffs[0])
+
+
+def test_energy_levels_match_per_level_quadrature(collapse_polar):
+    # one Hermite table per time gives each level bit for bit what the
+    # per-level quadrature -int R_m^2 dTheta_m/dt dx gives
+    grid = auto_space_grid(collapse_polar, TrainSpec(n=8, b0=0.02, c0=collapse_polar.c0))
+    x = grid.points()
+    for t in _sample_times(collapse_polar, 3):
+        i = collapse_polar.grid.index_of(float(t))
+        k = float(collapse_polar.params.k(float(t)))
+        levels = mean_energy_levels(collapse_polar,
+                                    TrainSpec(n=7, b0=0.02, c0=collapse_polar.c0),
+                                    float(t), grid)
+        for m in range(8):
+            spec = TrainSpec(n=m, b0=0.02, c0=collapse_polar.c0)
+            frame = train_frame(collapse_polar, spec, float(t))
+            quad, lin, const = _phase_rate(spec, frame.rho, frame.theta, frame.drho,
+                                           float(collapse_polar.dtheta[i]), k)
+            reference = -field_integral(amplitude(frame, x) ** 2
+                                        * (quad * x * x - lin * x + const), grid.step)
+            assert levels[m] == reference
 
 
 def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
