@@ -23,6 +23,7 @@ from .errors import (
     QuadratureOrderWarning,
     StabilityRegionWarning,
     TooFewPoints,
+    TooManySamples,
     UnknownPreset,
     WavetrainError,
 )
@@ -94,7 +95,7 @@ __all__ = [
     "InvalidCount", "NegativeIndex", "NonFiniteValue", "NonPositiveC0",
     "NonZeroStart", "NormDeficitWarning", "NormDrift", "OriginCrossing",
     "QuadratureOrderWarning", "StabilityRegionWarning", "TooFewPoints",
-    "UnknownPreset", "WavetrainError",
+    "TooManySamples", "UnknownPreset", "WavetrainError",
     "SampledFunction", "UniformGrid", "build_space_grid", "central_diff",
     "cumulative_simpson", "field_integral", "is_power_of_two", "simpson",
     "ClassicalInit", "PolarTrajectory", "Trajectory", "TrapParameters",

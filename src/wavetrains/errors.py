@@ -70,6 +70,11 @@ class ConfigError(WavetrainError):
     """A run configuration (CLI flags or JSON file) is invalid."""
 
 
+class TooManySamples(ConfigError):
+    """A time or space axis would hold more than ``numerics.MAX_SAMPLES``
+    samples; refused before any array is allocated."""
+
+
 class StabilityRegionWarning(UserWarning):
     """Trap parameters are outside the first-stability heuristic
     (U^2 < 1, V < 1, V <~ U^2); the math still runs but the classical

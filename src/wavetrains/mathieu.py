@@ -29,8 +29,8 @@ from .errors import (
     OriginCrossing,
     StabilityRegionWarning,
 )
-from .numerics import UniformGrid, central_diff, cumulative_simpson
-from .numerics import SampledFunction
+from .numerics import UniformGrid, central_diff, cumulative_simpson, halo_windows
+from .numerics import SampledFunction, require_samples
 
 
 @dataclass(frozen=True)
@@ -308,6 +308,7 @@ def solve_classical(params: TrapParameters, init: ClassicalInit,
         raise NonZeroStart(f"runs must start at t = 0, got {t0}")
     if not (t1 > 0 and step > 0):
         raise ValueError("need t_span[1] > 0 and step > 0")
+    require_samples(t1 / step + 1.0, "the classical solve")
     n_steps = max(1, math.ceil(t1 / step - 1e-12))
     grid = UniformGrid(start=0.0, step=t1 / n_steps, count=n_steps + 1)
 
@@ -357,27 +358,29 @@ def polar_ode_residuals(ptraj: PolarTrajectory, params: TrapParameters,
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
     measures cancellation quality across regimes of any stiffness.
+    Evaluated over ``halo_windows``, so memory stays bounded.
     """
-    t = ptraj.t
-    theta_dd = central_diff(SampledFunction(ptraj.grid, ptraj.theta), order=2).values
-    rho_dd = central_diff(SampledFunction(ptraj.grid, ptraj.rho), order=2).values
-    drive = ptraj.dtheta**2 * ptraj.rho
-    restore = params.k(t) * ptraj.rho
-    r_theta = theta_dd + 2.0 * ptraj.dtheta * ptraj.drho / ptraj.rho
-    r_rho = rho_dd - drive + restore
-    out = {"theta": float(np.max(np.abs(r_theta))),
-           "rho": float(np.max(np.abs(r_rho)))}
+    # running maxima: |r_theta|, |r_rho|, then the scale terms |theta''|,
+    # |2 theta' rho'/rho|, theta'^2, |drive|, |restore|
+    worst = np.zeros(7)
+    for rows, keep, t, sub in halo_windows(ptraj.grid):
+        rho, dtheta = ptraj.rho[rows], ptraj.dtheta[rows]
+        theta_dd = central_diff(SampledFunction(sub, ptraj.theta[rows]), order=2).values
+        rho_dd = central_diff(SampledFunction(sub, rho), order=2).values
+        coupling = 2.0 * dtheta * ptraj.drho[rows] / rho
+        drive = dtheta**2 * rho
+        restore = params.k(t) * rho
+        terms = (theta_dd + coupling, rho_dd - drive + restore,
+                 theta_dd, coupling, dtheta**2, drive, restore)
+        np.maximum(worst, [np.max(np.abs(x[keep])) for x in terms], out=worst)
+    out = {"theta": float(worst[0]), "rho": float(worst[1])}
     if relative:
         # dtheta^2 floors the theta scale: its terms cancel identically in
         # the static limit, where dividing by them would compare noise to
         # noise (both carry the dimension of theta'')
-        scale_theta = max(float(np.max(np.abs(theta_dd))),
-                          float(np.max(np.abs(2.0 * ptraj.dtheta * ptraj.drho / ptraj.rho))),
-                          float(np.max(ptraj.dtheta**2)),
+        scale_theta = max(float(worst[2]), float(worst[3]), float(worst[4]),
                           np.finfo(float).tiny)
-        scale_rho = max(float(np.max(np.abs(drive))),
-                        float(np.max(np.abs(restore))),
-                        np.finfo(float).tiny)
+        scale_rho = max(float(worst[5]), float(worst[6]), np.finfo(float).tiny)
         out = {"theta": out["theta"] / scale_theta, "rho": out["rho"] / scale_rho}
     return out
 
@@ -387,14 +390,20 @@ def mathieu_residual(traj: Trajectory, params: TrapParameters,
     """Sup norm of phi'' + k(t) phi over both components, second derivative
     by central differences.  For a k-th Picard iterate this is
     O(V^(k+1)) plus quadrature and differencing error.  With
-    ``relative=True`` the residual is divided by max |k(t) phi|."""
-    t = traj.t
-    k = params.k(t)
-    worst = 0.0
-    for comp in (traj.phi1, traj.phi2):
-        dd = central_diff(SampledFunction(traj.grid, comp), order=2).values
-        resid = float(np.max(np.abs(dd + k * comp)))
+    ``relative=True`` the residual is divided by max |k(t) phi|.
+    Evaluated over ``halo_windows``, so memory stays bounded."""
+    # running maxima per component: |phi'' + k phi|, then |k phi|
+    worst = np.zeros((2, 2))
+    for rows, keep, t, sub in halo_windows(traj.grid):
+        k = params.k(t)
+        for j, comp in enumerate((traj.phi1[rows], traj.phi2[rows])):
+            dd = central_diff(SampledFunction(sub, comp), order=2).values
+            kc = k * comp
+            np.maximum(worst[j], [np.max(np.abs(dd + kc)[keep]),
+                                  np.max(np.abs(kc)[keep])], out=worst[j])
+    result = 0.0
+    for resid, scale in worst.tolist():
         if relative:
-            resid /= max(float(np.max(np.abs(k * comp))), np.finfo(float).tiny)
-        worst = max(worst, resid)
-    return worst
+            resid /= max(scale, np.finfo(float).tiny)
+        result = max(result, resid)
+    return result

@@ -3,9 +3,11 @@
 Two quadratures with separate jobs: composite Simpson (plain and
 cumulative) for time integrals, and the rectangle rule ``field_integral``
 for every spatial integral of a decaying field (norms, overlaps,
-distances).  Also second-order central differences and uniform-grid
-construction (RK4 step matrices live in ``mathieu``).  Everything here
-is a pure function of its inputs; the record types are frozen.
+distances).  Also second-order central differences, uniform-grid
+construction with its sample cap ``MAX_SAMPLES``, and the halo windows
+that bound the memory of residual sweeps (RK4 step matrices live in
+``mathieu``).  Everything here is a pure function of its inputs; the
+record types are frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
 on any parallel reduction order.
 """
@@ -23,7 +25,24 @@ from .errors import (
     NonFiniteValue,
     QuadratureOrderWarning,
     TooFewPoints,
+    TooManySamples,
 )
+
+# Largest sample count of one time or space axis: 2^24 samples is about
+# 2 GB at the classical solver's 128 B per step.
+MAX_SAMPLES = 2**24
+
+# Samples per window of a residual sweep (``halo_windows``).
+RESIDUAL_BLOCK = 2**16
+
+
+def require_samples(count: float, what: str):
+    """Raise TooManySamples, before anything is allocated, when ``count``
+    (possibly non-integer or infinite) exceeds MAX_SAMPLES."""
+    if not count <= MAX_SAMPLES:
+        raise TooManySamples(
+            f"{what} needs {count:.4g} samples, more than the cap of {MAX_SAMPLES}"
+        )
 
 
 @dataclass(frozen=True)
@@ -181,6 +200,28 @@ def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
     return SampledFunction(samples.grid, d)
 
 
+def halo_windows(grid: UniformGrid):
+    """Windows of about RESIDUAL_BLOCK samples over ``grid`` for stencils
+    three points wide, as (rows, keep, t, sub): ``rows`` slices the window
+    from the full arrays, ``keep`` its owned rows from the window (the rest
+    is a one-sample halo on each inner side), ``t`` its time points computed
+    as ``grid.points()`` does, ``sub`` its grid for ``central_diff``.  A
+    remainder under 4 samples joins the last window, so one-sided end
+    stencils land on halo rows except at the grid's true ends: kept rows
+    equal a whole-grid evaluation bit for bit.
+    """
+    count = grid.count
+    starts = list(range(0, count, RESIDUAL_BLOCK))
+    if len(starts) > 1 and count - starts[-1] < 4:
+        starts.pop()
+    ends = starts[1:] + [count]
+    for a, b in zip(starts, ends):
+        lo, hi = max(a - 1, 0), min(b + 1, count)
+        t = grid.start + np.arange(lo, hi) * grid.step
+        yield (slice(lo, hi), slice(a - lo, b - lo), t,
+               UniformGrid(float(t[0]), grid.step, hi - lo))
+
+
 def is_power_of_two(count: int) -> bool:
     return count >= 1 and (count & (count - 1)) == 0
 
@@ -195,5 +236,6 @@ def build_space_grid(center: float, half_width: float, count: int) -> UniformGri
         raise ValueError(f"half_width must be positive, got {half_width}")
     if not is_power_of_two(count) or count < 2:
         raise InvalidCount(f"space grid count must be a power of two >= 2, got {count}")
+    require_samples(count, "the space grid")
     step = 2.0 * half_width / count
     return UniformGrid(start=center - half_width, step=step, count=count)

@@ -36,7 +36,7 @@ from .errors import (
 )
 from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
-from .numerics import SampledFunction
+from .numerics import SampledFunction, halo_windows
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 
@@ -317,37 +317,40 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
     grid; a coarser grid must hit trajectory samples exactly.  With
     ``relative=True`` each residual is divided by the largest term
     magnitude in its equation (scale-free cancellation quality).
+    Evaluated over ``halo_windows``, so memory stays bounded.
     """
     if t_grid is None:
-        sub = ptraj.grid
-        idx = np.arange(sub.count)
+        grid = ptraj.grid
+        samples = (ptraj.rho, ptraj.theta, ptraj.drho, ptraj.dtheta)
     else:
-        sub = t_grid
-        idx = np.array([ptraj.grid.index_of(tv) for tv in sub.points()])
-    k = ptraj.params.k(sub.points())
-    b, c, e, f, a = coefficients(spec, ptraj.rho[idx], ptraj.theta[idx],
-                                 ptraj.drho[idx], ptraj.dtheta[idx])
-
-    def ddt(vals):
-        return central_diff(SampledFunction(sub, vals), order=1).values
-
-    dc, db, de, df, da = ddt(c), ddt(b), ddt(e), ddt(f), ddt(a)
-    res = {
-        "c": (np.abs(1j * dc - 2.0 * c * c + 0.5 * k),
-              (2.0 * c * c, 0.5 * k)),
-        "b": (np.abs(1j * db - 2.0 * b * c), (2.0 * b * c,)),
-        "e": (np.abs(1j * de - 2.0 * c * e + e**3), (2.0 * c * e, e**3)),
-        "f": (np.abs(1j * df - b * e + e * e * f), (b * e, e * e * f)),
-        "a": (np.abs(1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e)),
-              (f * df, 0.5 * b * b, c, spec.n * e * e)),
-    }
+        grid = t_grid
+        idx = np.array([ptraj.grid.index_of(tv) for tv in grid.points()])
+        samples = (ptraj.rho[idx], ptraj.theta[idx], ptraj.drho[idx], ptraj.dtheta[idx])
+    # running maxima per equation: the residual, then each term magnitude
+    worst = {}
+    for rows, keep, t, sub in halo_windows(grid):
+        k = ptraj.params.k(t)
+        b, c, e, f, a = coefficients(spec, *(x[rows] for x in samples))
+        dc, db, de, df, da = (central_diff(SampledFunction(sub, x), order=1).values
+                              for x in (c, b, e, f, a))
+        res = {
+            "c": (np.abs(1j * dc - 2.0 * c * c + 0.5 * k),
+                  (2.0 * c * c, 0.5 * k)),
+            "b": (np.abs(1j * db - 2.0 * b * c), (2.0 * b * c,)),
+            "e": (np.abs(1j * de - 2.0 * c * e + e**3), (2.0 * c * e, e**3)),
+            "f": (np.abs(1j * df - b * e + e * e * f), (b * e, e * e * f)),
+            "a": (np.abs(1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e)),
+                  (f * df, 0.5 * b * b, c, spec.n * e * e)),
+        }
+        for key, (resid, terms) in res.items():
+            maxima = [np.max(resid[keep])]
+            maxima += [np.max(np.abs(np.asarray(x, dtype=complex))[keep]) for x in terms]
+            worst[key] = np.maximum(worst.get(key, 0.0), maxima)
     out = {}
-    for key, (resid, terms) in res.items():
-        value = float(np.max(resid))
+    for key, (value, *terms) in worst.items():
+        value = float(value)
         if relative:
-            scale = max(max(float(np.max(np.abs(np.asarray(term, dtype=complex))))
-                            for term in terms), np.finfo(float).tiny)
-            value /= scale
+            value /= max(max(float(x) for x in terms), np.finfo(float).tiny)
         out[key] = value
     return out
 
@@ -378,20 +381,14 @@ def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
     return build_space_grid(center, half, count)
 
 
-def count_nodes(frame: TrainFrame) -> int:
-    """Interior zeros of the signed amplitude R_n (sign changes between
-    adjacent samples, values below 1e-12 of the peak ignored).
-
-    R_n is h_n(xi) up to a positive factor, so the count runs on a
-    dedicated xi grid dense enough for the n-th Hermite function (>= 16
-    points per oscillation) and is exactly n for any healthy frame."""
-    n = frame.spec.n
-    m = math.sqrt(2.0 * n + 1.0) + 4.0
-    per_osc = 16.0 * math.sqrt(2.0 * n + 1.0)
-    npts = 1 << max(6, math.ceil(math.log2(per_osc * 2.0 * m / (2.0 * math.pi))))
-    vals = hermite_scaled(n, np.linspace(-m, m, npts + 1))
-    thr = 1e-12 * float(np.max(np.abs(vals)))
-    live = vals[np.abs(vals) > thr]
+def count_nodes(h: np.ndarray) -> int:
+    """Interior zeros of a sampled signed amplitude such as h_n(xi(x)) on a
+    spatial grid: sign changes between adjacent samples, values below
+    1e-12 of the peak ignored.  R_n is h_n(xi) up to a positive factor, so
+    this is n exactly when the grid resolves the state, and fewer when it
+    is too coarse for the packet."""
+    thr = 1e-12 * float(np.max(np.abs(h)))
+    live = h[np.abs(h) > thr]
     return int(np.count_nonzero(np.signbit(live[1:]) != np.signbit(live[:-1])))
 
 

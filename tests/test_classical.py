@@ -16,6 +16,7 @@ from wavetrains import (
     NonZeroStart,
     OriginCrossing,
     StabilityRegionWarning,
+    TooManySamples,
     Trajectory,
     TrapParameters,
     TrainSpec,
@@ -29,8 +30,10 @@ from wavetrains import (
     solve_classical,
     unperturbed_solution,
 )
-from wavetrains.errors import GridMismatch
+from wavetrains import numerics
+from wavetrains.errors import ConfigError, GridMismatch
 from wavetrains.numerics import SampledFunction, central_diff
+from wavetrains.trains import verify_eq4
 
 from conftest import (
     COLLAPSE_INIT,
@@ -162,6 +165,18 @@ def test_solve_classical_rejects_bad_span():
         solve_classical(SOLITON_PARAMS, SOLITON_INIT, (1.0, 2.0), 1e-2)
     with pytest.raises(ValueError):
         solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0), 0.0)
+
+
+def test_solve_classical_refuses_oversized_runs(monkeypatch):
+    # the cap is checked from span / step before any array exists
+    monkeypatch.setattr(numerics, "MAX_SAMPLES", 1000)
+    assert solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0),
+                           1.0 / 999).grid.count == 1000
+    with pytest.raises(TooManySamples) as info:
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0), 1.0 / 1000)
+    assert isinstance(info.value, ConfigError)
+    with pytest.raises(TooManySamples):
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1e3), 5e-324)
 
 
 # the step-matrix product against the one-step-per-iteration loop: N eps
@@ -338,6 +353,57 @@ def test_polar_ode_residuals_second_order():
     coarse, fine = residuals(2048), residuals(4096)
     assert coarse["theta"] / fine["theta"] > 3.5
     assert coarse["rho"] / fine["rho"] > 3.5
+
+
+def _residual_sweep(traj):
+    ptraj = polar_decompose(traj)
+    spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
+    sub = UniformGrid(0.0, 3 * traj.grid.step, (traj.grid.count - 1) // 3 + 1)
+    out = []
+    for relative in (False, True):
+        out.append(mathieu_residual(traj, traj.params, relative=relative))
+        out.append(polar_ode_residuals(ptraj, traj.params, relative=relative))
+        out.append(verify_eq4(ptraj, spec, relative=relative))
+        out.append(verify_eq4(ptraj, spec, t_grid=sub, relative=relative))
+    return out
+
+
+@pytest.mark.parametrize("n_steps", [4002, 4003, 4049],
+                         ids=["tail-3-joins", "tail-4", "tail-50"])
+def test_residuals_blocked_equal_single_block(monkeypatch, n_steps):
+    # 1000-sample windows with one-sample halos: every residual, relative
+    # scale and t_grid subsample must equal the one-window sweep bit for bit
+    traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 0.5 * math.pi),
+                           0.5 * math.pi / n_steps)
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)
+    whole = _residual_sweep(traj)
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
+    assert _residual_sweep(traj) == whole
+
+
+def test_residuals_peak_memory_is_flat_in_length():
+    # windows bound the temporaries, so quadrupling the trajectory must
+    # not raise the traced peak of any residual function
+    peaks = []
+    for n_steps in (2**17, 2**19):
+        traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, FOUR_PI),
+                               FOUR_PI / n_steps)
+        ptraj = polar_decompose(traj)
+        spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
+        row = []
+        for run in (lambda: mathieu_residual(traj, COLLAPSE_PARAMS, relative=True),
+                    lambda: polar_ode_residuals(ptraj, COLLAPSE_PARAMS, relative=True),
+                    lambda: verify_eq4(ptraj, spec, relative=True)):
+            tracemalloc.start()
+            try:
+                run()
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            row.append(peak)
+        peaks.append(row)
+    for small, large in zip(*peaks):
+        assert large <= 1.25 * small
 
 
 def test_polar_ode_residuals_relative_static(static_polar):

@@ -354,6 +354,27 @@ def test_verify_passes_on_smallest_resolving_grid(capsys):
     assert all(ch["passed"] for ch in report["checks"])
 
 
+def test_verify_collapse_passes_at_ground_state(capsys):
+    # the residual step is floored at the n = 4 phase rate: the c and polar
+    # residuals do not depend on n, so n = 0 must not coarsen their step
+    rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "0"])
+    assert rc == 0
+    report = json.loads(out)
+    assert all(ch["passed"] for ch in report["checks"])
+
+
+@pytest.mark.parametrize("argv", [
+    ["classical", "--rk4-step", "1e-15", "--t-final", "1e-3"],
+    ["verify", "--preset", "fig3-collapse", "--n", "200"],
+    ["snapshot", "--grid-points", str(2**40), "--half-width", "10"],
+], ids=["classical-step", "verify-refined-step", "snapshot-grid"])
+def test_oversized_requests_are_refused(capsys, argv):
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2
+    assert out == ""
+    assert "more than the cap" in err
+
+
 # --------------------------------------------------------- oracle-compare
 
 def test_oracle_compare_within_tolerance(capsys):

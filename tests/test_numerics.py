@@ -11,6 +11,7 @@ from wavetrains import (
     QuadratureOrderWarning,
     SampledFunction,
     TooFewPoints,
+    TooManySamples,
     UniformGrid,
     build_space_grid,
     central_diff,
@@ -18,7 +19,9 @@ from wavetrains import (
     is_power_of_two,
     simpson,
 )
+from wavetrains import numerics
 from wavetrains.errors import GridMismatch
+from wavetrains.numerics import halo_windows
 
 from rk4_reference import rk4_integrate
 
@@ -224,6 +227,29 @@ def test_build_space_grid_rejects_bad_input():
         build_space_grid(0.0, 1.0, 1000)
     with pytest.raises(ValueError):
         build_space_grid(0.0, 0.0, 64)
+
+
+def test_build_space_grid_refuses_oversized_count(monkeypatch):
+    monkeypatch.setattr(numerics, "MAX_SAMPLES", 1024)
+    assert build_space_grid(0.0, 1.0, 1024).count == 1024
+    with pytest.raises(TooManySamples):
+        build_space_grid(0.0, 1.0, 2048)
+
+
+@pytest.mark.parametrize("count", [5, 999, 1000, 1001, 3003, 3004, 3999])
+def test_halo_windows_partition_the_grid(monkeypatch, count):
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
+    grid = UniformGrid(0.25, 0.1, count)
+    owned = []
+    for rows, keep, t, sub in halo_windows(grid):
+        assert np.array_equal(t, grid.points()[rows])
+        assert sub.count == t.size and sub.step == grid.step
+        assert t.size >= 5
+        # the halo is one sample on each inner side, none at the true ends
+        assert keep.start == (0 if rows.start == 0 else 1)
+        assert rows.stop - keep.stop - rows.start == (0 if rows.stop == count else 1)
+        owned.extend(range(rows.start + keep.start, rows.start + keep.stop))
+    assert owned == list(range(count))
 
 
 def test_is_power_of_two():

@@ -206,7 +206,7 @@ def test_soliton_train_has_nine_packets(soliton_polar, soliton_spec):
     grid = auto_space_grid(soliton_polar, soliton_spec)
     for t in _sample_times(soliton_polar, 5):
         frame = train_frame(soliton_polar, soliton_spec, float(t))
-        assert count_nodes(frame) == 8
+        assert count_nodes(hermite_scaled(8, xi_of(frame, grid.points()))) == 8
         assert count_density_maxima(psi_on_grid(frame, grid)) == 9
 
 
@@ -246,7 +246,21 @@ def test_node_count_tracks_quantum_number(soliton_polar):
     for n in range(11):
         spec = TrainSpec(n=n, b0=-10.0, c0=soliton_polar.c0)
         frame = train_frame(soliton_polar, spec, t)
-        assert count_nodes(frame) == n
+        x = auto_space_grid(soliton_polar, spec).points()
+        assert count_nodes(hermite_scaled(n, xi_of(frame, x))) == n
+
+
+def test_node_count_sees_unresolved_collapse(collapse_polar, collapse_spec):
+    # 1024 points over the whole orbit: dx = 2.1 resolves the spread train
+    # at t = pi but not the collapsed one (width ~0.06) at t = 0 and 2pi,
+    # which the node count must report instead of n
+    grid_spec = TrainSpec(n=8, b0=collapse_spec.b0, c0=collapse_spec.c0)
+    x = auto_space_grid(collapse_polar, grid_spec, count=1024).points()
+    fine = auto_space_grid(collapse_polar, grid_spec).points()
+    for t, expected in ((0.0, 0), (math.pi, 4), (2.0 * math.pi, 0)):
+        frame = train_frame(collapse_polar, collapse_spec, t)
+        assert count_nodes(hermite_scaled(4, xi_of(frame, x))) == expected
+        assert count_nodes(hermite_scaled(4, xi_of(frame, fine))) == 4
 
 
 # ------------------------------------------------------------ center orbit
