@@ -37,7 +37,7 @@ from .config import (
     to_dict,
     validate,
 )
-from .errors import ConfigError, UnknownPreset, WavetrainError
+from .errors import ConfigError, GridMismatch, UnknownPreset, WavetrainError
 from .mathieu import (
     ClassicalInit,
     TrapParameters,
@@ -53,6 +53,7 @@ from .splitstep import (
     PropagatorConfig,
     aliasing_dt_bound,
     l2_density_distance,
+    lattice_steps,
     propagation_grid,
     renormalized,
     split_step_evolve,
@@ -293,17 +294,18 @@ def run_snapshot(cfg: RunConfig) -> str:
     meta.append(("grid.start", f"{grid.start:.17g}"))
     meta.append(("grid.step", f"{grid.step:.17g}"))
     meta.append(("grid.count", str(grid.count)))
-    blocks = []
+    rows = np.empty((len(times) * grid.count, 5))
     for j, t_req in enumerate(times):
         i = int(round(t_req / traj.grid.step))
         i = min(max(i, 0), traj.grid.count - 1)
         frame = train_frame(ptraj, spec, ptraj.grid.start + i * ptraj.grid.step)
         field = psi_on_grid(frame, grid)
-        dens = field.density()
-        blocks.append(np.column_stack([
-            np.full(grid.count, field.t), x, dens,
-            np.real(field.values), np.imag(field.values),
-        ]))
+        block = rows[j * grid.count:(j + 1) * grid.count]
+        block[:, 0] = field.t
+        block[:, 1] = x
+        block[:, 2] = field.density()
+        block[:, 3] = field.values.real
+        block[:, 4] = field.values.imag
         meta.append((f"snapshot.{j}.t", f"{field.t:.17g}"))
         meta.append((f"snapshot.{j}.norm", f"{field.norm:.17g}"))
         nodes = count_nodes(hermite_scaled(spec.n, xi_of(frame, x)))
@@ -311,7 +313,6 @@ def run_snapshot(cfg: RunConfig) -> str:
         meta.append((f"snapshot.{j}.maxima", str(count_density_maxima(field))))
         meta.append((f"snapshot.{j}.xc",
                      f"{center_orbit(ptraj, spec, field.t):.17g}"))
-    rows = np.vstack(blocks)
     columns = ["t", "x", "density", "re_psi", "im_psi"]
     return _render(cfg, columns, rows, meta)
 
@@ -348,7 +349,8 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
     and compare densities at the requested times.
 
     Emits t, density_distance, fidelity per requested time; fails (exit 1)
-    when any distance exceeds the tolerance."""
+    when any distance exceeds the tolerance.  A given ``dt`` must divide
+    every requested time (ConfigError, exit 2, otherwise)."""
     times = sorted(set(cfg.time.times))
     if not times or max(times) <= 0:
         raise ConfigError("oracle-compare needs at least one positive time")
@@ -363,6 +365,12 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
                                 min_count=cfg.space.grid_points or 1024)
     if dt is None:
         dt = _auto_dt(params, grid, t_final, times)
+    else:
+        for t in times:
+            try:
+                lattice_steps(t, dt)
+            except GridMismatch as exc:
+                raise ConfigError(f"--dt does not divide the requested times: {exc}") from None
     psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
     propagated = split_step_evolve(psi0, params, PropagatorConfig(grid, dt),
                                    t_final, record_times=list(times))

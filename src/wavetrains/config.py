@@ -5,7 +5,9 @@ A config file is a JSON object whose groups and keys mirror ``RunConfig``
 field for field; unknown keys at any level are errors, missing keys keep
 their defaults.  Rendering is bit-deterministic: floats are written with
 17 significant digits (CSV) or shortest round-trip (JSON), keys are
-emitted in sorted order.
+emitted in sorted order.  The CSV writer formats each distinct column
+block once: a snapshot's t column (one value per time) and its x column
+(one grid, repeated for every time) are not formatted again per row.
 """
 
 from __future__ import annotations
@@ -13,6 +15,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -310,25 +313,80 @@ def flat_items(cfg: RunConfig) -> list[tuple[str, str]]:
     return sorted(items)
 
 
+def _column_keys(block: np.ndarray) -> list[int | None]:
+    """Per column of ``block``: None when all its values share one bit
+    pattern (so -0.0 and 0.0, or two NaN payloads, differ), else the hash
+    of its bytes."""
+    return [None if np.all(bits == bits[0]) else hash(col.tobytes())
+            for col, bits in zip(block.T, block.T.view(np.int64))]
+
+
+def _format_column(col: np.ndarray) -> np.ndarray:
+    """The ``%.17g`` text of each value, as an object array of str."""
+    text = "\n".join(["%.17g"] * len(col)) % tuple(col.tolist())
+    return np.array(text.split("\n"), dtype=object)
+
+
+def _csv_blocks(data: np.ndarray):
+    """Yield the data lines of a 2-D float array, ``_CSV_BLOCK`` rows per
+    string, each block by one ``%`` operation over a row template.
+
+    Within a block, a constant column is formatted once and written into
+    the template as a literal, and a column whose bytes recur elsewhere in
+    the table (counted by hash in a pre-pass) is formatted once, held in a
+    memo keyed by its full bytes until its last use, and passed as ``%s``.
+    A block with neither takes the plain all-``%.17g`` template."""
+    blocks = [data[s:s + _CSV_BLOCK] for s in range(0, len(data), _CSV_BLOCK)]
+    keys = [_column_keys(block) for block in blocks]
+    uses = Counter(h for row in keys for h in row if h is not None)
+    left = uses.copy()
+    memo: dict[bytes, np.ndarray] = {}
+    plain_fmt = ",".join(["%.17g"] * data.shape[1])
+    for block, row in zip(blocks, keys):
+        if all(h is not None and uses[h] == 1 for h in row):
+            yield "\n".join([plain_fmt] * len(block)) % tuple(block.ravel().tolist())
+            continue
+        fmts, args = [], []
+        for col, h in zip(block.T, row):
+            if h is None:
+                fmts.append("%.17g" % float(col[0]))
+            elif uses[h] == 1:
+                fmts.append("%.17g")
+                args.append(col)
+            else:
+                key = col.tobytes()
+                text = memo.get(key)
+                if text is None:
+                    text = memo[key] = _format_column(col)
+                left[h] -= 1
+                if not left[h]:  # last use; a hash collision only keeps text longer
+                    del memo[key]
+                fmts.append("%s")
+                args.append(text)
+        table = np.empty((len(block), len(args)), dtype=object)
+        for j, col in enumerate(args):
+            table[:, j] = col
+        yield "\n".join([",".join(fmts)] * len(block)) % tuple(table.ravel().tolist())
+
+
 def render_csv(cfg: RunConfig, columns: list[str], rows,
                meta: list[tuple[str, str]] | None = None) -> str:
     """CSV with a self-describing comment header: every config field as a
     ``# key = value`` line, optional extra metadata lines, the column
     names, then the data at 17 significant digits.
 
-    Rows are formatted a block at a time, one ``%`` operation per block
-    of ``_CSV_BLOCK`` rows; the bytes equal a per-value
-    ``f"{float(v):.17g}"`` join."""
+    Rows are formatted a block of ``_CSV_BLOCK`` rows at a time by one
+    ``%`` operation (``_csv_blocks``); a block column that is constant, or
+    that recurs elsewhere in the table (a snapshot's t and x columns), is
+    formatted once.  The bytes equal a per-value ``f"{float(v):.17g}"``
+    join."""
     lines = [f"# {key} = {value}" for key, value in flat_items(cfg)]
     for key, value in meta or []:
         lines.append(f"# {key} = {value}")
     lines.append(",".join(columns))
     data = np.asarray(rows, dtype=float)
     if data.size:
-        row_fmt = ",".join(["%.17g"] * data.shape[1])
-        for start in range(0, len(data), _CSV_BLOCK):
-            block = data[start:start + _CSV_BLOCK]
-            lines.append("\n".join([row_fmt] * len(block)) % tuple(block.ravel().tolist()))
+        lines.extend(_csv_blocks(data))
     return "\n".join(lines) + "\n"
 
 

@@ -24,7 +24,8 @@ import numpy as np
 
 from .errors import AliasingRisk, GridMismatch, InvalidCount, NormDrift
 from .mathieu import PolarTrajectory, TrapParameters
-from .numerics import UniformGrid, build_space_grid, field_integral, is_power_of_two
+from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_of_two,
+                       require_samples)
 from .trains import NORM_TOL, FieldGrid, TrainSpec
 
 
@@ -52,6 +53,17 @@ def aliasing_dt_bound(params: TrapParameters, grid: UniformGrid) -> float:
     return 0.5 * math.pi / ((params.u2 + abs(params.v)) * edge * grid.step)
 
 
+def lattice_steps(span: float, dt: float) -> int:
+    """The whole number of steps ``dt`` in ``span``: TooManySamples past
+    the per-axis cap ``MAX_SAMPLES`` (checked before anything is rounded
+    or allocated), GridMismatch unless ``span`` is m dt to 1e-9 relative."""
+    require_samples(abs(span) / dt + 1, "the split-step propagation")
+    m = int(round(span / dt))
+    if abs(m * dt - span) > 1e-9 * max(1.0, abs(span)):
+        raise GridMismatch(f"time span {span!r} is not a whole number of steps dt = {dt!r}")
+    return m
+
+
 def renormalized(field: FieldGrid) -> FieldGrid:
     """Rescale a field to unit rectangle-rule norm (``FieldGrid.norm``).
 
@@ -75,7 +87,9 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
       own invariant metric; see ``renormalized`` (GridMismatch /
       ValueError otherwise);
     * every recorded time and ``t_final`` must sit on the step lattice
-      t0 + m dt (GridMismatch otherwise);
+      t0 + m dt (``lattice_steps``: GridMismatch otherwise), and the step
+      count must not pass ``MAX_SAMPLES`` (TooManySamples, before any
+      buffer is built);
     * the kick's local wavenumber k_max x_edge dt at the grid edge must
       stay below half of Nyquist, pi/(2 dx), i.e. dt < ``aliasing_dt_bound``
       (AliasingRisk).  This guards sampling only; the absolute kick phase
@@ -97,11 +111,7 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     span = t_final - t0
     if span < 0:
         raise ValueError("t_final precedes the initial time")
-    n_steps = int(round(span / dt))
-    if abs(n_steps * dt - span) > 1e-9 * max(1.0, abs(span)):
-        raise GridMismatch(
-            f"t_final - t0 = {span!r} is not an integer number of steps dt = {dt!r}"
-        )
+    n_steps = lattice_steps(span, dt)
 
     bound = aliasing_dt_bound(params, grid)
     if dt >= bound:
@@ -114,11 +124,9 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
         record_times = [t_final]
     record_steps = []
     for tr in record_times:
-        m = int(round((tr - t0) / dt))
-        if abs(t0 + m * dt - tr) > 1e-9 * max(1.0, abs(tr)) or m < 0 or m > n_steps:
-            raise GridMismatch(
-                f"record time {tr!r} is not a step multiple within [t0, t_final]"
-            )
+        m = lattice_steps(tr - t0, dt)
+        if m < 0 or m > n_steps:
+            raise GridMismatch(f"record time {tr!r} lies outside [t0, t_final]")
         record_steps.append(m)
 
     p = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.step)

@@ -116,37 +116,52 @@ class FieldGrid:
         return np.abs(self.values) ** 2
 
 
-def _hermite_rows(nmax: int, xi: np.ndarray):
-    """Yield h_0 .. h_nmax by the numerically stable scaled three-term
-    recurrence h_{k+1} = xi sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1},
-    holding two rows at a time; no overflow for n <= 200, |xi| <= 50 (far
-    tails underflow harmlessly to zero)."""
+def _hermite_rows(nmax: int, xi: np.ndarray, row) -> np.ndarray:
+    """Write h_0 .. h_nmax into ``row(0)`` .. ``row(nmax)``, buffers of
+    ``xi``'s shape, by the numerically stable scaled three-term recurrence
+    h_{k+1} = xi sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}, and return
+    ``row(nmax)``.  Step k+1 reads row k-1 before it writes, so ``row(k+1)``
+    may hand out the buffer of h_{k-1} again; no overflow for n <= 200,
+    |xi| <= 50 (far tails underflow harmlessly to zero)."""
     if nmax < 0:
         raise NegativeIndex(f"function index must be >= 0, got {nmax}")
-    h_prev = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    yield h_prev
-    if nmax >= 1:
-        h = math.sqrt(2.0) * xi * h_prev
-        yield h
+    h_prev = row(0)
+    np.multiply(xi, -0.5, out=h_prev)
+    h_prev *= xi
+    np.exp(h_prev, out=h_prev)
+    h_prev *= np.pi ** -0.25
+    if nmax == 0:
+        return h_prev
+    h = row(1)
+    np.multiply(xi, math.sqrt(2.0), out=h)
+    h *= h_prev
+    scratch = np.empty_like(xi)
     for k in range(1, nmax):
-        h, h_prev = xi * math.sqrt(2.0 / (k + 1)) * h - math.sqrt(k / (k + 1.0)) * h_prev, h
-        yield h
+        np.multiply(h_prev, math.sqrt(k / (k + 1.0)), out=scratch)
+        h_next = row(k + 1)
+        np.multiply(xi, math.sqrt(2.0 / (k + 1)), out=h_next)
+        h_next *= h
+        h_next -= scratch
+        h, h_prev = h_next, h
+    return h
 
 
 def hermite_scaled(n: int, xi):
     """Normalized Hermite function h_n(xi) = H_n(xi) e^(-xi^2/2) / sqrt(sqrt(pi) 2^n n!),
-    the last row of ``_hermite_rows`` (two rows in memory at a time)."""
-    for h in _hermite_rows(n, np.asarray(xi, dtype=float)):
-        pass
+    the last row of ``_hermite_rows`` (two alternating row buffers)."""
+    xi = np.asarray(xi, dtype=float)
+    buffers = (np.empty_like(xi), np.empty_like(xi))
+    h = _hermite_rows(n, xi, lambda k: buffers[k % 2])
     return h if h.ndim else float(h)
 
 
 def hermite_table(nmax: int, xi) -> np.ndarray:
-    """h_0..h_nmax stacked along the first axis (one recurrence pass)."""
+    """h_0..h_nmax stacked along the first axis (one recurrence pass,
+    written in place)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    # each row is copied into the preallocated table as it is produced
-    return np.fromiter(_hermite_rows(nmax, xi), dtype=(float, xi.shape),
-                       count=nmax + 1)
+    table = np.empty((max(nmax, 0) + 1,) + xi.shape)
+    _hermite_rows(nmax, xi, table.__getitem__)
+    return table
 
 
 def train_frame(ptraj: PolarTrajectory, spec: TrainSpec, t: float) -> TrainFrame:

@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from wavetrains import propagation_grid
+from wavetrains import cli, numerics
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound
 from wavetrains.config import (
+    _CSV_BLOCK,
     MAX_N,
     RunConfig,
     flat_items,
@@ -279,25 +281,92 @@ def _render_csv_per_value(cfg, columns, rows, meta):
     return "\n".join(lines) + "\n"
 
 
-@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
-def test_render_csv_matches_per_value_format(count):
-    special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
-               2.2250738585072014e-308 / 3, 0.1, -1.0 / 3.0, 7.0]
-    width = len(special)
-    rng = np.random.default_rng(count)
-    rows = rng.standard_normal((count, width)) \
+B = _CSV_BLOCK
+
+
+def _random_rows(count, width, seed):
+    rng = np.random.default_rng(seed)
+    return rng.standard_normal((count, width)) \
         * 10.0 ** rng.integers(-300, 300, (count, width))
-    rows[:1] = special
-    columns = [f"c{j}" for j in range(width)]
+
+
+def _structured_rows(case):
+    """Tables whose column blocks are constant or recur, the two kinds
+    ``render_csv`` formats once."""
+    rows = _random_rows(3 * B, 6, 11)
+    if case == "constant-blocks":
+        rows[:, 0] = -0.0
+        rows[:, 1] = math.nan
+        rows[:, 2] = 0.0
+        rows[B + 7, 2] = -0.0  # equal to 0.0 by ==, not by bits
+        rows[:B, 3] = 1.0 / 3.0
+        rows[B:2 * B, 3] = math.inf
+        nan_bits = np.full(B, 0x7FF8000000000000, dtype=np.int64)
+        nan_bits[5] += 1  # a second NaN payload
+        rows[2 * B:, 4] = nan_bits.view(float)
+    elif case == "recurring-aligned":
+        x = rows[:B, 1].copy()
+        rows[:, 0] = np.repeat([0.0, math.pi, 2.0 * math.pi], B)
+        rows[:, 1] = np.tile(x, 3)
+        rows[B:2 * B, 4] = x  # recurs in another column too
+    elif case == "recurring-straddle":
+        seg = rows[:B, 2].copy()
+        rows[B // 2:B // 2 + B, 2] = seg
+        rows[2 * B + B // 2:, 2] = seg[:B // 2]
+        rows[B:2 * B, 3] = rows[:B, 3]
+    elif case == "short-last-prefix":
+        rows = np.vstack([rows, _random_rows(100, 6, 12)])
+        rows[B:2 * B, 1] = rows[:B, 1]
+        rows[3 * B:, 1] = rows[:100, 1]
+    return rows
+
+
+@pytest.mark.parametrize("case", [0, 1, 4095, 4096, 4097, "constant-blocks",
+                                  "recurring-aligned", "recurring-straddle",
+                                  "short-last-prefix"])
+def test_render_csv_matches_per_value_format(case):
+    if isinstance(case, int):
+        special = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 1e308,
+                   2.2250738585072014e-308 / 3, 0.1, -1.0 / 3.0, 7.0]
+        rows = _random_rows(case, len(special), case)
+        rows[:1] = special
+    else:
+        rows = _structured_rows(case)
+    columns = [f"c{j}" for j in range(rows.shape[1])]
     meta = [("extra", "1")]
     expected = _render_csv_per_value(RunConfig(), columns, rows.tolist(), meta)
     for given in (rows, rows.tolist()):
         got = render_csv(RunConfig(), columns, given, meta=meta)
-        # the first differing line, not pytest's quadratic diff of two
-        # multi-megabyte strings
-        diff = next(((i, a, b) for i, (a, b) in enumerate(zip(
-            got.split("\n"), expected.split("\n"))) if a != b), None)
-        assert diff is None and len(got) == len(expected), diff
+        _assert_same_text(got, expected)
+
+
+def _assert_same_text(got, expected):
+    # the first differing line, not pytest's quadratic diff of two
+    # multi-megabyte strings
+    diff = next(((i, a, b) for i, (a, b) in enumerate(zip(
+        got.split("\n"), expected.split("\n"))) if a != b), None)
+    assert diff is None and len(got) == len(expected), diff
+
+
+def test_snapshot_csv_matches_per_value_format(monkeypatch, capsys):
+    # three times on one 8192-point grid: each block's t column is
+    # constant and each x block recurs, so both format-once routes run
+    seen = {}
+
+    def spy(cfg, columns, rows, meta=None):
+        seen.update(cfg=cfg, columns=columns, rows=rows, meta=meta)
+        return render_csv(cfg, columns, rows, meta=meta)
+
+    monkeypatch.setattr(cli, "render_csv", spy)
+    rc, out, _ = run_cli(capsys, ["snapshot", "--preset", "static",
+                                  "--times", "0,0.5pi,2pi", "--grid-points", "8192",
+                                  "--half-width", "10"])
+    assert rc == 0
+    rows = np.asarray(seen["rows"])
+    assert rows.shape == (3 * 8192, 5)
+    assert np.array_equal(rows[:8192, 1], rows[2 * 8192:, 1])
+    _assert_same_text(out, _render_csv_per_value(seen["cfg"], seen["columns"],
+                                                 rows.tolist(), seen["meta"]))
 
 
 def test_pi_unit_time_parsing():
@@ -400,6 +469,26 @@ def test_oracle_compare_flag_validation(capsys):
         rc, _, err = run_cli(capsys, ["oracle-compare", "--preset", "static",
                                       "--times", "0.5", flag, value])
         assert rc == 2 and err.startswith(f"error: {flag}")
+
+
+def test_oracle_compare_dt_off_the_time_lattice_is_usage_error(capsys):
+    # 0.5pi is no whole number of 1e-7 steps: refused before propagating
+    for times, dt in (("0.5pi", "1e-7"), ("0.25pi,0.5pi", "0.1pi")):
+        rc, out, err = run_cli(capsys, ["oracle-compare", "--preset", "static",
+                                        "--times", times, "--dt", dt])
+        assert rc == 2 and out == ""
+        assert err.startswith("error: --dt does not divide the requested times")
+
+
+@pytest.mark.parametrize("dt", ["1e-9pi", "2.5e-4pi"])
+def test_oracle_compare_refuses_step_count_past_cap(monkeypatch, capsys, dt):
+    # a cap of 1800 samples admits the 1572-sample classical solve, so only
+    # the propagation's 5e8 or 2000 steps can trip it
+    monkeypatch.setattr(numerics, "MAX_SAMPLES", 1800)
+    rc, out, err = run_cli(capsys, ["oracle-compare", "--preset", "static",
+                                    "--times", "0.5pi", "--dt", dt])
+    assert rc == 2 and out == ""
+    assert "split-step propagation" in err and "more than the cap" in err
 
 
 def test_oracle_compare_fails_tight_tolerance(capsys):

@@ -1,0 +1,72 @@
+"""Property tests: the time grammar, the commensurate step count and the
+spatial grid builder over generated inputs."""
+
+import io
+import math
+from contextlib import redirect_stderr, redirect_stdout
+from fractions import Fraction
+
+import pytest
+from hypothesis import example, given, strategies as st
+
+from wavetrains import InvalidCount, TooManySamples, build_space_grid, numerics
+from wavetrains.cli import _commensurate_count, main
+from wavetrains.config import parse_pi_times
+from wavetrains.splitstep import lattice_steps
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(st.lists(st.tuples(finite, st.booleans()), min_size=1, max_size=6))
+def test_parse_pi_times_round_trips_repr(entries):
+    text = ",".join(repr(v) + ("pi" if in_pi else "") for v, in_pi in entries)
+    expected = tuple(v * math.pi if in_pi else v for v, in_pi in entries)
+    assert parse_pi_times(text) == expected
+
+
+# pi-rational times k/d pi with small k and d, so every ratio t/t_final has
+# a denominator within the limit_denominator(4096) search
+pi_rational = st.tuples(st.integers(1, 64), st.integers(1, 64))
+
+
+@given(st.lists(pi_rational, min_size=1, max_size=4),
+       st.floats(1e-4, 1.0), st.booleans())
+def test_commensurate_count_puts_pi_rational_times_on_its_grid(fracs, step, with_zero):
+    times = [k / d * math.pi for k, d in fracs] + ([0.0] if with_zero else [])
+    t_final = max(times)
+    count = _commensurate_count(t_final, times, step)
+    assert count >= math.ceil(t_final / step - 1e-12)
+    for t in times:
+        # the one step-lattice test of the split-step propagator
+        assert lattice_steps(t, t_final / count) == round(Fraction(t / t_final)
+                                                          .limit_denominator(4096) * count)
+
+
+@given(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3), st.integers(1, 16))
+def test_build_space_grid_is_a_half_open_power_of_two_box(center, half_width, power):
+    count = 2 ** power
+    grid = build_space_grid(center, half_width, count)
+    assert grid.count == count
+    assert grid.step == 2.0 * half_width / count
+    assert grid.start == center - half_width
+    assert grid.points()[-1] == grid.stop
+    # the right end center + h is excluded: it would be point ``count``
+    assert grid.stop < center + half_width
+    assert grid.stop + grid.step == pytest.approx(center + half_width,
+                                                  rel=1e-12, abs=1e-12)
+
+
+@given(st.integers(-2**40, 2**40).filter(
+    lambda c: c < 2 or c & (c - 1) or c > numerics.MAX_SAMPLES))
+@example(0)
+@example(1)
+@example(6)
+@example(2 * numerics.MAX_SAMPLES)
+def test_bad_grid_counts_are_refused_with_exit_2(count):
+    with pytest.raises((InvalidCount, TooManySamples)):
+        build_space_grid(0.0, 8.0, count)
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        rc = main(["snapshot", "--preset", "static", "--times", "0",
+                   "--grid-points", str(count), "--half-width", "8"])
+    assert rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
