@@ -48,7 +48,7 @@ from .mathieu import (
     polar_ode_residuals,
     solve_classical,
 )
-from .numerics import UniformGrid, build_space_grid, field_integral
+from .numerics import UniformGrid, build_space_grid
 from .splitstep import (
     PropagatorConfig,
     aliasing_dt_bound,
@@ -64,9 +64,10 @@ from .trains import (
     center_orbit,
     count_density_maxima,
     count_nodes,
+    gram_matrix,
     hermite_scaled,
     hermite_table,
-    mean_energy_levels,
+    level_energies,
     mean_energy_moments,
     overlap,
     psi_on_grid,
@@ -322,7 +323,7 @@ def run_series(cfg: RunConfig) -> str:
 
     E_n comes from the exact second moments of the state
     (``mean_energy_moments``), so no spatial grid is built; the verify
-    battery keeps the quadrature (``mean_energy_levels``) as its check."""
+    battery keeps the quadrature (``level_energies``) as its check."""
     params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     spec = _effective_spec(cfg, ptraj.c0)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
@@ -457,47 +458,36 @@ def _battery(cfg: RunConfig) -> dict:
     amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
     check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp))
 
-    # quantum-state checks on >= 10 times
+    # quantum-state checks on 11 times, each from one Hermite table
+    # h_0..h_8 of xi(x): its Gram matrix gives the norm and the overlaps,
+    # rows 0..7 the energy ladder E_0..E_7
     grid_spec = TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0)
     grid = _space_grid(cfg, ptraj, grid_spec)
-    n_times = 11
-    t_idx = _sample_indices(ptraj.grid.count, n_times)
-    t_checks = ptraj.t[t_idx]
-
     x = grid.points()
-    worst_norm = worst_cross = 0.0
+    worst_norm = worst_cross = worst_aff = 0.0
     worst_nodes = 0
-    for tv in t_checks:
+    for tv in ptraj.t[_sample_indices(ptraj.grid.count, 11)]:
         frame = train_frame(ptraj, spec, float(tv))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            worst_norm = max(worst_norm, abs(psi_on_grid(frame, grid).norm - 1.0))
         xi = xi_of(frame, x)
         table = hermite_table(8, xi)
+        gram = gram_matrix(frame, table, grid.step)
+        if spec.n <= 8:
+            h_n, norm = table[spec.n], gram[spec.n, spec.n]
+        else:
+            h_n = hermite_scaled(spec.n, xi)
+            norm = gram_matrix(frame, h_n[np.newaxis], grid.step)[0, 0]
+        worst_norm = max(worst_norm, abs(float(norm) - 1.0))
         # nodes of h_n(xi(x)) on the checked grid: fewer than n when the
         # grid does not resolve the packet
-        h_n = table[spec.n] if spec.n <= 8 else hermite_scaled(spec.n, xi)
         worst_nodes = max(worst_nodes, abs(count_nodes(h_n) - spec.n))
-        # Theta_n - Theta_m = -(n - m) theta is x-independent, so
-        # |<m|n>| = |int R_m R_n dx| = (sqrt(c0)/rho) |int h_m h_n dx|
-        weight = math.sqrt(spec.c0) / frame.rho
-        for m in range(table.shape[0]):
-            for n2 in range(m + 1, table.shape[0]):
-                val = abs(float(field_integral(table[m] * table[n2], grid.step)) * weight)
-                worst_cross = max(worst_cross, val)
+        cross = np.abs(gram[np.triu_indices(len(gram), 1)])
+        worst_cross = max(worst_cross, float(np.max(cross)))
+        # energy affinity: differences E_{m+1} - E_m are m-independent
+        diffs = np.diff(level_energies(ptraj, frame, table[:8], x, grid.step))
+        worst_aff = max(worst_aff, float(np.max(np.abs(diffs - diffs[0])) / abs(diffs[0])))
     check("normalization", worst_norm, 1e-6)
     check("node-count", worst_nodes, 0)
     check("orthogonality", worst_cross, 1e-6)
-
-    # energy affinity: differences E_{n+1} - E_n are n-independent
-    e_idx = _sample_indices(ptraj.grid.count, 10)
-    worst_aff = 0.0
-    for tv in ptraj.t[e_idx]:
-        energies = mean_energy_levels(ptraj, TrainSpec(n=7, b0=spec.b0, c0=spec.c0),
-                                      float(tv), grid)
-        diffs = np.diff(energies)
-        ref = diffs[0]
-        worst_aff = max(worst_aff, float(np.max(np.abs(diffs - ref)) / abs(ref)))
     check("energy-affinity", worst_aff, 1e-6)
 
     # analytic states against the independent PDE propagator

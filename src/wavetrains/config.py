@@ -8,6 +8,8 @@ their defaults.  Rendering is bit-deterministic: floats are written with
 emitted in sorted order.  The CSV writer formats each distinct column
 block once: a snapshot's t column (one value per time) and its x column
 (one grid, repeated for every time) are not formatted again per row.
+The JSON writer renders its rows in blocks of float text and splices them
+into the ``json.dumps`` text of the rest of the document.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from .numerics import is_power_of_two
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
-_CSV_BLOCK = 4096  # rows per formatting block in render_csv
+_CSV_BLOCK = 4096  # rows per formatting block in render_csv and render_json
 MAX_N = 200  # stable range of TrainSpec.a0 and hermite_scaled
 
 
@@ -390,13 +392,41 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
     return "\n".join(lines) + "\n"
 
 
+def _json_row_blocks(data: np.ndarray):
+    """Yield the items of the ``"rows"`` array of an ``indent=2`` document,
+    ``_CSV_BLOCK`` rows per string, each block by one ``%`` operation over
+    a row template.  The text of a finite float is its repr, which is what
+    ``json.dumps`` writes; a block holding NaN or infinity takes each value's
+    text from ``json.dumps`` itself (``NaN``, ``Infinity``)."""
+    row_fmt = "    [\n" + ",\n".join(["      %s"] * data.shape[1]) + "\n    ]"
+    for s in range(0, len(data), _CSV_BLOCK):
+        block = data[s:s + _CSV_BLOCK]
+        values = block.ravel().tolist()
+        if not np.isfinite(block).all():
+            values = [json.dumps(v) for v in values]
+        yield ",\n".join([row_fmt] * len(block)) % tuple(values)
+
+
 def render_json(cfg: RunConfig, columns: list[str], rows,
                 meta: dict | None = None) -> str:
-    doc = {
-        "config": to_dict(cfg),
-        "columns": list(columns),
-        "rows": [[float(v) for v in row] for row in rows],
-    }
+    """The document {columns, config, meta, rows} exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, with floats as
+    shortest round-trip text.
+
+    ``rows`` is the last sorted key, so the rest of the document is dumped
+    with an empty rows array and the rows are spliced in from
+    ``_json_row_blocks``: no Python list per row, no pure-Python indenting
+    encoder over every value."""
+    data = np.asarray(rows, dtype=float)
+    doc = {"config": to_dict(cfg), "columns": list(columns), "rows": []}
     if meta:
         doc["meta"] = meta
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if not data.size:
+        doc["rows"] = data.tolist()
+        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    head = json.dumps(doc, sort_keys=True, indent=2)  # ends '"rows": []\n}'
+    parts = [head[:-len("[]\n}")], "[\n"]
+    for block in _json_row_blocks(data):
+        parts += (block, ",\n")
+    parts[-1] = "\n  ]\n}\n"
+    return "".join(parts)

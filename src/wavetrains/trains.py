@@ -15,8 +15,9 @@ classical orbit x_c = (b0/c0) phi1.
 Each formula is written once and takes scalars or equal-shape arrays of
 the polar samples: ``coefficients`` (the ansatz b, c, e, f, a_n),
 ``_phase_rate`` (dTheta_n/dt) and ``_hermite_rows`` (the Hermite
-recurrence).  Every spatial integral is the rectangle rule
-``numerics.field_integral``.
+recurrence).  Every spatial integral is the rectangle rule: a sum times
+the step, by ``numerics.field_integral`` or, for all overlaps of one
+Hermite table at once, by the matrix product of ``gram_matrix``.
 """
 
 from __future__ import annotations
@@ -233,6 +234,16 @@ def psi_on_grid(frame: TrainFrame, grid: UniformGrid) -> FieldGrid:
     return field_grid
 
 
+def gram_matrix(frame: TrainFrame, table: np.ndarray, step: float) -> np.ndarray:
+    """G[m, n] = int R_m R_n dx by the rectangle rule for the rows
+    h_m(xi(x)) of ``table``, as one matrix product.
+
+    R_m = c0^(1/4) rho^(-1/2) h_m(xi) and Theta_n - Theta_m = -(n - m) theta
+    is x-independent, so |<m|n>| = |G[m, n]|; and |psi_m|^2 = R_m^2, so
+    G[m, m] is the norm int |psi_m|^2 dx."""
+    return (table @ table.T) * step * (math.sqrt(frame.spec.c0) / frame.rho)
+
+
 def center_orbit(ptraj: PolarTrajectory, spec: TrainSpec, t):
     """Center x_c(t) = (b0/c0) rho cos(theta) = (b0/c0) phi1, the orbit of
     a classical oscillator; evaluated at sampled times (linear
@@ -285,17 +296,27 @@ def mean_energy_levels(ptraj: PolarTrajectory, spec: TrainSpec,
     """``mean_energy`` of every level m = 0 .. n sharing ``spec``'s b0 and c0,
     with all R_m^2 taken from one ``hermite_table`` pass."""
     frame = train_frame(ptraj, spec, t)
-    dtheta = float(ptraj.dtheta[ptraj.grid.index_of(t)])
-    k = float(ptraj.params.k(frame.t))
     x = grid.points()
+    return level_energies(ptraj, frame, hermite_table(spec.n, xi_of(frame, x)),
+                          x, grid.step)
+
+
+def level_energies(ptraj: PolarTrajectory, frame: TrainFrame, table: np.ndarray,
+                   x: np.ndarray, step: float) -> np.ndarray:
+    """E_m = -int R_m^2 dTheta_m/dt dx by the rectangle rule for each row
+    h_m(xi(x)) of ``table`` (m = 0, 1, ...), the levels sharing ``frame``'s
+    b0 and c0; ``frame.t`` must be a sample of ``ptraj``."""
+    spec = frame.spec
+    dtheta = float(ptraj.dtheta[ptraj.grid.index_of(frame.t)])
+    k = float(ptraj.params.k(frame.t))
     quad, lin, _ = _phase_rate(spec, frame.rho, frame.theta, frame.drho, dtheta, k)
     theta_x = quad * x * x - lin * x
     scale = spec.c0**0.25 / math.sqrt(frame.rho)
-    energies = np.empty(spec.n + 1)
-    for m, h in enumerate(hermite_table(spec.n, xi_of(frame, x))):
+    energies = np.empty(len(table))
+    for m, h in enumerate(table):
         const = _phase_rate(TrainSpec(n=m, b0=spec.b0, c0=spec.c0), frame.rho,
                             frame.theta, frame.drho, dtheta, k)[2]
-        energies[m] = -field_integral((scale * h) ** 2 * (theta_x + const), grid.step)
+        energies[m] = -field_integral((scale * h) ** 2 * (theta_x + const), step)
     return energies
 
 

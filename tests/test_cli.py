@@ -4,13 +4,16 @@ config files, the verify battery, and the propagation comparison."""
 import io
 import json
 import math
+import os
 import shutil
 import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from wavetrains import propagation_grid
+import wavetrains
+from wavetrains import TrainSpec, UniformGrid, mean_energy_levels, propagation_grid
 from wavetrains import cli, numerics
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound
@@ -23,9 +26,11 @@ from wavetrains.config import (
     parse_pi_times,
     preset,
     render_csv,
+    render_json,
     to_dict,
 )
 from wavetrains.errors import ConfigError, UnknownPreset
+from wavetrains.trains import level_energies
 
 from conftest import COLLAPSE_PARAMS
 
@@ -369,6 +374,27 @@ def test_snapshot_csv_matches_per_value_format(monkeypatch, capsys):
                                                  rows.tolist(), seen["meta"]))
 
 
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+@pytest.mark.parametrize("non_finite", [False, True], ids=["finite", "non-finite"])
+def test_render_json_matches_json_dumps(count, non_finite):
+    rows = _random_rows(count, 10, count)
+    # the first row's edge values take the float-text route; the last
+    # row's NaN and infinities send their block to json.dumps per value
+    rows[:1] = [-0.0, 0.0, 5e-324, 2.2250738585072014e-308 / 3, 1e308, -1e308,
+                0.1, -1.0 / 3.0, 7.0, 1e16]
+    if non_finite and count:
+        rows[-1, :3] = [math.nan, math.inf, -math.inf]
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    meta = {"extra": "1"} if non_finite else None
+    doc = {"config": to_dict(RunConfig()), "columns": columns,
+           "rows": [[float(v) for v in row] for row in rows]}
+    if meta:
+        doc["meta"] = meta
+    expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    for given in (rows, rows.tolist()):
+        _assert_same_text(render_json(RunConfig(), columns, given, meta=meta), expected)
+
+
 def test_pi_unit_time_parsing():
     assert tuple(parse_pi_times("0,0.5pi,2pi")) == (0.0, 0.5 * math.pi,
                                                     2.0 * math.pi)
@@ -410,6 +436,44 @@ def test_verify_fails_on_coarse_grid(capsys):
     assert report["passed"] is False
     failed = {ch["name"] for ch in report["checks"] if not ch["passed"]}
     assert "normalization" in failed
+
+
+def test_battery_energies_equal_mean_energy_levels(monkeypatch, capsys):
+    # the battery's E_0..E_7 at each of its 11 check times, bit for bit
+    # those of mean_energy_levels on the same trajectory, time and grid
+    seen = []
+
+    def spy(ptraj, frame, table, x, step):
+        energies = level_energies(ptraj, frame, table, x, step)
+        seen.append((ptraj, frame, UniformGrid(float(x[0]), step, len(x)), x, energies))
+        return energies
+
+    monkeypatch.setattr(cli, "level_energies", spy)
+    rc, _, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
+    assert rc == 0
+    assert len({frame.t for _, frame, *_ in seen}) == len(seen) == 11
+    for ptraj, frame, grid, x, energies in seen:
+        assert np.array_equal(grid.points(), x)
+        spec = TrainSpec(n=7, b0=frame.spec.b0, c0=frame.spec.c0)
+        assert np.array_equal(energies, mean_energy_levels(ptraj, spec, frame.t, grid))
+
+
+def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
+    # the Gram matrix is a BLAS product; on 65536 points it is large enough
+    # for OpenBLAS to split it over threads, and the report must not move
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    reports = []
+    for threads in ("1", None, "4"):
+        env = dict(os.environ, PYTHONPATH=src)
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if threads is not None:
+            env["OPENBLAS_NUM_THREADS"] = threads
+        proc = subprocess.run([sys.executable, "-m", "wavetrains.cli", "verify",
+                               "--preset", "static", "--grid-points", "65536"],
+                              capture_output=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        reports.append(proc.stdout)
+    assert reports[0] == reports[1] == reports[2]
 
 
 def test_verify_passes_on_smallest_resolving_grid(capsys):

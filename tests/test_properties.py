@@ -1,17 +1,28 @@
-"""Property tests: the time grammar, the commensurate step count and the
-spatial grid builder over generated inputs."""
+"""Property tests: the time grammar, the commensurate step count, the
+spatial grid builder and the strict config parser over generated inputs."""
 
+import dataclasses
 import io
+import json
 import math
+import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, strategies as st
 
-from wavetrains import InvalidCount, TooManySamples, build_space_grid, numerics
+from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_grid, numerics
 from wavetrains.cli import _commensurate_count, main
-from wavetrains.config import parse_pi_times
+from wavetrains.config import (
+    _GROUPS,
+    MAX_N,
+    PRESET_NAMES,
+    from_dict,
+    parse_pi_times,
+    preset,
+    to_dict,
+)
 from wavetrains.splitstep import lattice_steps
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
@@ -70,3 +81,70 @@ def test_bad_grid_counts_are_refused_with_exit_2(count):
         rc = main(["snapshot", "--preset", "static", "--times", "0",
                    "--grid-points", str(count), "--half-width", "8"])
     assert rc == 2 and out.getvalue() == "" and err.getvalue().startswith("error: ")
+
+
+positive = st.floats(min_value=5e-324, allow_infinity=False)
+power_of_two = st.integers(1, 24).map(lambda p: 2 ** p)
+valid_overrides = st.fixed_dictionaries({}, optional={
+    "params": st.fixed_dictionaries({}, optional={"u2": positive, "v": finite}),
+    "init": st.fixed_dictionaries({}, optional={
+        "a": finite, "b": finite, "alpha": finite, "beta": finite}),
+    "train": st.fixed_dictionaries({}, optional={
+        "n": st.integers(0, MAX_N), "b0": finite,
+        "declared_c0": st.none() | positive}),
+    "solver": st.fixed_dictionaries({}, optional={
+        "iterations": st.integers(0, 50), "rk4_step": positive}),
+    "time": st.fixed_dictionaries({}, optional={
+        "t_final": positive, "samples": st.integers(2, 10**6),
+        "times": st.lists(st.floats(0.0, allow_infinity=False), max_size=5).map(tuple)}),
+    "space": st.one_of(
+        st.fixed_dictionaries({"policy": st.just("auto")}, optional={
+            "grid_points": st.none() | power_of_two, "center": finite}),
+        st.fixed_dictionaries({"policy": st.just("explicit"), "grid_points": power_of_two,
+                               "half_width": positive}, optional={"center": finite})),
+    "output": st.fixed_dictionaries({}, optional={
+        "format": st.sampled_from(["csv", "json"]), "path": st.none() | st.text()}),
+})
+
+
+@given(st.sampled_from(PRESET_NAMES), valid_overrides)
+def test_from_dict_round_trips_to_dict(name, overrides):
+    cfg = preset(name)
+    for group, values in overrides.items():
+        cfg = dataclasses.replace(
+            cfg, **{group: dataclasses.replace(getattr(cfg, group), **values)})
+    assert from_dict(to_dict(cfg)) == cfg
+
+
+@given(st.text(), st.sampled_from(sorted(_GROUPS)), st.booleans())
+def test_from_dict_rejects_unknown_groups_and_keys(name, group, as_group):
+    fields = {f.name for f in dataclasses.fields(_GROUPS[group])}
+    if as_group:
+        assume(name not in _GROUPS)
+        data = {name: {}}
+    else:
+        assume(name not in fields)
+        data = {group: {name: 1.0}}
+    with pytest.raises(ConfigError, match="unknown"):
+        from_dict(data)
+
+
+# every float field, as (group, key); times is a list of floats
+FLOAT_FIELDS = [(group, f.name) for group, cls in sorted(_GROUPS.items())
+                for f in dataclasses.fields(cls) if "float" in str(f.type)]
+
+
+@given(st.sampled_from(FLOAT_FIELDS), st.sampled_from([math.nan, math.inf, -math.inf]))
+def test_non_finite_config_values_are_refused_with_exit_2(key, value):
+    group, name = key
+    data = {group: {name: [0.0, value] if name == "times" else value}}
+    with pytest.raises(ConfigError, match=f"{group}.{name} must be finite"):
+        from_dict(data)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.NamedTemporaryFile("w", suffix=".json") as fh:
+        json.dump(data, fh)
+        fh.flush()
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(["classical", "--config", fh.name])
+    assert rc == 2 and out.getvalue() == ""
+    assert err.getvalue().startswith(f"error: {group}.{name} must be finite")

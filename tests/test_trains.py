@@ -34,7 +34,14 @@ from wavetrains import (
 )
 from wavetrains.errors import GridMismatch
 from wavetrains.numerics import SampledFunction, field_integral, simpson
-from wavetrains.trains import TrainFrame, _phase_rate, amplitude, coefficients
+from wavetrains.trains import (
+    TrainFrame,
+    _phase_rate,
+    amplitude,
+    coefficients,
+    gram_matrix,
+    level_energies,
+)
 
 from conftest import FOUR_PI
 
@@ -299,6 +306,30 @@ def test_orthonormal_family(soliton_polar, soliton_spec):
             assert abs(overlap(fields[m], fields[n])) < 1e-6
 
 
+@pytest.mark.parametrize("fixture", ["soliton", "collapse", "static"])
+def test_gram_matches_state_quadratures(request, fixture):
+    # at the verify battery's 11 check times on its n = 8 grid, the
+    # one-table Gram matrix against the norm of the fixture's psi_on_grid
+    # state and the per-pair rectangle-rule integrals of R_m R_n
+    ptraj = request.getfixturevalue(f"{fixture}_polar")
+    spec = request.getfixturevalue(f"{fixture}_spec")
+    grid = auto_space_grid(ptraj, TrainSpec(n=8, b0=spec.b0, c0=spec.c0))
+    x = grid.points()
+    for t in _sample_times(ptraj, 11):
+        frame = train_frame(ptraj, spec, float(t))
+        table = hermite_table(8, xi_of(frame, x))
+        gram = gram_matrix(frame, table, grid.step)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", NormDeficitWarning)
+            assert abs(gram[spec.n, spec.n] - psi_on_grid(frame, grid).norm) <= 1e-12
+        weight = math.sqrt(spec.c0) / frame.rho
+        for m in range(9):
+            for n in range(m, 9):
+                pair = float(field_integral(table[m] * table[n], grid.step)) * weight
+                assert abs(gram[m, n] - pair) <= 1e-12
+                assert abs(gram[n, m] - pair) <= 1e-12
+
+
 def test_overlap_rejects_mismatched_fields(soliton_polar, soliton_spec):
     grid_a = build_space_grid(0.0, 30.0, 512)
     grid_b = build_space_grid(0.0, 30.0, 1024)
@@ -362,6 +393,22 @@ def test_energy_levels_match_per_level_quadrature(collapse_polar):
             reference = -field_integral(amplitude(frame, x) ** 2
                                         * (quad * x * x - lin * x + const), grid.step)
             assert levels[m] == reference
+
+
+def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_polar):
+    # the verify battery takes E_0..E_7 from the first rows of its n = 8
+    # table: bit for bit what mean_energy_levels gives from its own n = 7 one
+    grid = auto_space_grid(collapse_polar, TrainSpec(n=8, b0=0.02, c0=collapse_polar.c0))
+    x = grid.points()
+    for t in _sample_times(collapse_polar, 3):
+        frame = train_frame(collapse_polar, TrainSpec(n=4, b0=0.02, c0=collapse_polar.c0),
+                            float(t))
+        table = hermite_table(8, xi_of(frame, x))
+        levels = mean_energy_levels(collapse_polar,
+                                    TrainSpec(n=7, b0=0.02, c0=collapse_polar.c0),
+                                    float(t), grid)
+        assert np.array_equal(level_energies(collapse_polar, frame, table[:8], x,
+                                             grid.step), levels)
 
 
 def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
