@@ -20,7 +20,6 @@ import dataclasses
 import json
 import math
 import sys
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -95,29 +94,39 @@ def build_parser() -> argparse.ArgumentParser:
                          help="named parameter set to start from")
         src.add_argument("--config", metavar="FILE",
                          help="JSON config file mirroring RunConfig (strict keys)")
-        p.add_argument("--out", metavar="PATH", help="output file (default stdout)")
-        p.add_argument("--format", choices=("csv", "json"), dest="fmt",
-                       help="output format (default csv; verify is always json)")
-        p.add_argument("--n", type=int, help="quantum number of the train")
-        p.add_argument("--b0", type=float, help="center constant b0")
-        p.add_argument("--declared-c0", type=float, dest="declared_c0",
-                       help="rescale b0 by (computed c0)/(declared c0) to match "
-                            "a convention that normalizes the first integral")
-        p.add_argument("--iterations", type=int, help="Picard iterations")
-        p.add_argument("--rk4-step", type=float, dest="rk4_step",
-                       help="classical integrator step")
-        p.add_argument("--grid-points", type=int, dest="grid_points",
-                       help="spatial grid point count (power of two)")
-        p.add_argument("--half-width", type=float, dest="half_width",
-                       help="explicit spatial half-width (switches grid policy "
-                            "to explicit; needs --grid-points)")
-        p.add_argument("--center", type=float, help="explicit spatial grid center")
-        p.add_argument("--times", metavar="LIST",
-                       help="comma-separated times, pi-units allowed: 0,0.5pi,2pi")
+
+        def override(flag: str, dest: str, **kwargs):
+            # dest names the RunConfig field set ("train.n"); help shows "--n N"
+            metavar = None if "choices" in kwargs else dest.partition(".")[2].upper()
+            p.add_argument(flag, dest=dest, **{"metavar": metavar, **kwargs})
+
+        override("--out", "output.path", metavar="PATH",
+                 help="output file (default stdout)")
+        override("--format", "output.format", choices=("csv", "json"),
+                 help="output format (default csv; verify is always json)")
+        override("--n", "train.n", type=int, help="quantum number of the train")
+        override("--b0", "train.b0", type=float, help="center constant b0")
+        override("--declared-c0", "train.declared_c0", type=float,
+                 help="rescale b0 by (computed c0)/(declared c0) to match "
+                      "a convention that normalizes the first integral")
+        override("--iterations", "solver.iterations", type=int, help="Picard iterations")
+        override("--rk4-step", "solver.rk4_step", type=float,
+                 help="classical integrator step")
+        override("--grid-points", "space.grid_points", type=int,
+                 help="spatial grid point count (power of two)")
+        override("--half-width", "space.half_width", type=float,
+                 help="explicit spatial half-width (switches grid policy "
+                      "to explicit; needs --grid-points)")
+        override("--center", "space.center", type=float,
+                 help="explicit spatial grid center (switches grid policy "
+                      "to explicit; needs --grid-points and --half-width)")
+        override("--times", "time.times", metavar="LIST",
+                 help="comma-separated times, pi-units allowed: 0,0.5pi,2pi")
         if t_final:
-            p.add_argument("--t-final", dest="t_final", metavar="T",
-                           help="time horizon (pi-units allowed, e.g. 4pi)")
-            p.add_argument("--samples", type=int, help="number of output samples")
+            override("--t-final", "time.t_final", metavar="T",
+                     help="time horizon (pi-units allowed, e.g. 4pi)")
+            override("--samples", "time.samples", type=int,
+                     help="number of output samples")
 
     common(sub.add_parser("classical", help="classical trajectory time series"),
            t_final=True)
@@ -136,75 +145,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def resolve_config(args: argparse.Namespace) -> RunConfig:
-    """Defaults -> preset or config file -> individual flag overrides."""
+    """Defaults -> preset or config file -> individual flag overrides, each
+    set on the field its dest names ("train.n")."""
     if getattr(args, "config", None):
         cfg = load_config_file(args.config)
     elif getattr(args, "preset", None):
         cfg = preset(args.preset)
     else:
         cfg = RunConfig()
-
-    train = {}
-    if args.n is not None:
-        train["n"] = args.n
-    if args.b0 is not None:
-        train["b0"] = args.b0
-    if args.declared_c0 is not None:
-        train["declared_c0"] = args.declared_c0
-    if train:
-        cfg = dataclasses.replace(cfg, train=dataclasses.replace(cfg.train, **train))
-
-    solver = {}
-    if args.iterations is not None:
-        solver["iterations"] = args.iterations
-    if args.rk4_step is not None:
-        solver["rk4_step"] = args.rk4_step
-    if solver:
-        cfg = dataclasses.replace(cfg, solver=dataclasses.replace(cfg.solver, **solver))
-
-    time_over = {}
-    if args.times is not None:
-        time_over["times"] = parse_pi_times(args.times)
-    if getattr(args, "t_final", None) is not None:
-        values = parse_pi_times(args.t_final)
-        if len(values) != 1:
-            raise ConfigError(f"--t-final wants one value, got {args.t_final!r}")
-        time_over["t_final"] = values[0]
-    if getattr(args, "samples", None) is not None:
-        time_over["samples"] = args.samples
-    if time_over:
-        cfg = dataclasses.replace(cfg, time=dataclasses.replace(cfg.time, **time_over))
-
-    space = {}
-    if args.grid_points is not None:
-        space["grid_points"] = args.grid_points
-    if args.half_width is not None:
-        space["half_width"] = args.half_width
-        space["policy"] = "explicit"
-    if args.center is not None:
-        space["center"] = args.center
-    if space:
-        cfg = dataclasses.replace(cfg, space=dataclasses.replace(cfg.space, **space))
-
-    output = {}
-    if args.fmt is not None:
-        output["format"] = args.fmt
-    if args.out is not None:
-        output["path"] = args.out
-    if output:
-        cfg = dataclasses.replace(cfg, output=dataclasses.replace(cfg.output, **output))
-
+    for dest, text in vars(args).items():
+        group, _, key = dest.rpartition(".")
+        if not group or text is None:
+            continue
+        value = parse_pi_times(text) if key in ("times", "t_final") else text
+        if key == "t_final":
+            if len(value) != 1:
+                raise ConfigError(f"--t-final wants one value, got {text!r}")
+            value = value[0]
+        fields = {key: value}
+        if key in ("half_width", "center"):
+            fields["policy"] = "explicit"
+        cfg = dataclasses.replace(cfg, **{group: dataclasses.replace(getattr(cfg, group), **fields)})
     return validate(cfg)
 
 
 # --------------------------------------------------------------------------
 # shared pipeline pieces
-
-def _problem(cfg: RunConfig) -> tuple[TrapParameters, ClassicalInit]:
-    params = TrapParameters(cfg.params.u2, cfg.params.v)
-    init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
-    return params, init
-
 
 def _effective_spec(cfg: RunConfig, c0: float) -> TrainSpec:
     b0 = cfg.train.b0
@@ -230,7 +196,8 @@ def _commensurate_count(t_final: float, times, step: float) -> int:
 
 
 def _solve_polar(cfg: RunConfig, t_final: float, times=()):
-    params, init = _problem(cfg)
+    params = TrapParameters(cfg.params.u2, cfg.params.v)
+    init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
     count = _commensurate_count(t_final, times, cfg.solver.rk4_step)
     traj = solve_classical(params, init, (0.0, t_final), t_final / count)
     return params, init, traj, polar_decompose(traj)
@@ -241,11 +208,16 @@ def _sample_indices(count: int, samples: int) -> np.ndarray:
     return np.unique(np.round(np.linspace(0, count - 1, samples)).astype(int))
 
 
-def _space_grid(cfg: RunConfig, ptraj, spec: TrainSpec) -> UniformGrid:
-    if cfg.space.policy == "explicit":
-        return build_space_grid(cfg.space.center, cfg.space.half_width,
-                                cfg.space.grid_points)
-    return auto_space_grid(ptraj, spec, count=cfg.space.grid_points)
+def _space_grid(cfg: RunConfig, ptraj, spec: TrainSpec,
+                propagate: bool = False) -> UniformGrid:
+    """The explicit grid when the policy says so; otherwise the auto grid,
+    sized for split-step propagation when ``propagate`` is set."""
+    space = cfg.space
+    if space.policy == "explicit":
+        return build_space_grid(space.center, space.half_width, space.grid_points)
+    if propagate:
+        return propagation_grid(ptraj, spec, min_count=space.grid_points or 1024)
+    return auto_space_grid(ptraj, spec, count=space.grid_points)
 
 
 def _meta_common(c0: float) -> list[tuple[str, str]]:
@@ -344,6 +316,21 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
     return t_final / count
 
 
+def _oracle_rows(params: TrapParameters, ptraj, spec: TrainSpec,
+                 grid: UniformGrid, dt: float, times) -> list[list[float]]:
+    """Propagate the renormalized closed-form state at t = 0 by split-step
+    through the sorted ``times``; [t, L2 density distance, |overlap|]
+    against the closed form at each."""
+    psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
+    evolved = split_step_evolve(psi0, params, PropagatorConfig(grid, dt),
+                                times[-1], record_times=list(times))
+    rows = []
+    for t, field in zip(times, evolved):
+        exact = psi_on_grid(train_frame(ptraj, spec, t), grid)
+        rows.append([t, l2_density_distance(field, exact), abs(overlap(exact, field))])
+    return rows
+
+
 def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
                        tolerance: float = 1e-3) -> tuple[str, bool]:
     """Propagate the closed-form initial state with the split-step scheme
@@ -358,12 +345,7 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
     t_final = max(times)
     params, init, traj, ptraj = _solve_polar(cfg, t_final, times)
     spec = _effective_spec(cfg, ptraj.c0)
-    if cfg.space.policy == "explicit":
-        grid = build_space_grid(cfg.space.center, cfg.space.half_width,
-                                cfg.space.grid_points)
-    else:
-        grid = propagation_grid(ptraj, spec,
-                                min_count=cfg.space.grid_points or 1024)
+    grid = _space_grid(cfg, ptraj, spec, propagate=True)
     if dt is None:
         dt = _auto_dt(params, grid, t_final, times)
     else:
@@ -372,19 +354,8 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
                 lattice_steps(t, dt)
             except GridMismatch as exc:
                 raise ConfigError(f"--dt does not divide the requested times: {exc}") from None
-    psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
-    propagated = split_step_evolve(psi0, params, PropagatorConfig(grid, dt),
-                                   t_final, record_times=list(times))
-    rows = []
-    worst = 0.0
-    for t_req, field in zip(times, propagated):
-        i = ptraj.grid.index_of(t_req)
-        frame = train_frame(ptraj, spec, ptraj.grid.start + i * ptraj.grid.step)
-        exact = psi_on_grid(frame, grid)
-        dist = l2_density_distance(field, exact)
-        fid = abs(overlap(exact, field))
-        worst = max(worst, dist)
-        rows.append([t_req, dist, fid])
+    rows = _oracle_rows(params, ptraj, spec, grid, dt, times)
+    worst = max(row[1] for row in rows)
     meta = _meta_common(ptraj.c0)
     meta.append(("propagation.dt", f"{dt:.17g}"))
     meta.append(("propagation.tolerance", f"{tolerance:.17g}"))
@@ -490,17 +461,12 @@ def _battery(cfg: RunConfig) -> dict:
     check("orthogonality", worst_cross, 1e-6)
     check("energy-affinity", worst_aff, 1e-6)
 
-    # analytic states against the independent PDE propagator
+    # analytic states against the independent PDE propagator; its grid is
+    # sized for propagation whatever grid the checks above ran on
     pgrid = propagation_grid(ptraj, spec, min_count=1024)
     dt = _auto_dt(params, pgrid, horizon, (horizon,))
-    psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), pgrid))
-    evolved = split_step_evolve(psi0, params, PropagatorConfig(pgrid, dt), horizon)[0]
-    i = ptraj.grid.index_of(horizon)
-    frame_h = train_frame(ptraj, spec, ptraj.grid.start + i * ptraj.grid.step)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        exact_h = psi_on_grid(frame_h, pgrid)
-    check("pde-density-distance", l2_density_distance(evolved, exact_h), 1e-3)
+    [(_, distance, _)] = _oracle_rows(params, ptraj, spec, pgrid, dt, [horizon])
+    check("pde-density-distance", distance, 1e-3)
 
     passed = all(c["passed"] for c in checks)
     return {

@@ -17,6 +17,8 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import types
+import typing
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -141,42 +143,46 @@ def _coerce_times(value) -> tuple[float, ...]:
     if isinstance(value, str):
         return parse_pi_times(value)
     try:
+        if any(isinstance(v, bool) for v in value):
+            raise TypeError
         return tuple(parse_pi_times(v)[0] if isinstance(v, str) else float(v)
                      for v in value)
     except (TypeError, ValueError):
         raise ConfigError(f"times must be numbers or 'pi' strings, got {value!r}") from None
 
 
-def _coerce(name: str, target_type, value):
-    if name == "times":
+def _coerce(group: str, name: str, kind: type, value):
+    if kind is tuple:
         return _coerce_times(value)
-    if value is None:
-        return None
-    if target_type is int:
+    if kind is int:
         if isinstance(value, bool) or int(value) != value:
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
-    if target_type is float:
+    if kind is float:
+        if isinstance(value, bool):
+            raise ConfigError(f"{group}.{name} must be a number, got {value!r}")
         return float(value)
-    if target_type is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{name} must be a string, got {value!r}")
-        return value
+    if not isinstance(value, str):
+        raise ConfigError(f"{name} must be a string, got {value!r}")
     return value
 
 
 def _group_from_dict(cls, want: dict, group: str):
-    fields = {f.name: f for f in dataclasses.fields(cls)}
-    unknown = set(want) - set(fields)
+    """Each field's type, and whether it may be null, come from its
+    annotation: ``int | None``, ``float``, ``tuple[float, ...]``."""
+    hints = typing.get_type_hints(cls)
+    unknown = set(want) - set(hints)
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in group {group!r}")
     kwargs = {}
     for name, value in want.items():
-        f = fields[name]
-        base = {"n": int, "grid_points": int, "iterations": int, "samples": int,
-                "policy": str, "format": str, "path": str, "times": tuple}.get(name, float)
+        kind = hints[name]
+        nullable = isinstance(kind, types.UnionType)
+        if value is None and not nullable:
+            raise ConfigError(f"{group}.{name} must not be null")
+        kind = typing.get_args(kind)[0] if nullable else typing.get_origin(kind) or kind
         try:
-            kwargs[name] = _coerce(name, base, value)
+            kwargs[name] = None if value is None else _coerce(group, name, kind, value)
         except (TypeError, ValueError):
             raise ConfigError(f"bad value {value!r} for {group}.{name}") from None
     return cls(**kwargs)
@@ -230,6 +236,9 @@ def validate(cfg: RunConfig) -> RunConfig:
     if cfg.space.policy == "explicit":
         if cfg.space.grid_points is None or cfg.space.half_width is None:
             raise ConfigError("space.policy 'explicit' needs grid_points and half_width")
+    elif cfg.space.half_width is not None:
+        raise ConfigError("space.half_width needs space.policy 'explicit'; "
+                          "the auto policy sizes the box itself")
     if cfg.space.grid_points is not None:
         gp = cfg.space.grid_points
         if gp < 2 or not is_power_of_two(gp):

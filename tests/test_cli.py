@@ -1,6 +1,7 @@
 """Command line behaviour: argument handling, deterministic output,
 config files, the verify battery, and the propagation comparison."""
 
+import argparse
 import io
 import json
 import math
@@ -236,6 +237,111 @@ def test_config_file_rejects_unknown_keys(tmp_path, capsys):
     assert rc == 2
 
 
+NULLABLE = {"train.declared_c0", "space.grid_points", "space.half_width", "output.path"}
+ALL_FIELDS = [f"{group}.{name}" for group, sub in to_dict(RunConfig()).items() for name in sub]
+FLOAT_FIELDS = ["params.u2", "params.v", "init.a", "init.b", "init.alpha", "init.beta",
+                "train.b0", "train.declared_c0", "solver.rk4_step", "time.t_final",
+                "space.half_width", "space.center"]
+
+
+def _config_run(tmp_path, capsys, key, value):
+    group, name = key.split(".")
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({group: {name: value}}))
+    return run_cli(capsys, ["classical", "--config", str(path), "--samples", "3"])
+
+
+@pytest.mark.parametrize("key", ALL_FIELDS)
+def test_config_null_is_allowed_only_for_optional_fields(tmp_path, capsys, key):
+    group, name = key.split(".")
+    rc, out, err = _config_run(tmp_path, capsys, key, None)
+    if key in NULLABLE:
+        assert getattr(getattr(from_dict({group: {name: None}}), group), name) is None
+        assert rc == 0 and err == ""
+    else:
+        assert rc == 2 and out == ""
+        assert err == f"error: {key} must not be null\n"
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS + ["time.times"])
+def test_config_bool_is_refused_for_float_fields(tmp_path, capsys, key):
+    value = [0.0, True] if key == "time.times" else True
+    rc, out, err = _config_run(tmp_path, capsys, key, value)
+    assert rc == 2 and out == ""
+    expected = "times must be numbers" if key == "time.times" else f"{key} must be a number"
+    assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+def test_grid_inputs_are_never_silently_ignored(tmp_path, capsys):
+    # --center alone switches the policy to explicit, which needs the box
+    rc, out, err = run_cli(capsys, ["snapshot", "--preset", "static",
+                                    "--center", "3", "--times", "0"])
+    assert rc == 2 and out == ""
+    assert err == "error: space.policy 'explicit' needs grid_points and half_width\n"
+    # a half_width under the auto policy would not size anything
+    rc, out, err = _config_run(tmp_path, capsys, "space.half_width", 8.0)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: space.half_width needs space.policy 'explicit'")
+    # with the full box given, the center is used
+    rc, out, _ = run_cli(capsys, ["snapshot", "--preset", "static", "--times", "0",
+                                  "--center", "0.5", "--half-width", "8",
+                                  "--grid-points", "256"])
+    assert rc == 0
+    assert meta_value(out, "space.policy") == "explicit"
+    assert float(meta_value(out, "grid.start")) == -7.5
+
+
+# A text and the value it must leave in the field its flag's dest names;
+# each differs from RunConfig() and from every preset.
+OVERRIDE_VALUES = {
+    "output.path": ("override.csv", "override.csv"),
+    "output.format": ("json", "json"),
+    "train.n": ("3", 3),
+    "train.b0": ("0.75", 0.75),
+    "train.declared_c0": ("2.5", 2.5),
+    "solver.iterations": ("7", 7),
+    "solver.rk4_step": ("0.002", 0.002),
+    "space.grid_points": ("512", 512),
+    "space.half_width": ("9.5", 9.5),
+    "space.center": ("1.25", 1.25),
+    "time.times": ("0,0.5pi", [0.0, 0.5 * math.pi]),
+    "time.t_final": ("3pi", 3.0 * math.pi),
+    "time.samples": ("17", 17),
+}
+# what an explicit-box flag needs alongside it, and the fields that then change
+BOX_COMPANIONS = {
+    "space.half_width": (["--grid-points", "512"], {"space.grid_points", "space.policy"}),
+    "space.center": (["--grid-points", "512", "--half-width", "9.5"],
+                     {"space.grid_points", "space.half_width", "space.policy"}),
+}
+
+
+@pytest.mark.parametrize("command", ["classical", "snapshot", "series", "verify",
+                                     "oracle-compare"])
+def test_each_override_flag_sets_the_field_its_dest_names(command):
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {a.option_strings[0]: a.dest
+             for a in commands.choices[command]._actions if "." in a.dest}
+    # only the commands with a time horizon take --t-final and --samples
+    expected = set(OVERRIDE_VALUES)
+    if command in ("snapshot", "oracle-compare"):
+        expected -= {"time.t_final", "time.samples"}
+    assert sorted(flags.values()) == sorted(expected)
+    default = to_dict(RunConfig())
+    for flag, dest in flags.items():
+        assert dest in ALL_FIELDS, f"{flag} has dest {dest!r}, which names no RunConfig field"
+        text, value = OVERRIDE_VALUES[dest]
+        extra, companions = BOX_COMPANIONS.get(dest, ([], set()))
+        cfg = cli.resolve_config(parser.parse_args([command, flag, text] + extra))
+        got = to_dict(cfg)
+        group, name = dest.split(".")
+        assert got[group][name] == value, flag
+        changed = {f"{g}.{k}" for g, sub in got.items() for k in sub
+                   if sub[k] != default[g][k]}
+        assert changed == {dest} | companions, flag
+
+
 # Every non-finite float input, given as a flag where one exists and
 # through a config file otherwise.
 NON_FINITE_INPUTS = [
@@ -407,9 +513,10 @@ def test_pi_unit_time_parsing():
 
 # ----------------------------------------------------------------- verify
 
-def test_verify_static_passes(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--preset", "static"])
+def test_verify_static_passes(capsys, recwarn):
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
     assert rc == 0
+    assert err == "" and len(recwarn) == 0
     report = json.loads(out)
     assert report["passed"] is True
     assert len(report["checks"]) == 15
@@ -417,9 +524,11 @@ def test_verify_static_passes(capsys):
     assert report["derived"]["c0"] == pytest.approx(1.0, abs=1e-12)
 
 
-def test_verify_soliton_passes(capsys):
-    rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
+def test_verify_soliton_passes(capsys, recwarn):
+    # stays quiet: no warning from the closed-form states, recorded or printed
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
+    assert err == "" and len(recwarn) == 0
     report = json.loads(out)
     assert report["passed"] is True
     names = {ch["name"] for ch in report["checks"]}
@@ -487,11 +596,12 @@ def test_verify_passes_on_smallest_resolving_grid(capsys):
     assert all(ch["passed"] for ch in report["checks"])
 
 
-def test_verify_collapse_passes_at_ground_state(capsys):
+def test_verify_collapse_passes_at_ground_state(capsys, recwarn):
     # the residual step is floored at the n = 4 phase rate: the c and polar
     # residuals do not depend on n, so n = 0 must not coarsen their step
-    rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "0"])
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "0"])
     assert rc == 0
+    assert err == "" and len(recwarn) == 0
     report = json.loads(out)
     assert all(ch["passed"] for ch in report["checks"])
 
