@@ -9,6 +9,7 @@ certifies them against an independent split-step PDE propagator.
 from .errors import (
     AliasingRisk,
     BranchJump,
+    Cancelled,
     ConfigError,
     EmptyGrid,
     GridMismatch,
@@ -91,7 +92,7 @@ from .config import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingRisk", "BranchJump", "ConfigError", "EmptyGrid", "GridMismatch",
+    "AliasingRisk", "BranchJump", "Cancelled", "ConfigError", "EmptyGrid", "GridMismatch",
     "InvalidCount", "NegativeIndex", "NonFiniteValue", "NonPositiveC0",
     "NonZeroStart", "NormDeficitWarning", "NormDrift", "OriginCrossing",
     "QuadratureOrderWarning", "StabilityRegionWarning", "TooFewPoints",

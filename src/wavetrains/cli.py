@@ -20,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -317,13 +318,13 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
 
 
 def _oracle_rows(params: TrapParameters, ptraj, spec: TrainSpec,
-                 grid: UniformGrid, dt: float, times) -> list[list[float]]:
+                 grid: UniformGrid, dt: float, times, cancel=None) -> list[list[float]]:
     """Propagate the renormalized closed-form state at t = 0 by split-step
     through the sorted ``times``; [t, L2 density distance, |overlap|]
     against the closed form at each."""
     psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
     evolved = split_step_evolve(psi0, params, PropagatorConfig(grid, dt),
-                                times[-1], record_times=list(times))
+                                times[-1], record_times=list(times), cancel=cancel)
     rows = []
     for t, field in zip(times, evolved):
         exact = psi_on_grid(train_frame(ptraj, spec, t), grid)
@@ -394,27 +395,10 @@ def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec):
         check(f"coeff-{key}-residual", eq4[key], 1e-4)
 
 
-def _battery(cfg: RunConfig) -> dict:
-    """All invariant checks for the configured run; see the README for the
-    tolerance rationale.  Residual checks are scale-relative so one
-    tolerance covers both the weakly driven and the strongly squeezed
-    regimes; the residual checks run on a refined trajectory
-    (``_residual_checks``)."""
-    checks: list[dict] = []
-
-    def check(name: str, value: float, tolerance: float):
-        checks.append({
-            "name": name,
-            "value": float(value),
-            "tolerance": float(tolerance),
-            "passed": bool(value <= tolerance),
-        })
-
+def _checks_before_pde(check, cfg: RunConfig, params, init, traj, ptraj,
+                       spec: TrainSpec):
+    """Every check of the battery but the PDE comparison, in report order."""
     t_final = cfg.time.t_final
-    horizon = min(0.5 * math.pi, t_final)
-    params, init, traj, ptraj = _solve_polar(cfg, t_final, times=(horizon,))
-    spec = _effective_spec(cfg, ptraj.c0)
-
     # classical conservation
     check("first-integral-drift", ptraj.max_c0_drift, 1e-8)
 
@@ -461,11 +445,58 @@ def _battery(cfg: RunConfig) -> dict:
     check("orthogonality", worst_cross, 1e-6)
     check("energy-affinity", worst_aff, 1e-6)
 
-    # analytic states against the independent PDE propagator; its grid is
-    # sized for propagation whatever grid the checks above ran on
+
+def _battery(cfg: RunConfig) -> dict:
+    """All invariant checks for the configured run; see the README for the
+    tolerance rationale.  Residual checks are scale-relative so one
+    tolerance covers both the weakly driven and the strongly squeezed
+    regimes; the residual checks run on a refined trajectory
+    (``_residual_checks``)."""
+    checks: list[dict] = []
+
+    def check(name: str, value: float, tolerance: float):
+        checks.append({
+            "name": name,
+            "value": float(value),
+            "tolerance": float(tolerance),
+            "passed": bool(value <= tolerance),
+        })
+
+    t_final = cfg.time.t_final
+    horizon = min(0.5 * math.pi, t_final)
+    params, init, traj, ptraj = _solve_polar(cfg, t_final, times=(horizon,))
+    spec = _effective_spec(cfg, ptraj.c0)
+
+    # analytic states against the independent PDE propagator, on a worker
+    # thread that overlaps the other checks (numpy's FFT and cos/sin release
+    # the GIL); its result or error is taken up last, as in a serial run,
+    # and an error of the other checks cancels it.  Its grid is sized for
+    # propagation whatever grid the state checks use; grid and step errors
+    # surface here, before it starts.
     pgrid = propagation_grid(ptraj, spec, min_count=1024)
     dt = _auto_dt(params, pgrid, horizon, (horizon,))
-    [(_, distance, _)] = _oracle_rows(params, ptraj, spec, pgrid, dt, [horizon])
+    oracle: list = []
+    cancel = threading.Event()
+
+    def run_oracle():
+        try:
+            oracle.append(_oracle_rows(params, ptraj, spec, pgrid, dt, [horizon], cancel))
+        except BaseException as exc:  # re-raised in the calling thread
+            oracle.append(exc)
+
+    worker = threading.Thread(target=run_oracle, name="pde-oracle")
+    worker.start()
+    try:
+        _checks_before_pde(check, cfg, params, init, traj, ptraj, spec)
+    except BaseException:
+        cancel.set()
+        raise
+    finally:
+        worker.join()
+    [result] = oracle
+    if isinstance(result, BaseException):
+        raise result
+    [(_, distance, _)] = result
     check("pde-density-distance", distance, 1e-3)
 
     passed = all(c["passed"] for c in checks)

@@ -159,7 +159,7 @@ def _coerce(group: str, name: str, kind: type, value):
             raise ConfigError(f"{name} must be an integer, got {value!r}")
         return int(value)
     if kind is float:
-        if isinstance(value, bool):
+        if isinstance(value, (bool, str)):
             raise ConfigError(f"{group}.{name} must be a number, got {value!r}")
         return float(value)
     if not isinstance(value, str):

@@ -22,11 +22,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AliasingRisk, GridMismatch, InvalidCount, NormDrift
+from .errors import (AliasingRisk, Cancelled, GridMismatch, InvalidCount, NormDrift,
+                     TooManySamples)
 from .mathieu import PolarTrajectory, TrapParameters
 from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_of_two,
                        require_samples)
 from .trains import NORM_TOL, FieldGrid, TrainSpec
+
+# Budget on steps x grid points of one propagation, about 5 minutes at
+# ~70 ns per point-step.  The largest propagation in the acceptance tests
+# (24576 steps on 16384 points, 4.0e8) is 10x below it, and the largest a
+# preset runs (oracle-compare fig3-collapse to 2pi, 4096 x 16384) 64x.
+MAX_POINT_STEPS = 2**32
 
 
 @dataclass(frozen=True)
@@ -76,9 +83,11 @@ def renormalized(field: FieldGrid) -> FieldGrid:
 
 def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
                       config: PropagatorConfig, t_final: float,
-                      record_times=None) -> list[FieldGrid]:
+                      record_times=None, cancel=None) -> list[FieldGrid]:
     """Propagate ``psi0`` to ``t_final``, returning fields at the requested
-    times (default: final time only).
+    times (default: final time only).  ``cancel``, an optional
+    ``threading.Event``, stops the propagation with Cancelled at the next
+    step once it is set.
 
     Preconditions and guards:
 
@@ -87,16 +96,20 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
       own invariant metric; see ``renormalized`` (GridMismatch /
       ValueError otherwise);
     * every recorded time and ``t_final`` must sit on the step lattice
-      t0 + m dt (``lattice_steps``: GridMismatch otherwise), and the step
-      count must not pass ``MAX_SAMPLES`` (TooManySamples, before any
-      buffer is built);
+      t0 + m dt (``lattice_steps``: GridMismatch otherwise), the step
+      count must not pass ``MAX_SAMPLES``, nor steps x grid points
+      ``MAX_POINT_STEPS`` (TooManySamples, before any buffer is built);
     * the kick's local wavenumber k_max x_edge dt at the grid edge must
       stay below half of Nyquist, pi/(2 dx), i.e. dt < ``aliasing_dt_bound``
       (AliasingRisk).  This guards sampling only; the absolute kick phase
       wraps harmlessly, and closed-form distance checks certify accuracy;
     * the uniform-weight norm is monitored every step; relative drift
       beyond 1e-8 aborts (NormDrift) since the splitting is exactly
-      unitary in exact arithmetic.
+      unitary in exact arithmetic.  Between recorded times the guard is
+      a plain sum of squares over a float view of the step buffer, not a
+      BLAS call: ``np.vdot`` wakes OpenBLAS's thread pool on every step,
+      which cost 5-40% of a step under default threading and slowed any
+      work sharing the machine.
     """
     grid = config.grid
     if psi0.grid != grid:
@@ -112,6 +125,12 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     if span < 0:
         raise ValueError("t_final precedes the initial time")
     n_steps = lattice_steps(span, dt)
+    if n_steps * grid.count > MAX_POINT_STEPS:
+        raise TooManySamples(
+            f"the split-step propagation needs {n_steps} steps on {grid.count} points, "
+            f"{n_steps * grid.count:.4g} point-steps, more than the budget of "
+            f"{MAX_POINT_STEPS:.4g}"
+        )
 
     bound = aliasing_dt_bound(params, grid)
     if dt >= bound:
@@ -155,10 +174,14 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     # pattern: K_half V [K_full V]^(n-1) K_half, with K_full split back
     # into two K_half factors wherever an intermediate state is recorded
     psi = half_kin * np.fft.fft(psi0.values)
+    flat = psi.view(float)  # re, im of psi: every update below is in place
     record_set = set(record_steps)
     for m in range(n_steps):
+        if cancel is not None and cancel.is_set():
+            raise Cancelled(f"propagation cancelled at step {m} of {n_steps}")
         np.fft.ifft(psi, out=psi)
-        np.multiply(kick_base, float(params.k(t0 + (m + 0.5) * dt)), out=kick_arg)
+        k_mid = params.u2 + params.v * math.cos(2.0 * (t0 + (m + 0.5) * dt))
+        np.multiply(kick_base, k_mid, out=kick_arg)
         np.cos(kick_arg, out=kick.real)
         np.sin(kick_arg, out=kick.imag)
         psi *= kick
@@ -175,7 +198,7 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
         else:
             psi *= full_kin
             # unnormalized FFT scales the squared L2 norm by count
-            check_drift(np.vdot(psi, psi).real * grid.step / grid.count, m + 1)
+            check_drift(np.einsum("i,i->", flat, flat) * grid.step / grid.count, m + 1)
     return [out[m] for m in record_steps]
 
 

@@ -9,6 +9,8 @@ import os
 import shutil
 import subprocess
 import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ import wavetrains
 from wavetrains import TrainSpec, UniformGrid, mean_energy_levels, propagation_grid
 from wavetrains import cli, numerics
 from wavetrains.cli import _auto_dt, main
-from wavetrains.splitstep import aliasing_dt_bound
+from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
 from wavetrains.config import (
     _CSV_BLOCK,
     MAX_N,
@@ -30,7 +32,7 @@ from wavetrains.config import (
     render_json,
     to_dict,
 )
-from wavetrains.errors import ConfigError, UnknownPreset
+from wavetrains.errors import ConfigError, NormDrift, UnknownPreset
 from wavetrains.trains import level_energies
 
 from conftest import COLLAPSE_PARAMS
@@ -270,6 +272,13 @@ def test_config_bool_is_refused_for_float_fields(tmp_path, capsys, key):
     assert rc == 2 and out == ""
     expected = "times must be numbers" if key == "time.times" else f"{key} must be a number"
     assert err.startswith(f"error: {expected}") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("key", FLOAT_FIELDS)
+def test_config_string_is_refused_for_float_fields(tmp_path, capsys, key):
+    rc, out, err = _config_run(tmp_path, capsys, key, "0.5")
+    assert rc == 2 and out == ""
+    assert err == f"error: {key} must be a number, got '0.5'\n"
 
 
 def test_grid_inputs_are_never_silently_ignored(tmp_path, capsys):
@@ -585,6 +594,62 @@ def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
     assert reports[0] == reports[1] == reports[2]
 
 
+def test_verify_pde_distance_is_the_serial_oracle_bit_for_bit(monkeypatch, capsys):
+    # the PDE stage runs on a worker thread; the same call made serially
+    # here gives the report's value exactly
+    calls = []
+    oracle_rows = cli._oracle_rows
+
+    def spy(*args):
+        rows = oracle_rows(*args)
+        calls.append((args, rows))
+        return rows
+
+    monkeypatch.setattr(cli, "_oracle_rows", spy)
+    rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
+    assert rc == 0
+    [(args, rows)] = calls
+    [(_, distance, _)] = oracle_rows(*args)
+    checks = {ch["name"]: ch["value"] for ch in json.loads(out)["checks"]}
+    assert distance == rows[0][1] == checks["pde-density-distance"]
+
+
+@pytest.mark.parametrize("failing", [
+    ("split_step_evolve",), ("picard_iterate",), ("picard_iterate", "split_step_evolve"),
+], ids=["oracle", "picard", "both"])
+def test_verify_stage_error_exits_1_and_leaves_no_thread(monkeypatch, capsys, failing):
+    # the oracle is slowed so that it still runs when the main thread fails;
+    # a failing stage is reported as in a serial battery, where the Picard
+    # check comes first
+    def slow_evolve(*args, **kwargs):
+        time.sleep(0.3)
+        return split_step_evolve(*args, **kwargs)
+
+    def failure(name):
+        def fail(*args, **kwargs):
+            raise NormDrift(f"{name} failed")
+        return fail
+
+    monkeypatch.setattr(cli, "split_step_evolve", slow_evolve)
+    for name in failing:
+        monkeypatch.setattr(cli, name, failure(name))
+    before = threading.active_count()
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
+    assert rc == 1 and out == ""
+    assert err == f"error: {failing[0]} failed\n"
+    assert threading.active_count() == before
+
+
+def test_verify_error_cancels_the_running_propagation(capsys):
+    # the refined residual step is refused at once, while the PDE stage on
+    # its n = 200 grid would propagate for about half a minute
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "200"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the classical solve needs")
+    assert time.perf_counter() - start < 5.0
+
+
 def test_verify_passes_on_smallest_resolving_grid(capsys):
     # 32 points over [-6, 6) resolve the n = 8 check state: the
     # rectangle-rule norm is within 4e-7 of 1
@@ -663,6 +728,18 @@ def test_oracle_compare_refuses_step_count_past_cap(monkeypatch, capsys, dt):
                                     "--times", "0.5pi", "--dt", dt])
     assert rc == 2 and out == ""
     assert "split-step propagation" in err and "more than the cap" in err
+
+
+def test_oracle_compare_refuses_work_past_the_point_step_budget(capsys):
+    # 5e6 steps are under the step cap, but 5e6 steps on 1024 points are
+    # past the budget: refused before propagating
+    start = time.perf_counter()
+    rc, out, err = run_cli(capsys, ["oracle-compare", "--preset", "static",
+                                    "--times", "0.5pi", "--dt", "1e-7pi"])
+    assert time.perf_counter() - start < 1.0
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the split-step propagation needs 5000000 steps on 1024 points")
+    assert "more than the budget" in err
 
 
 def test_oracle_compare_fails_tight_tolerance(capsys):

@@ -2,6 +2,7 @@
 and the density-distance metric."""
 
 import math
+import threading
 import warnings
 
 import numpy as np
@@ -9,6 +10,7 @@ import pytest
 
 from wavetrains import (
     AliasingRisk,
+    Cancelled,
     ClassicalInit,
     FieldGrid,
     NormDeficitWarning,
@@ -203,6 +205,16 @@ def test_norm_drift_aborts_lossy_step(monkeypatch, collapse_polar, collapse_spec
     monkeypatch.setattr(np.fft, "fft", lossy_fft)
     with pytest.raises(NormDrift):
         split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 16 * cfg.dt)
+
+
+def test_cancel_event_stops_the_propagation(collapse_polar, collapse_spec):
+    psi0 = _collapse_start(collapse_polar, collapse_spec)
+    cfg = PropagatorConfig(psi0.grid, math.pi / 2048)
+    cancel = threading.Event()
+    split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 4 * cfg.dt, cancel=cancel)  # unset: runs
+    cancel.set()
+    with pytest.raises(Cancelled, match="at step 0 of 4"):
+        split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 4 * cfg.dt, cancel=cancel)
 
 
 # -------------------------------------------------------------- residuals
