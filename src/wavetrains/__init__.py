@@ -11,7 +11,6 @@ from .errors import (
     BranchJump,
     Cancelled,
     ConfigError,
-    EmptyGrid,
     GridMismatch,
     InvalidCount,
     NegativeIndex,
@@ -21,7 +20,6 @@ from .errors import (
     NormDeficitWarning,
     NormDrift,
     OriginCrossing,
-    QuadratureOrderWarning,
     StabilityRegionWarning,
     TooFewPoints,
     TooManySamples,
@@ -36,7 +34,6 @@ from .numerics import (
     cumulative_simpson,
     field_integral,
     is_power_of_two,
-    simpson,
 )
 from .mathieu import (
     ClassicalInit,
@@ -81,7 +78,6 @@ from .splitstep import (
     propagation_grid,
     renormalized,
     split_step_evolve,
-    tdse_residual,
 )
 from .config import (
     RunConfig,
@@ -92,13 +88,13 @@ from .config import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingRisk", "BranchJump", "Cancelled", "ConfigError", "EmptyGrid", "GridMismatch",
+    "AliasingRisk", "BranchJump", "Cancelled", "ConfigError", "GridMismatch",
     "InvalidCount", "NegativeIndex", "NonFiniteValue", "NonPositiveC0",
     "NonZeroStart", "NormDeficitWarning", "NormDrift", "OriginCrossing",
-    "QuadratureOrderWarning", "StabilityRegionWarning", "TooFewPoints",
-    "TooManySamples", "UnknownPreset", "WavetrainError",
+    "StabilityRegionWarning", "TooFewPoints", "TooManySamples",
+    "UnknownPreset", "WavetrainError",
     "SampledFunction", "UniformGrid", "build_space_grid", "central_diff",
-    "cumulative_simpson", "field_integral", "is_power_of_two", "simpson",
+    "cumulative_simpson", "field_integral", "is_power_of_two",
     "ClassicalInit", "PolarTrajectory", "Trajectory", "TrapParameters",
     "first_integral", "mathieu_residual", "picard_iterate",
     "polar_decompose", "polar_ode_residuals", "solve_classical",
@@ -109,7 +105,7 @@ __all__ = [
     "mean_energy", "mean_energy_levels", "mean_energy_moments", "overlap",
     "phase", "psi", "psi_on_grid", "train_frame", "verify_eq4", "xi_of",
     "PropagatorConfig", "l2_density_distance", "propagation_grid",
-    "renormalized", "split_step_evolve", "tdse_residual",
+    "renormalized", "split_step_evolve",
     "RunConfig", "parse_pi_times", "preset",
     "__version__",
 ]

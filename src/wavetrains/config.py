@@ -239,6 +239,9 @@ def validate(cfg: RunConfig) -> RunConfig:
     elif cfg.space.half_width is not None:
         raise ConfigError("space.half_width needs space.policy 'explicit'; "
                           "the auto policy sizes the box itself")
+    elif cfg.space.center != 0.0:
+        raise ConfigError("space.center needs space.policy 'explicit'; "
+                          "the auto policy places the box itself")
     if cfg.space.grid_points is not None:
         gp = cfg.space.grid_points
         if gp < 2 or not is_power_of_two(gp):
@@ -259,6 +262,22 @@ def load_config_file(path: str) -> RunConfig:
     return from_dict(data)
 
 
+_PRESETS = {
+    "fig1-rho": RunConfig(),
+    "fig2-soliton": RunConfig(),
+    "fig3-collapse": RunConfig(
+        init=InitConfig(a=0.02, b=10.0),
+        train=TrainConfig(n=4, b0=0.02),
+        time=TimeConfig(times=(0.0, math.pi, _TWO_PI)),
+    ),
+    "static": RunConfig(
+        params=TrapConfig(u2=1.0, v=0.0),
+        train=TrainConfig(n=8, b0=0.0),
+    ),
+}
+PRESET_NAMES = tuple(_PRESETS)
+
+
 def preset(name: str) -> RunConfig:
     """Named parameter sets.
 
@@ -271,26 +290,10 @@ def preset(name: str) -> RunConfig:
     * ``static``: undriven trap (v = 0), centered (b0 = 0); the state is
       the stationary n-th oscillator eigenfunction.
     """
-    if name in ("fig2-soliton", "fig1-rho"):
-        return RunConfig()
-    if name == "fig3-collapse":
-        return RunConfig(
-            init=InitConfig(a=0.02, b=10.0),
-            train=TrainConfig(n=4, b0=0.02),
-            time=TimeConfig(times=(0.0, math.pi, _TWO_PI)),
-        )
-    if name == "static":
-        return RunConfig(
-            params=TrapConfig(u2=1.0, v=0.0),
-            train=TrainConfig(n=8, b0=0.0),
-        )
-    raise UnknownPreset(
-        f"unknown preset {name!r}; choose from fig1-rho, fig2-soliton, "
-        "fig3-collapse, static"
-    )
-
-
-PRESET_NAMES = ("fig1-rho", "fig2-soliton", "fig3-collapse", "static")
+    if name not in _PRESETS:
+        raise UnknownPreset(
+            f"unknown preset {name!r}; choose from {', '.join(PRESET_NAMES)}")
+    return _PRESETS[name]
 
 
 def to_dict(cfg: RunConfig) -> dict:

@@ -5,10 +5,6 @@ class WavetrainError(Exception):
     """Base class for all errors raised by this package."""
 
 
-class EmptyGrid(WavetrainError):
-    """A time grid with zero points was supplied."""
-
-
 class NonZeroStart(WavetrainError):
     """A time grid or span does not start at t = 0 (the integral equations
     and all solvers take their initial data there)."""
@@ -84,11 +80,6 @@ class StabilityRegionWarning(UserWarning):
     """Trap parameters are outside the first-stability heuristic
     (U^2 < 1, V < 1, V <~ U^2); the math still runs but the classical
     motion may be unbounded."""
-
-
-class QuadratureOrderWarning(UserWarning):
-    """Simpson quadrature received an even sample count; the final interval
-    used the trapezoid rule and the composite order is degraded."""
 
 
 class NormDeficitWarning(UserWarning):

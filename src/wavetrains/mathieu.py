@@ -22,8 +22,6 @@ import numpy as np
 
 from .errors import (
     BranchJump,
-    EmptyGrid,
-    GridMismatch,
     NonFiniteValue,
     NonZeroStart,
     OriginCrossing,
@@ -150,30 +148,8 @@ def unperturbed_solution(init: ClassicalInit, params: TrapParameters, t):
     return phi1, phi2, dphi1, dphi2
 
 
-def _as_time_grid(t_grid) -> UniformGrid:
-    if isinstance(t_grid, UniformGrid):
-        grid = t_grid
-    else:
-        t = np.asarray(t_grid, dtype=float)
-        if t.size == 0:
-            raise EmptyGrid("time grid has no points")
-        if t.size == 1:
-            raise EmptyGrid("time grid needs at least two points")
-        steps = np.diff(t)
-        h = steps[0]
-        if not np.all(np.abs(steps - h) <= 1e-12 * max(1.0, abs(h))):
-            raise GridMismatch("time grid must be uniformly spaced")
-        grid = UniformGrid(start=float(t[0]), step=float(h), count=int(t.size))
-    if grid.start != 0.0:
-        raise NonZeroStart(
-            f"the integral equations take their lower limit at t = 0; grid "
-            f"starts at {grid.start}"
-        )
-    return grid
-
-
 def picard_iterate(params: TrapParameters, init: ClassicalInit,
-                   iterations: int, t_grid) -> Trajectory:
+                   iterations: int, t_grid: UniformGrid) -> Trajectory:
     """Iterate the Volterra integral form of the oscillator equation.
 
     Iteration zero is the unperturbed solution.  Iterate k+1 substitutes
@@ -184,9 +160,10 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
         S(t) = int_0^t sin(Us) cos(2s) phi_k(s) ds,
 
     with h the unperturbed term; both running integrals are evaluated by
-    cumulative Simpson quadrature on the supplied uniform grid.  The sign
-    of the V/U term is fixed by variation of parameters: substituting the
-    form back into phi'' + U^2 phi = -V cos(2t) phi requires the minus.
+    cumulative Simpson quadrature on ``t_grid``, which must start at t = 0
+    (NonZeroStart otherwise).  The sign of the V/U term is fixed by
+    variation of parameters: substituting the form back into
+    phi'' + U^2 phi = -V cos(2t) phi requires the minus.
     Derivatives are obtained analytically, never by differencing: the
     integrals' t-derivatives cancel pairwise, leaving
 
@@ -194,9 +171,13 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    grid = _as_time_grid(t_grid)
-    t = grid.points()
-    h = grid.step
+    if t_grid.start != 0.0:
+        raise NonZeroStart(
+            f"the integral equations take their lower limit at t = 0; grid "
+            f"starts at {t_grid.start}"
+        )
+    t = t_grid.points()
+    h = t_grid.step
     u, v = params.u, params.v
     cosu = np.cos(u * t)
     sinu = np.sin(u * t)
@@ -216,7 +197,7 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
         dphi = dbase - v * (cosu * cint + sinu * sint)
         out.append((phi, dphi))
     (phi1, dphi1), (phi2, dphi2) = out
-    return Trajectory(params=params, init=init, grid=grid,
+    return Trajectory(params=params, init=init, grid=t_grid,
                       phi1=phi1, phi2=phi2, dphi1=dphi1, dphi2=dphi2)
 
 

@@ -1,20 +1,18 @@
 """Generic numerical kernels shared by all other modules.
 
-Two quadratures with separate jobs: composite Simpson (plain and
-cumulative) for time integrals, and the rectangle rule ``field_integral``
-for every spatial integral of a decaying field (norms, overlaps,
-distances).  Also second-order central differences, uniform-grid
-construction with its sample cap ``MAX_SAMPLES``, and the halo windows
-that bound the memory of residual sweeps (RK4 step matrices live in
-``mathieu``).  Everything here is a pure function of its inputs; the
-record types are frozen.
+Two quadratures with separate jobs: cumulative Simpson for time
+integrals, and the rectangle rule ``field_integral`` for every spatial
+integral of a decaying field (norms, overlaps, distances).  Also
+second-order central differences, uniform-grid construction with its
+sample cap ``MAX_SAMPLES``, and the halo windows that bound the memory of
+residual sweeps (RK4 step matrices live in ``mathieu``).  Everything here
+is a pure function of its inputs; the record types are frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
 on any parallel reduction order.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,7 +21,6 @@ from .errors import (
     GridMismatch,
     InvalidCount,
     NonFiniteValue,
-    QuadratureOrderWarning,
     TooFewPoints,
     TooManySamples,
 )
@@ -94,34 +91,6 @@ class SampledFunction:
             )
         if not np.all(np.isfinite(vals)):
             raise NonFiniteValue("sampled values contain NaN or infinity")
-
-
-def simpson(samples: SampledFunction):
-    """Composite Simpson integral of a SampledFunction; O(step^4) for
-    smooth integrands.
-
-    An even sample count (odd interval count) degrades the final interval
-    to the trapezoid rule and emits QuadratureOrderWarning.
-    """
-    y = samples.values
-    step = samples.grid.step
-    n = y.shape[-1]
-    if n < 3:
-        raise TooFewPoints(f"Simpson needs >= 3 samples, got {n}")
-    tail = 0.0
-    if n % 2 == 0:
-        warnings.warn(
-            "even sample count: trapezoid rule on the last interval "
-            "degrades the composite order",
-            QuadratureOrderWarning,
-            stacklevel=2,
-        )
-        tail = 0.5 * step * (y[-2] + y[-1])
-        y = y[:-1]
-    core = (step / 3.0) * (
-        y[0] + y[-1] + 4.0 * np.sum(y[1:-1:2]) + 2.0 * np.sum(y[2:-2:2])
-    )
-    return core + tail
 
 
 def field_integral(y: np.ndarray, step: float):

@@ -202,33 +202,6 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     return [out[m] for m in record_steps]
 
 
-def tdse_residual(fields: list[FieldGrid], params: TrapParameters) -> float:
-    """Relative residual ||i psi_t + psi_xx/2 - k x^2 psi/2|| / ||psi|| at
-    the middle of three equally spaced frames, all derivatives by central
-    differences (second order in the frame spacing and grid step)."""
-    if len(fields) != 3:
-        raise GridMismatch("residual needs exactly three equally spaced frames")
-    f0, f1, f2 = fields
-    if f0.grid != f1.grid or f1.grid != f2.grid:
-        raise GridMismatch("residual frames must share one grid")
-    dt1 = f1.t - f0.t
-    dt2 = f2.t - f1.t
-    if abs(dt1 - dt2) > 1e-9 * max(abs(dt1), abs(dt2)):
-        raise GridMismatch("residual frames must be equally spaced in time")
-    grid = f1.grid
-    x = grid.points()
-    psi_t = (f2.values - f0.values) / (2.0 * dt1)
-    psi_xx = np.empty_like(f1.values)
-    v = f1.values
-    h2 = grid.step * grid.step
-    psi_xx[1:-1] = (v[2:] - 2.0 * v[1:-1] + v[:-2]) / h2
-    psi_xx[0] = (2.0 * v[0] - 5.0 * v[1] + 4.0 * v[2] - v[3]) / h2
-    psi_xx[-1] = (2.0 * v[-1] - 5.0 * v[-2] + 4.0 * v[-3] - v[-4]) / h2
-    k = float(params.k(f1.t))
-    resid = 1j * psi_t + 0.5 * psi_xx - 0.5 * k * x * x * v
-    return math.sqrt(field_integral(np.abs(resid) ** 2, grid.step) / f1.norm)
-
-
 def l2_density_distance(field_a: FieldGrid, field_b: FieldGrid) -> float:
     """L2 distance of the densities, [int (|psi_a|^2 - |psi_b|^2)^2 dx]^(1/2)
     by the rectangle rule."""

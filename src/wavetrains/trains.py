@@ -286,7 +286,8 @@ def mean_energy(ptraj: PolarTrajectory, spec: TrainSpec,
     by rectangle-rule quadrature on the supplied grid.
 
     This is the independent check of ``mean_energy_moments``, which gives
-    the same value in closed form; the verify battery keeps this route.
+    the same value in closed form; the verify battery takes the same
+    quadrature through ``level_energies``.
     """
     return float(mean_energy_levels(ptraj, spec, t, grid)[-1])
 

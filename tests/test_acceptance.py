@@ -30,7 +30,6 @@ from wavetrains import (
     renormalized,
     solve_classical,
     split_step_evolve,
-    tdse_residual,
     train_frame,
     verify_eq4,
 )
@@ -49,6 +48,7 @@ from conftest import (
     TWO_PI,
     eq14_reference,
 )
+from references import tdse_residual
 
 
 def _record(num, name, ok, detail):

@@ -11,7 +11,6 @@ import pytest
 from wavetrains import (
     BranchJump,
     ClassicalInit,
-    EmptyGrid,
     NonFiniteValue,
     NonZeroStart,
     OriginCrossing,
@@ -31,7 +30,7 @@ from wavetrains import (
     unperturbed_solution,
 )
 from wavetrains import numerics
-from wavetrains.errors import ConfigError, GridMismatch
+from wavetrains.errors import ConfigError
 from wavetrains.numerics import SampledFunction, central_diff
 from wavetrains.trains import verify_eq4
 
@@ -106,16 +105,9 @@ def test_picard_residual_decreases_until_quadrature_floor():
 
 
 def test_picard_input_validation():
-    with pytest.raises(EmptyGrid):
-        picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 1, np.array([]))
-    with pytest.raises(EmptyGrid):
-        picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 1, np.array([0.0]))
     with pytest.raises(NonZeroStart):
         picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 1,
                        UniformGrid(1.0, 0.1, 32))
-    with pytest.raises(GridMismatch):
-        picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 1,
-                       np.array([0.0, 0.1, 0.3, 0.4]))
     with pytest.raises(ValueError):
         picard_iterate(SOLITON_PARAMS, SOLITON_INIT, -1,
                        UniformGrid(0.0, 0.1, 32))

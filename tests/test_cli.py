@@ -23,6 +23,7 @@ from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
 from wavetrains.config import (
     _CSV_BLOCK,
     MAX_N,
+    PRESET_NAMES,
     RunConfig,
     flat_items,
     from_dict,
@@ -74,12 +75,24 @@ def test_package_exports_resolve():
     assert set(wavetrains.__all__) <= set(namespace)
 
 
+def test_readme_library_sketch_runs(capsys):
+    readme = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        text = fh.read()
+    sketch = text.split("## Library sketch", 1)[1].split("```python\n", 1)[1]
+    exec(sketch.split("```", 1)[0], {})
+    norm = float(capsys.readouterr().out.split()[0])
+    assert abs(norm - 1.0) < 1e-6
+
+
 def test_unknown_preset_is_usage_error(capsys):
     rc, _, err = run_cli(capsys, ["classical", "--preset", "nope"])
     assert rc == 2
     assert "invalid choice" in err
-    with pytest.raises(UnknownPreset):
+    with pytest.raises(UnknownPreset) as excinfo:
         preset("nope")
+    assert all(name in str(excinfo.value) for name in PRESET_NAMES)
+    assert preset("fig1-rho") == preset("fig2-soliton")
 
 
 def test_preset_and_config_are_exclusive(tmp_path, capsys):
@@ -291,6 +304,10 @@ def test_grid_inputs_are_never_silently_ignored(tmp_path, capsys):
     rc, out, err = _config_run(tmp_path, capsys, "space.half_width", 8.0)
     assert rc == 2 and out == ""
     assert err.startswith("error: space.half_width needs space.policy 'explicit'")
+    # so would a center: the auto box is placed by the packet's orbit
+    rc, out, err = _config_run(tmp_path, capsys, "space.center", 3.0)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: space.center needs space.policy 'explicit'")
     # with the full box given, the center is used
     rc, out, _ = run_cli(capsys, ["snapshot", "--preset", "static", "--times", "0",
                                   "--center", "0.5", "--half-width", "8",

@@ -8,7 +8,6 @@ import pytest
 from wavetrains import (
     InvalidCount,
     NonFiniteValue,
-    QuadratureOrderWarning,
     SampledFunction,
     TooFewPoints,
     TooManySamples,
@@ -17,12 +16,12 @@ from wavetrains import (
     central_diff,
     cumulative_simpson,
     is_power_of_two,
-    simpson,
 )
 from wavetrains import numerics
 from wavetrains.errors import GridMismatch
 from wavetrains.numerics import halo_windows
 
+from references import QuadratureOrderWarning, simpson
 from rk4_reference import rk4_integrate
 
 

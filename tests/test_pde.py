@@ -26,12 +26,12 @@ from wavetrains import (
     renormalized,
     solve_classical,
     split_step_evolve,
-    tdse_residual,
     train_frame,
 )
 from wavetrains.errors import GridMismatch, InvalidCount
 
 from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
+from references import tdse_residual
 
 TWO_PI = 2.0 * math.pi
 

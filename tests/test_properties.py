@@ -27,6 +27,10 @@ from wavetrains.splitstep import lattice_steps
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
+# Build Hypothesis's unicode table now: on a fresh checkout, building it
+# inside the first st.text() draw fails the too_slow health check.
+st.text().validate()
+
 
 @given(st.lists(st.tuples(finite, st.booleans()), min_size=1, max_size=6))
 def test_parse_pi_times_round_trips_repr(entries):
@@ -99,7 +103,7 @@ valid_overrides = st.fixed_dictionaries({}, optional={
         "times": st.lists(st.floats(0.0, allow_infinity=False), max_size=5).map(tuple)}),
     "space": st.one_of(
         st.fixed_dictionaries({"policy": st.just("auto")}, optional={
-            "grid_points": st.none() | power_of_two, "center": finite}),
+            "grid_points": st.none() | power_of_two}),
         st.fixed_dictionaries({"policy": st.just("explicit"), "grid_points": power_of_two,
                                "half_width": positive}, optional={"center": finite})),
     "output": st.fixed_dictionaries({}, optional={

@@ -33,7 +33,7 @@ from wavetrains import (
     xi_of,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.numerics import SampledFunction, field_integral, simpson
+from wavetrains.numerics import SampledFunction, field_integral
 from wavetrains.trains import (
     TrainFrame,
     _phase_rate,
@@ -44,6 +44,7 @@ from wavetrains.trains import (
 )
 
 from conftest import FOUR_PI
+from references import simpson
 
 
 def _sample_times(ptraj, count):
