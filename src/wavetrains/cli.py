@@ -48,7 +48,7 @@ from .mathieu import (
     polar_ode_residuals,
     solve_classical,
 )
-from .numerics import UniformGrid, build_space_grid
+from .numerics import UniformGrid, build_space_grid, require_samples
 from .splitstep import (
     PropagatorConfig,
     aliasing_dt_bound,
@@ -177,7 +177,10 @@ def _effective_spec(cfg: RunConfig, c0: float) -> TrainSpec:
     b0 = cfg.train.b0
     if cfg.train.declared_c0 is not None:
         b0 *= c0 / cfg.train.declared_c0
-    return TrainSpec(n=cfg.train.n, b0=b0, c0=c0)
+    spec = TrainSpec(n=cfg.train.n, b0=b0, c0=c0)  # refuses c0 <= 0 first
+    if not math.isfinite(b0 * b0 / c0):
+        raise ConfigError(f"the effective b0 {b0:.4g} overflows b0^2/c0 (c0 = {c0:.4g})")
+    return spec
 
 
 def _commensurate_count(t_final: float, times, step: float) -> int:
@@ -201,7 +204,7 @@ def _solve_polar(cfg: RunConfig, t_final: float, times=()):
     init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
     count = _commensurate_count(t_final, times, cfg.solver.rk4_step)
     traj = solve_classical(params, init, (0.0, t_final), t_final / count)
-    return params, init, traj, polar_decompose(traj)
+    return traj, polar_decompose(traj)
 
 
 def _sample_indices(count: int, samples: int) -> np.ndarray:
@@ -238,7 +241,7 @@ def _render(cfg: RunConfig, columns, rows, meta_pairs) -> str:
 
 def run_classical(cfg: RunConfig) -> str:
     """t, phi1, phi2, rho, theta, drho, dtheta, c0_residual per sample."""
-    params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
+    traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
     wron = first_integral(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
     scale = max(abs(ptraj.c0), np.finfo(float).tiny)
@@ -259,7 +262,7 @@ def run_snapshot(cfg: RunConfig) -> str:
     if not times:
         raise ConfigError("snapshot needs at least one entry in times")
     t_final = max(max(times), cfg.solver.rk4_step)
-    params, init, traj, ptraj = _solve_polar(cfg, t_final, times)
+    traj, ptraj = _solve_polar(cfg, t_final, times)
     spec = _effective_spec(cfg, ptraj.c0)
     grid = _space_grid(cfg, ptraj, spec)
     x = grid.points()
@@ -297,7 +300,7 @@ def run_series(cfg: RunConfig) -> str:
     E_n comes from the exact second moments of the state
     (``mean_energy_moments``), so no spatial grid is built; the verify
     battery keeps the quadrature (``level_energies``) as its check."""
-    params, init, traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
+    traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     spec = _effective_spec(cfg, ptraj.c0)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
     xc = (spec.b0 / spec.c0) * traj.phi1[idx]
@@ -317,13 +320,13 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
     return t_final / count
 
 
-def _oracle_rows(params: TrapParameters, ptraj, spec: TrainSpec,
-                 grid: UniformGrid, dt: float, times, cancel=None) -> list[list[float]]:
+def _oracle_rows(ptraj, spec: TrainSpec, grid: UniformGrid, dt: float,
+                 times, cancel=None) -> list[list[float]]:
     """Propagate the renormalized closed-form state at t = 0 by split-step
     through the sorted ``times``; [t, L2 density distance, |overlap|]
     against the closed form at each."""
     psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
-    evolved = split_step_evolve(psi0, params, PropagatorConfig(grid, dt),
+    evolved = split_step_evolve(psi0, ptraj.params, PropagatorConfig(grid, dt),
                                 times[-1], record_times=list(times), cancel=cancel)
     rows = []
     for t, field in zip(times, evolved):
@@ -344,18 +347,18 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
     if not times or max(times) <= 0:
         raise ConfigError("oracle-compare needs at least one positive time")
     t_final = max(times)
-    params, init, traj, ptraj = _solve_polar(cfg, t_final, times)
+    traj, ptraj = _solve_polar(cfg, t_final, times)
     spec = _effective_spec(cfg, ptraj.c0)
     grid = _space_grid(cfg, ptraj, spec, propagate=True)
     if dt is None:
-        dt = _auto_dt(params, grid, t_final, times)
+        dt = _auto_dt(ptraj.params, grid, t_final, times)
     else:
         for t in times:
             try:
                 lattice_steps(t, dt)
             except GridMismatch as exc:
                 raise ConfigError(f"--dt does not divide the requested times: {exc}") from None
-    rows = _oracle_rows(params, ptraj, spec, grid, dt, times)
+    rows = _oracle_rows(ptraj, spec, grid, dt, times)
     worst = max(row[1] for row in rows)
     meta = _meta_common(ptraj.c0)
     meta.append(("propagation.dt", f"{dt:.17g}"))
@@ -369,25 +372,15 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
 # --------------------------------------------------------------------------
 # verify battery
 
-def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec):
-    """The classical, polar and coefficient-ODE residual checks, on a
-    trajectory refined until the fastest coefficient phase (at n >= 4)
-    advances at most 0.015 rad per step.  The refined trajectory lives only
+def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r):
+    """The classical, polar and coefficient-ODE residual checks, on the
+    trajectory refined to ``step_r`` if that is finer.  The refined one lives only
     inside this call, so it is freed before the battery's spatial stages."""
-    # the fastest coefficient phase is the a_n one, rotating at up to
-    # max|dtheta| (1/2 + n + b0^2/(2 c0)); finite differencing needs the
-    # advance per step well below a radian.  The c, b, e, f and polar
-    # residuals do not depend on n, so the factor is floored at its n = 4
-    # value: a low n must not coarsen their step.
-    omega = float(np.max(np.abs(ptraj.dtheta))) \
-        * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)
-    step_r = min(cfg.solver.rk4_step, 0.015 / omega)
-    params = traj.params
     if step_r < traj.grid.step:
-        traj = solve_classical(params, traj.init, (0.0, cfg.time.t_final), step_r)
+        traj = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), step_r)
         ptraj = polar_decompose(traj)
-    check("mathieu-residual", mathieu_residual(traj, params, relative=True), 1e-4)
-    polar_res = polar_ode_residuals(ptraj, params, relative=True)
+    check("mathieu-residual", mathieu_residual(traj, relative=True), 1e-4)
+    polar_res = polar_ode_residuals(ptraj, relative=True)
     check("polar-theta-residual", polar_res["theta"], 1e-4)
     check("polar-rho-residual", polar_res["rho"], 1e-4)
     eq4 = verify_eq4(ptraj, spec, relative=True)
@@ -395,19 +388,18 @@ def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec):
         check(f"coeff-{key}-residual", eq4[key], 1e-4)
 
 
-def _checks_before_pde(check, cfg: RunConfig, params, init, traj, ptraj,
-                       spec: TrainSpec):
+def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r):
     """Every check of the battery but the PDE comparison, in report order."""
     t_final = cfg.time.t_final
     # classical conservation
     check("first-integral-drift", ptraj.max_c0_drift, 1e-8)
 
-    _residual_checks(check, cfg, traj, ptraj, spec)
+    _residual_checks(check, cfg, traj, ptraj, spec, step_r)
 
     # Picard vs RK4 on a shared grid
     pic_grid = UniformGrid(0.0, t_final / 8192, 8193)
-    pic = picard_iterate(params, init, cfg.solver.iterations, pic_grid)
-    rk = solve_classical(params, init, (0.0, t_final), pic_grid.step)
+    pic = picard_iterate(traj.params, traj.init, cfg.solver.iterations, pic_grid)
+    rk = solve_classical(traj.params, traj.init, (0.0, t_final), pic_grid.step)
     sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
               float(np.max(np.abs(pic.phi2 - rk.phi2))))
     amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
@@ -451,7 +443,7 @@ def _battery(cfg: RunConfig) -> dict:
     tolerance rationale.  Residual checks are scale-relative so one
     tolerance covers both the weakly driven and the strongly squeezed
     regimes; the residual checks run on a refined trajectory
-    (``_residual_checks``)."""
+    (``_residual_checks``) sized before the PDE stage starts."""
     checks: list[dict] = []
 
     def check(name: str, value: float, tolerance: float):
@@ -464,30 +456,39 @@ def _battery(cfg: RunConfig) -> dict:
 
     t_final = cfg.time.t_final
     horizon = min(0.5 * math.pi, t_final)
-    params, init, traj, ptraj = _solve_polar(cfg, t_final, times=(horizon,))
+    traj, ptraj = _solve_polar(cfg, t_final, times=(horizon,))
     spec = _effective_spec(cfg, ptraj.c0)
 
     # analytic states against the independent PDE propagator, on a worker
     # thread that overlaps the other checks (numpy's FFT and cos/sin release
     # the GIL); its result or error is taken up last, as in a serial run,
     # and an error of the other checks cancels it.  Its grid is sized for
-    # propagation whatever grid the state checks use; grid and step errors
-    # surface here, before it starts.
+    # propagation whatever grid the state checks use; its grid and step errors,
+    # then the refined residual solve's size, surface here, before it starts.
     pgrid = propagation_grid(ptraj, spec, min_count=1024)
-    dt = _auto_dt(params, pgrid, horizon, (horizon,))
+    dt = _auto_dt(ptraj.params, pgrid, horizon, (horizon,))
+    # the residual checks' trajectory is refined until the fastest coefficient
+    # phase (a_n's, at up to max|dtheta| (1/2 + n + b0^2/(2 c0))) advances at
+    # most 0.015 rad per step, well below a radian for finite differencing; the
+    # factor is floored at its n = 4 value, since the c, b, e, f and polar
+    # residuals do not depend on n and a low n must not coarsen their step.
+    omega = float(np.max(np.abs(ptraj.dtheta))) \
+        * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)
+    step_r = min(cfg.solver.rk4_step, 0.015 / omega)
+    require_samples(t_final / step_r + 1.0, "the classical solve")
     oracle: list = []
     cancel = threading.Event()
 
     def run_oracle():
         try:
-            oracle.append(_oracle_rows(params, ptraj, spec, pgrid, dt, [horizon], cancel))
+            oracle.append(_oracle_rows(ptraj, spec, pgrid, dt, [horizon], cancel))
         except BaseException as exc:  # re-raised in the calling thread
             oracle.append(exc)
 
     worker = threading.Thread(target=run_oracle, name="pde-oracle")
     worker.start()
     try:
-        _checks_before_pde(check, cfg, params, init, traj, ptraj, spec)
+        _checks_before_pde(check, cfg, traj, ptraj, spec, step_r)
     except BaseException:
         cancel.set()
         raise

@@ -27,7 +27,7 @@ from .errors import (
     OriginCrossing,
     StabilityRegionWarning,
 )
-from .numerics import UniformGrid, central_diff, cumulative_simpson, halo_windows
+from .numerics import UniformGrid, central_diff, cumulative_simpson, residual_maxima
 from .numerics import SampledFunction, require_samples
 
 
@@ -325,9 +325,8 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
                            c0=traj.c0, max_c0_drift=traj.max_c0_drift)
 
 
-def polar_ode_residuals(ptraj: PolarTrajectory, params: TrapParameters,
-                        relative: bool = False) -> dict[str, float]:
-    """Max residuals of the polar equations of motion,
+def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[str, float]:
+    """Max residuals of the polar equations of motion in ``ptraj.params``,
 
         theta'' + 2 theta' rho' / rho = 0,
         rho''  - rho theta'^2 + k(t) rho = 0,
@@ -339,52 +338,32 @@ def polar_ode_residuals(ptraj: PolarTrajectory, params: TrapParameters,
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
     measures cancellation quality across regimes of any stiffness.
-    Evaluated over ``halo_windows``, so memory stays bounded.
+    Swept by ``residual_maxima``, so memory stays bounded.
     """
-    # running maxima: |r_theta|, |r_rho|, then the scale terms |theta''|,
-    # |2 theta' rho'/rho|, theta'^2, |drive|, |restore|
-    worst = np.zeros(7)
-    for rows, keep, t, sub in halo_windows(ptraj.grid):
+    def window(rows, t, sub):
         rho, dtheta = ptraj.rho[rows], ptraj.dtheta[rows]
         theta_dd = central_diff(SampledFunction(sub, ptraj.theta[rows]), order=2).values
         rho_dd = central_diff(SampledFunction(sub, rho), order=2).values
         coupling = 2.0 * dtheta * ptraj.drho[rows] / rho
         drive = dtheta**2 * rho
-        restore = params.k(t) * rho
-        terms = (theta_dd + coupling, rho_dd - drive + restore,
-                 theta_dd, coupling, dtheta**2, drive, restore)
-        np.maximum(worst, [np.max(np.abs(x[keep])) for x in terms], out=worst)
-    out = {"theta": float(worst[0]), "rho": float(worst[1])}
-    if relative:
-        # dtheta^2 floors the theta scale: its terms cancel identically in
-        # the static limit, where dividing by them would compare noise to
-        # noise (both carry the dimension of theta'')
-        scale_theta = max(float(worst[2]), float(worst[3]), float(worst[4]),
-                          np.finfo(float).tiny)
-        scale_rho = max(float(worst[5]), float(worst[6]), np.finfo(float).tiny)
-        out = {"theta": out["theta"] / scale_theta, "rho": out["rho"] / scale_rho}
-    return out
+        restore = ptraj.params.k(t) * rho
+        # dtheta^2 (of theta'' dimension) floors the theta scale: the other
+        # two terms cancel identically in the static limit, where dividing
+        # by them alone would compare noise to noise
+        yield "theta", (theta_dd + coupling, theta_dd, coupling, dtheta**2)
+        yield "rho", (rho_dd - drive + restore, drive, restore)
+    return residual_maxima(ptraj.grid, window, relative)
 
 
-def mathieu_residual(traj: Trajectory, params: TrapParameters,
-                     relative: bool = False) -> float:
-    """Sup norm of phi'' + k(t) phi over both components, second derivative
-    by central differences.  For a k-th Picard iterate this is
-    O(V^(k+1)) plus quadrature and differencing error.  With
-    ``relative=True`` the residual is divided by max |k(t) phi|.
-    Evaluated over ``halo_windows``, so memory stays bounded."""
-    # running maxima per component: |phi'' + k phi|, then |k phi|
-    worst = np.zeros((2, 2))
-    for rows, keep, t, sub in halo_windows(traj.grid):
-        k = params.k(t)
-        for j, comp in enumerate((traj.phi1[rows], traj.phi2[rows])):
-            dd = central_diff(SampledFunction(sub, comp), order=2).values
+def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
+    """Sup norm of phi'' + k(t) phi over both components, k of ``traj.params``,
+    phi'' by central differences: O(V^(k+1)) plus quadrature and differencing
+    error for a k-th Picard iterate.  With ``relative=True`` each component's
+    residual is divided by its own max |k(t) phi| before the larger is taken.
+    Swept by ``residual_maxima``, so memory stays bounded."""
+    def window(rows, t, sub):
+        k = traj.params.k(t)
+        for name, comp in (("phi1", traj.phi1[rows]), ("phi2", traj.phi2[rows])):
             kc = k * comp
-            np.maximum(worst[j], [np.max(np.abs(dd + kc)[keep]),
-                                  np.max(np.abs(kc)[keep])], out=worst[j])
-    result = 0.0
-    for resid, scale in worst.tolist():
-        if relative:
-            resid /= max(scale, np.finfo(float).tiny)
-        result = max(result, resid)
-    return result
+            yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
+    return max(residual_maxima(traj.grid, window, relative).values())

@@ -4,9 +4,9 @@ Two quadratures with separate jobs: cumulative Simpson for time
 integrals, and the rectangle rule ``field_integral`` for every spatial
 integral of a decaying field (norms, overlaps, distances).  Also
 second-order central differences, uniform-grid construction with its
-sample cap ``MAX_SAMPLES``, and the halo windows that bound the memory of
-residual sweeps (RK4 step matrices live in ``mathieu``).  Everything here
-is a pure function of its inputs; the record types are frozen.
+sample cap ``MAX_SAMPLES``, and ``residual_maxima``, the one halo-windowed
+sweep of all residual checks (RK4 step matrices live in ``mathieu``).
+Everything here is a pure function of its inputs; the record types are frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
 on any parallel reduction order.
 """
@@ -189,6 +189,24 @@ def halo_windows(grid: UniformGrid):
         t = grid.start + np.arange(lo, hi) * grid.step
         yield (slice(lo, hi), slice(a - lo, b - lo), t,
                UniformGrid(float(t[0]), grid.step, hi - lo))
+
+
+def residual_maxima(grid: UniformGrid, window, relative: bool) -> dict[str, float]:
+    """Max |residual| of each equation over ``grid``, swept over ``halo_windows``.
+    ``window(rows, t, sub)`` yields ``(name, (residual, *terms))`` one equation
+    at a time, so memory is bounded by one window's temporaries of one equation;
+    ``relative`` divides each residual by its equation's largest |term| (or tiny)."""
+    worst = {}
+    for rows, keep, t, sub in halo_windows(grid):
+        for name, arrays in window(rows, t, sub):
+            maxima = [np.max(np.abs(x[keep])) for x in arrays]
+            worst[name] = np.maximum(worst.get(name, 0.0), maxima)
+    out = {}
+    for name, (resid, *terms) in worst.items():
+        out[name] = float(resid)
+        if relative:
+            out[name] /= max(float(max(terms)), np.finfo(float).tiny)
+    return out
 
 
 def is_power_of_two(count: int) -> bool:

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
-from .numerics import SampledFunction, halo_windows
+from .numerics import SampledFunction, residual_maxima
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 
@@ -354,7 +354,7 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
     grid; a coarser grid must hit trajectory samples exactly.  With
     ``relative=True`` each residual is divided by the largest term
     magnitude in its equation (scale-free cancellation quality).
-    Evaluated over ``halo_windows``, so memory stays bounded.
+    Swept by ``residual_maxima``, so memory stays bounded.
     """
     if t_grid is None:
         grid = ptraj.grid
@@ -363,33 +363,19 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
         grid = t_grid
         idx = np.array([ptraj.grid.index_of(tv) for tv in grid.points()])
         samples = (ptraj.rho[idx], ptraj.theta[idx], ptraj.drho[idx], ptraj.dtheta[idx])
-    # running maxima per equation: the residual, then each term magnitude
-    worst = {}
-    for rows, keep, t, sub in halo_windows(grid):
+
+    def window(rows, t, sub):
         k = ptraj.params.k(t)
         b, c, e, f, a = coefficients(spec, *(x[rows] for x in samples))
         dc, db, de, df, da = (central_diff(SampledFunction(sub, x), order=1).values
                               for x in (c, b, e, f, a))
-        res = {
-            "c": (np.abs(1j * dc - 2.0 * c * c + 0.5 * k),
-                  (2.0 * c * c, 0.5 * k)),
-            "b": (np.abs(1j * db - 2.0 * b * c), (2.0 * b * c,)),
-            "e": (np.abs(1j * de - 2.0 * c * e + e**3), (2.0 * c * e, e**3)),
-            "f": (np.abs(1j * df - b * e + e * e * f), (b * e, e * e * f)),
-            "a": (np.abs(1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e)),
-                  (f * df, 0.5 * b * b, c, spec.n * e * e)),
-        }
-        for key, (resid, terms) in res.items():
-            maxima = [np.max(resid[keep])]
-            maxima += [np.max(np.abs(np.asarray(x, dtype=complex))[keep]) for x in terms]
-            worst[key] = np.maximum(worst.get(key, 0.0), maxima)
-    out = {}
-    for key, (value, *terms) in worst.items():
-        value = float(value)
-        if relative:
-            value /= max(max(float(x) for x in terms), np.finfo(float).tiny)
-        out[key] = value
-    return out
+        yield "c", (1j * dc - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k)
+        yield "b", (1j * db - 2.0 * b * c, 2.0 * b * c)
+        yield "e", (1j * de - 2.0 * c * e + e**3, 2.0 * c * e, e**3)
+        yield "f", (1j * df - b * e + e * e * f, b * e, e * e * f)
+        yield "a", (1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
+                    f * df, 0.5 * b * b, c, spec.n * e * e)
+    return residual_maxima(grid, window, relative)
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,

@@ -40,6 +40,8 @@ from conftest import (
     FOUR_PI,
     SOLITON_INIT,
     SOLITON_PARAMS,
+    STATIC_INIT,
+    STATIC_PARAMS,
     eq14_reference,
 )
 from rk4_reference import loop_classical
@@ -97,8 +99,7 @@ def test_picard_converges_to_rk4():
 def test_picard_residual_decreases_until_quadrature_floor():
     n = 4096
     grid = UniformGrid(0.0, FOUR_PI / n, n + 1)
-    res = [mathieu_residual(picard_iterate(SOLITON_PARAMS, SOLITON_INIT, k, grid),
-                            SOLITON_PARAMS)
+    res = [mathieu_residual(picard_iterate(SOLITON_PARAMS, SOLITON_INIT, k, grid))
            for k in range(1, 6)]
     assert all(res[i + 1] < res[i] for i in range(len(res) - 1))
     assert res[2] < 1e-2 * res[0]     # genuine contraction before the floor
@@ -340,7 +341,7 @@ def test_polar_ode_residuals_second_order():
     def residuals(n):
         traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT,
                                (0.0, FOUR_PI), FOUR_PI / n)
-        return polar_ode_residuals(polar_decompose(traj), SOLITON_PARAMS)
+        return polar_ode_residuals(polar_decompose(traj))
 
     coarse, fine = residuals(2048), residuals(4096)
     assert coarse["theta"] / fine["theta"] > 3.5
@@ -353,10 +354,13 @@ def _residual_sweep(traj):
     sub = UniformGrid(0.0, 3 * traj.grid.step, (traj.grid.count - 1) // 3 + 1)
     out = []
     for relative in (False, True):
-        out.append(mathieu_residual(traj, traj.params, relative=relative))
-        out.append(polar_ode_residuals(ptraj, traj.params, relative=relative))
+        out.append(mathieu_residual(traj, relative=relative))
+        out.append(polar_ode_residuals(ptraj, relative=relative))
         out.append(verify_eq4(ptraj, spec, relative=relative))
         out.append(verify_eq4(ptraj, spec, t_grid=sub, relative=relative))
+    # plain Python floats, never numpy scalars
+    assert all(type(v) is float
+               for r in out for v in (r.values() if isinstance(r, dict) else (r,)))
     return out
 
 
@@ -373,6 +377,46 @@ def test_residuals_blocked_equal_single_block(monkeypatch, n_steps):
     assert _residual_sweep(traj) == whole
 
 
+@pytest.mark.parametrize("params, init", [(COLLAPSE_PARAMS, COLLAPSE_INIT),
+                                           (STATIC_PARAMS, STATIC_INIT)],
+                         ids=["collapse", "static"])
+def test_relative_residuals_match_whole_array_reference(monkeypatch, params, init):
+    # one window: each relative value must equal the reduction written out
+    # on whole arrays, bit for bit
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)
+    traj = solve_classical(params, init, (0.0, HALF_PI), HALF_PI / 4002)
+    ptraj = polar_decompose(traj)
+    spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
+    k = params.k(traj.t)
+    tiny = np.finfo(float).tiny
+
+    def d(y, order):
+        return central_diff(SampledFunction(traj.grid, y), order=order).values
+
+    def rel(resid, *terms):
+        return np.max(np.abs(resid)) / max(max(np.max(np.abs(x)) for x in terms), tiny)
+
+    # classical: each component against its own scale, then the larger
+    assert mathieu_residual(traj, relative=True) == max(
+        rel(d(phi, 2) + k * phi, k * phi) for phi in (traj.phi1, traj.phi2))
+    # polar: theta'^2 is a term of the theta scale, flooring it when the
+    # other two cancel (the static limit)
+    rho, dtheta = ptraj.rho, ptraj.dtheta
+    coupling = 2.0 * dtheta * ptraj.drho / rho
+    assert polar_ode_residuals(ptraj, relative=True) == {
+        "theta": rel(d(ptraj.theta, 2) + coupling, d(ptraj.theta, 2), coupling, dtheta**2),
+        "rho": rel(d(rho, 2) - dtheta**2 * rho + k * rho, dtheta**2 * rho, k * rho)}
+    b, c, e, f, a = coefficients(spec, rho, ptraj.theta, ptraj.drho, dtheta)
+    dc, db, de, df, da = (d(x, 1) for x in (c, b, e, f, a))
+    assert verify_eq4(ptraj, spec, relative=True) == {
+        "c": rel(1j * dc - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k),
+        "b": rel(1j * db - 2.0 * b * c, 2.0 * b * c),
+        "e": rel(1j * de - 2.0 * c * e + e**3, 2.0 * c * e, e**3),
+        "f": rel(1j * df - b * e + e * e * f, b * e, e * e * f),
+        "a": rel(1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
+                 f * df, 0.5 * b * b, c, spec.n * e * e)}
+
+
 def test_residuals_peak_memory_is_flat_in_length():
     # windows bound the temporaries, so quadrupling the trajectory must
     # not raise the traced peak of any residual function
@@ -383,8 +427,8 @@ def test_residuals_peak_memory_is_flat_in_length():
         ptraj = polar_decompose(traj)
         spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
         row = []
-        for run in (lambda: mathieu_residual(traj, COLLAPSE_PARAMS, relative=True),
-                    lambda: polar_ode_residuals(ptraj, COLLAPSE_PARAMS, relative=True),
+        for run in (lambda: mathieu_residual(traj, relative=True),
+                    lambda: polar_ode_residuals(ptraj, relative=True),
                     lambda: verify_eq4(ptraj, spec, relative=True)):
             tracemalloc.start()
             try:
@@ -399,7 +443,7 @@ def test_residuals_peak_memory_is_flat_in_length():
 
 
 def test_polar_ode_residuals_relative_static(static_polar):
-    res = polar_ode_residuals(static_polar, static_polar.params, relative=True)
+    res = polar_ode_residuals(static_polar, relative=True)
     assert res["theta"] < 1e-4
     assert res["rho"] < 1e-4
 

@@ -667,6 +667,32 @@ def test_verify_error_cancels_the_running_propagation(capsys):
     assert time.perf_counter() - start < 5.0
 
 
+@pytest.mark.parametrize("flag, value, samples", [("--n", "200", "4.199e+07"),
+                                                  ("--b0", "40", "1.676e+09")])
+def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, value,
+                                                   samples):
+    # the refined residual solve is sized before the PDE worker starts, so
+    # a refused request builds no propagation state
+    calls = []
+    monkeypatch.setattr(cli, "_oracle_rows", lambda *args: calls.append(args))
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", flag, value])
+    assert rc == 2 and out == ""
+    assert err == (f"error: the classical solve needs {samples} samples, "
+                   f"more than the cap of {numerics.MAX_SAMPLES}\n")
+    assert calls == []
+
+
+@pytest.mark.parametrize("b0", [["--b0", "1e200"],
+                                ["--b0", "1e-100", "--declared-c0", "1e-300"]],
+                         ids=["b0", "declared-c0"])
+@pytest.mark.parametrize("command", ["snapshot", "series", "verify", "oracle-compare"])
+def test_effective_b0_overflow_is_usage_error(capsys, command, b0):
+    # b0^2/c0 past the float range is refused, not left to overflow later
+    rc, out, err = run_cli(capsys, [command, "--preset", "static", "--times", "0.5pi"] + b0)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
 def test_verify_passes_on_smallest_resolving_grid(capsys):
     # 32 points over [-6, 6) resolve the n = 8 check state: the
     # rectangle-rule norm is within 4e-7 of 1
