@@ -68,6 +68,7 @@ from .trains import (
     hermite_scaled,
     hermite_table,
     level_energies,
+    live_window,
     mean_energy_moments,
     overlap,
     psi_on_grid,
@@ -183,10 +184,13 @@ def _effective_spec(cfg: RunConfig, c0: float) -> TrainSpec:
     return spec
 
 
-def _commensurate_count(t_final: float, times, step: float) -> int:
+def _commensurate_count(t_final: float, times, step: float,
+                        what: str = "the classical solve") -> int:
     """Step count n so the grid t_final/n hits every requested time exactly
     whenever times/t_final are small rationals (they are for pi-unit
-    inputs); otherwise the plain ceiling count."""
+    inputs); otherwise the plain ceiling count.  A count past the cap is
+    refused (TooManySamples, naming ``what``) before it is rounded."""
+    require_samples(t_final / step + 1.0, what)
     n = max(1, math.ceil(t_final / step - 1e-12))
     denom = 1
     for t in times:
@@ -208,8 +212,9 @@ def _solve_polar(cfg: RunConfig, t_final: float, times=()):
 
 
 def _sample_indices(count: int, samples: int) -> np.ndarray:
-    samples = min(samples, count)
-    return np.unique(np.round(np.linspace(0, count - 1, samples)).astype(int))
+    idx = np.round(np.linspace(0, count - 1, min(samples, count))).astype(int)
+    # non-decreasing, so repeats are adjacent (np.unique would import numpy.ma)
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]
 
 
 def _space_grid(cfg: RunConfig, ptraj, spec: TrainSpec,
@@ -316,7 +321,7 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
     ``aliasing_dt_bound`` is smaller, rounded down so every requested time
     is a step multiple; accuracy is certified by closed-form distances."""
     target = min(math.pi / 2048.0, 0.9 * aliasing_dt_bound(params, grid))
-    count = _commensurate_count(t_final, times, target)
+    count = _commensurate_count(t_final, times, target, "the split-step propagation")
     return t_final / count
 
 
@@ -405,18 +410,21 @@ def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step
     amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
     check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp))
 
-    # quantum-state checks on 11 times, each from one Hermite table
-    # h_0..h_8 of xi(x): its Gram matrix gives the norm and the overlaps,
-    # rows 0..7 the energy ladder E_0..E_7
+    # quantum-state checks on 11 times, each from one Hermite table h_0..h_8
+    # of xi(x) in one buffer, on the live window of the check grid (exact
+    # zeros outside): its Gram matrix gives the norm and the overlaps, rows
+    # 0..7 the energy ladder E_0..E_7
     grid_spec = TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0)
     grid = _space_grid(cfg, ptraj, grid_spec)
     x = grid.points()
+    buf = np.empty((9, grid.count))
     worst_norm = worst_cross = worst_aff = 0.0
     worst_nodes = 0
     for tv in ptraj.t[_sample_indices(ptraj.grid.count, 11)]:
         frame = train_frame(ptraj, spec, float(tv))
-        xi = xi_of(frame, x)
-        table = hermite_table(8, xi)
+        xw = x[live_window(frame, grid)]
+        xi = xi_of(frame, xw)
+        table = hermite_table(8, xi, out=buf[:, :len(xw)])
         gram = gram_matrix(frame, table, grid.step)
         if spec.n <= 8:
             h_n, norm = table[spec.n], gram[spec.n, spec.n]
@@ -429,9 +437,11 @@ def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step
         worst_nodes = max(worst_nodes, abs(count_nodes(h_n) - spec.n))
         cross = np.abs(gram[np.triu_indices(len(gram), 1)])
         worst_cross = max(worst_cross, float(np.max(cross)))
-        # energy affinity: differences E_{m+1} - E_m are m-independent
-        diffs = np.diff(level_energies(ptraj, frame, table[:8], x, grid.step))
-        worst_aff = max(worst_aff, float(np.max(np.abs(diffs - diffs[0])) / abs(diffs[0])))
+        # energy affinity: differences E_{m+1} - E_m are m-independent; a
+        # ladder with no spacing (the state off the grid) reads 1.0
+        diffs = np.diff(level_energies(ptraj, frame, table[:8], xw, grid.step, gram))
+        spread = float(np.max(np.abs(diffs - diffs[0])))
+        worst_aff = max(worst_aff, spread / abs(diffs[0]) if diffs[0] else 1.0)
     check("normalization", worst_norm, 1e-6)
     check("node-count", worst_nodes, 0)
     check("orthogonality", worst_cross, 1e-6)

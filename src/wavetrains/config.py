@@ -105,15 +105,7 @@ class RunConfig:
     output: OutputConfig = field(default_factory=OutputConfig)
 
 
-_GROUPS = {
-    "params": TrapConfig,
-    "init": InitConfig,
-    "train": TrainConfig,
-    "solver": SolverConfig,
-    "time": TimeConfig,
-    "space": SpaceConfig,
-    "output": OutputConfig,
-}
+_GROUPS = {f.name: f.default_factory for f in dataclasses.fields(RunConfig)}
 
 
 def parse_pi_times(text: str) -> tuple[float, ...]:
@@ -236,6 +228,8 @@ def validate(cfg: RunConfig) -> RunConfig:
     if cfg.space.policy == "explicit":
         if cfg.space.grid_points is None or cfg.space.half_width is None:
             raise ConfigError("space.policy 'explicit' needs grid_points and half_width")
+        if not (cfg.space.half_width > 0):
+            raise ConfigError(f"space.half_width must be positive, got {cfg.space.half_width}")
     elif cfg.space.half_width is not None:
         raise ConfigError("space.half_width needs space.policy 'explicit'; "
                           "the auto policy sizes the box itself")
@@ -297,12 +291,8 @@ def preset(name: str) -> RunConfig:
 
 
 def to_dict(cfg: RunConfig) -> dict:
-    out = {}
-    for group in _GROUPS:
-        sub = dataclasses.asdict(getattr(cfg, group))
-        if "times" in sub:
-            sub["times"] = list(sub["times"])
-        out[group] = sub
+    out = dataclasses.asdict(cfg)
+    out["time"]["times"] = list(out["time"]["times"])
     return out
 
 
@@ -320,11 +310,8 @@ def _fmt_scalar(value) -> str:
 
 def flat_items(cfg: RunConfig) -> list[tuple[str, str]]:
     """Sorted (dotted key, rendered value) pairs for header echoes."""
-    items = []
-    for group, sub in to_dict(cfg).items():
-        for name, value in sub.items():
-            items.append((f"{group}.{name}", _fmt_scalar(value)))
-    return sorted(items)
+    return sorted((f"{group}.{name}", _fmt_scalar(value))
+                  for group, sub in to_dict(cfg).items() for name, value in sub.items())
 
 
 def _column_keys(block: np.ndarray) -> list[int | None]:
@@ -394,9 +381,7 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
     that recurs elsewhere in the table (a snapshot's t and x columns), is
     formatted once.  The bytes equal a per-value ``f"{float(v):.17g}"``
     join."""
-    lines = [f"# {key} = {value}" for key, value in flat_items(cfg)]
-    for key, value in meta or []:
-        lines.append(f"# {key} = {value}")
+    lines = [f"# {key} = {value}" for key, value in flat_items(cfg) + list(meta or [])]
     lines.append(",".join(columns))
     data = np.asarray(rows, dtype=float)
     if data.size:

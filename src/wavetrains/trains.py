@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
@@ -40,6 +40,7 @@ from .numerics import UniformGrid, build_space_grid, central_diff, field_integra
 from .numerics import SampledFunction, residual_maxima
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
+XI_UNDERFLOW = 38.7  # exp(-xi^2/2), so every Hermite row, is 0.0 from |xi| = 38.61
 
 
 @dataclass(frozen=True)
@@ -156,13 +157,25 @@ def hermite_scaled(n: int, xi):
     return h if h.ndim else float(h)
 
 
-def hermite_table(nmax: int, xi) -> np.ndarray:
+def hermite_table(nmax: int, xi, out: np.ndarray | None = None) -> np.ndarray:
     """h_0..h_nmax stacked along the first axis (one recurrence pass,
-    written in place)."""
+    written in place into ``out``, if given, or a new array)."""
     xi = np.atleast_1d(np.asarray(xi, dtype=float))
-    table = np.empty((max(nmax, 0) + 1,) + xi.shape)
+    table = np.empty((max(nmax, 0) + 1,) + xi.shape) if out is None else out
     _hermite_rows(nmax, xi, table.__getitem__)
     return table
+
+
+def live_window(frame: TrainFrame, grid: UniformGrid) -> slice:
+    """Index slice of ``grid`` outside which |xi(x)| >= XI_UNDERFLOW, so every
+    h_m(xi(x)) there is exactly 0.0: from the affine xi(x) in closed form,
+    widened by 2 samples, and empty when the state lies off the grid."""
+    sc = math.sqrt(frame.spec.c0)
+    f = (frame.spec.b0 / sc) * math.cos(frame.theta)
+    ends = ((f + np.array([-XI_UNDERFLOW, XI_UNDERFLOW])) * frame.rho / sc
+            - grid.start) / grid.step
+    lo, hi = np.clip([np.ceil(ends[0]) - 2, np.floor(ends[1]) + 3], 0, grid.count)
+    return slice(int(lo), int(max(hi, lo)))
 
 
 def train_frame(ptraj: PolarTrajectory, spec: TrainSpec, t: float) -> TrainFrame:
@@ -286,39 +299,50 @@ def mean_energy(ptraj: PolarTrajectory, spec: TrainSpec,
     by rectangle-rule quadrature on the supplied grid.
 
     This is the independent check of ``mean_energy_moments``, which gives
-    the same value in closed form; the verify battery takes the same
-    quadrature through ``level_energies``.
+    the same value in closed form, and, through ``mean_energy_levels``, of
+    the verify battery's ``level_energies``.
     """
     return float(mean_energy_levels(ptraj, spec, t, grid)[-1])
+
+
+def _rate_args(ptraj: PolarTrajectory, frame: TrainFrame) -> tuple:
+    """(rho, theta, drho, dtheta, k) at ``frame``, a sample of ``ptraj``,
+    the arguments of ``_phase_rate`` after its spec."""
+    return (frame.rho, frame.theta, frame.drho,
+            float(ptraj.dtheta[ptraj.grid.index_of(frame.t)]),
+            float(ptraj.params.k(frame.t)))
 
 
 def mean_energy_levels(ptraj: PolarTrajectory, spec: TrainSpec,
                        t: float, grid: UniformGrid) -> np.ndarray:
     """``mean_energy`` of every level m = 0 .. n sharing ``spec``'s b0 and c0,
-    with all R_m^2 taken from one ``hermite_table`` pass."""
+    with all R_m^2 taken from one ``hermite_table`` pass and each level
+    integrated on its own, -int R_m^2 (quad x^2 - lin x + const_m) dx."""
     frame = train_frame(ptraj, spec, t)
     x = grid.points()
-    return level_energies(ptraj, frame, hermite_table(spec.n, xi_of(frame, x)),
-                          x, grid.step)
+    args = _rate_args(ptraj, frame)
+    quad, lin, _ = _phase_rate(spec, *args)
+    theta_x = quad * x * x - lin * x
+    scale = spec.c0**0.25 / math.sqrt(frame.rho)
+    table = hermite_table(spec.n, xi_of(frame, x))
+    consts = [_phase_rate(replace(spec, n=m), *args)[2] for m in range(len(table))]
+    return np.array([-field_integral((scale * h) ** 2 * (theta_x + const), grid.step)
+                     for h, const in zip(table, consts)])
 
 
 def level_energies(ptraj: PolarTrajectory, frame: TrainFrame, table: np.ndarray,
-                   x: np.ndarray, step: float) -> np.ndarray:
-    """E_m = -int R_m^2 dTheta_m/dt dx by the rectangle rule for each row
-    h_m(xi(x)) of ``table`` (m = 0, 1, ...), the levels sharing ``frame``'s
-    b0 and c0; ``frame.t`` must be a sample of ``ptraj``."""
-    spec = frame.spec
-    dtheta = float(ptraj.dtheta[ptraj.grid.index_of(frame.t)])
-    k = float(ptraj.params.k(frame.t))
-    quad, lin, _ = _phase_rate(spec, frame.rho, frame.theta, frame.drho, dtheta, k)
+                   x: np.ndarray, step: float, gram: np.ndarray) -> np.ndarray:
+    """E_m of each row h_m(xi(x)) of ``table`` (the levels sharing ``frame``'s
+    b0 and c0) from its ``gram_matrix``, one weighted sum per row:
+    E_m = -(sqrt(c0)/rho) step sum h_m^2 (quad x^2 - lin x) - const_m G[m, m].
+    ``mean_energy_levels``, level by level, is the check of this one."""
+    args = _rate_args(ptraj, frame)
+    quad, lin, const = _phase_rate(replace(frame.spec, n=0), *args)
     theta_x = quad * x * x - lin * x
-    scale = spec.c0**0.25 / math.sqrt(frame.rho)
-    energies = np.empty(len(table))
-    for m, h in enumerate(table):
-        const = _phase_rate(TrainSpec(n=m, b0=spec.b0, c0=spec.c0), frame.rho,
-                            frame.theta, frame.drho, dtheta, k)[2]
-        energies[m] = -field_integral((scale * h) ** 2 * (theta_x + const), step)
-    return energies
+    weight = step * math.sqrt(frame.spec.c0) / frame.rho
+    sums = np.array([np.dot(h * theta_x, h) for h in table])
+    consts = const - np.arange(len(table)) * args[3]
+    return -weight * sums - consts * np.diagonal(gram)[:len(table)]
 
 
 def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndarray:
@@ -410,7 +434,7 @@ def count_nodes(h: np.ndarray) -> int:
     1e-12 of the peak ignored.  R_n is h_n(xi) up to a positive factor, so
     this is n exactly when the grid resolves the state, and fewer when it
     is too coarse for the packet."""
-    thr = 1e-12 * float(np.max(np.abs(h)))
+    thr = 1e-12 * float(np.max(np.abs(h), initial=0.0))
     live = h[np.abs(h) > thr]
     return int(np.count_nonzero(np.signbit(live[1:]) != np.signbit(live[:-1])))
 

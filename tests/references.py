@@ -1,10 +1,13 @@
-"""Test-only references: plain composite Simpson and the TDSE residual.
+"""Test-only references: plain composite Simpson, the TDSE residual and a
+split-step propagation with the kick on every grid point.
 
 The package integrates fields by the rectangle rule and time integrals by
-``cumulative_simpson``; no command needs either function below.  They stay
-here as independent checks: ``simpson`` of the Hermite norms and of
-``cumulative_simpson``'s endpoint, ``tdse_residual`` of split-step frames
-(acceptance criterion 9).
+``cumulative_simpson``; no command needs the first two functions below.
+They stay here as independent checks: ``simpson`` of the Hermite norms and
+of ``cumulative_simpson``'s endpoint, ``tdse_residual`` of split-step frames
+(acceptance criterion 9).  ``full_kick_evolve`` is the check of the
+mirrored half-grid kick that ``split_step_evolve`` takes on a grid centred
+on 0.
 """
 
 import math
@@ -80,3 +83,25 @@ def tdse_residual(fields: list[FieldGrid], params: TrapParameters) -> float:
     k = float(params.k(f1.t))
     resid = 1j * psi_t + 0.5 * psi_xx - 0.5 * k * x * x * v
     return math.sqrt(field_integral(np.abs(resid) ** 2, grid.step) / f1.norm)
+
+
+def full_kick_evolve(field: FieldGrid, params: TrapParameters, dt: float,
+                     n_steps: int) -> np.ndarray:
+    """psi after ``n_steps`` Strang steps of ``dt`` from ``field``, in the
+    operation order of ``split_step_evolve`` (half kinetic steps merged
+    between steps), with the kick e^(-i k(t_mid) x^2 dt/2) evaluated at
+    every point of the grid."""
+    grid = field.grid
+    p = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.step)
+    half_kin = np.exp(-0.25j * p * p * dt)
+    full_kin = half_kin * half_kin
+    kick_base = -0.5 * dt * grid.points() ** 2
+    kick = np.empty(grid.count, dtype=complex)
+    psi = half_kin * np.fft.fft(field.values)
+    for m in range(n_steps):
+        psi = np.fft.ifft(psi)
+        arg = kick_base * (params.u2 + params.v * math.cos(2.0 * (field.t + (m + 0.5) * dt)))
+        kick.real, kick.imag = np.cos(arg), np.sin(arg)
+        psi = np.fft.fft(psi * kick)
+        psi *= half_kin if m + 1 == n_steps else full_kin
+    return np.fft.ifft(psi)

@@ -11,12 +11,14 @@ import subprocess
 import sys
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
 
 import wavetrains
-from wavetrains import TrainSpec, UniformGrid, mean_energy_levels, propagation_grid
+from wavetrains import (TrainSpec, auto_space_grid, mean_energy_levels,
+                        propagation_grid)
 from wavetrains import cli, numerics
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
@@ -574,23 +576,42 @@ def test_verify_fails_on_coarse_grid(capsys):
 
 
 def test_battery_energies_equal_mean_energy_levels(monkeypatch, capsys):
-    # the battery's E_0..E_7 at each of its 11 check times, bit for bit
-    # those of mean_energy_levels on the same trajectory, time and grid
+    # the battery's E_0..E_7 at each of its 11 check times, on the live
+    # window of its check grid, within 1e-13 relative of those of
+    # mean_energy_levels on the same trajectory, time and whole grid
     seen = []
 
-    def spy(ptraj, frame, table, x, step):
-        energies = level_energies(ptraj, frame, table, x, step)
-        seen.append((ptraj, frame, UniformGrid(float(x[0]), step, len(x)), x, energies))
+    def spy(ptraj, frame, table, x, step, gram):
+        energies = level_energies(ptraj, frame, table, x, step, gram)
+        seen.append((ptraj, frame, x, step, energies))
         return energies
 
     monkeypatch.setattr(cli, "level_energies", spy)
     rc, _, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
     assert len({frame.t for _, frame, *_ in seen}) == len(seen) == 11
-    for ptraj, frame, grid, x, energies in seen:
-        assert np.array_equal(grid.points(), x)
+    for ptraj, frame, x, step, energies in seen:
+        grid = auto_space_grid(ptraj, TrainSpec(n=8, b0=frame.spec.b0, c0=frame.spec.c0))
+        lo = grid.index_of(float(x[0]))
+        assert step == grid.step and np.array_equal(grid.points()[lo:lo + len(x)], x)
         spec = TrainSpec(n=7, b0=frame.spec.b0, c0=frame.spec.c0)
-        assert np.array_equal(energies, mean_energy_levels(ptraj, spec, frame.t, grid))
+        levels = mean_energy_levels(ptraj, spec, frame.t, grid)
+        assert np.all(np.abs(energies - levels) <= 1e-13 * np.abs(levels))
+
+
+def test_verify_of_a_state_off_the_grid_fails_affinity_quietly(capsys):
+    # the state lies wholly off an explicit grid: the live window is empty,
+    # every energy is 0, and the ladder with no spacing fails energy-affinity
+    # at 1.0 instead of passing at a NaN-dropped 0.0 with a RuntimeWarning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, ["verify", "--preset", "static", "--grid-points",
+                                        "16", "--half-width", "6", "--center", "1000"])
+    assert rc == 1 and err == "" and caught == []
+    checks = {ch["name"]: ch for ch in json.loads(out)["checks"]}
+    assert checks["energy-affinity"]["value"] == 1.0
+    assert not checks["energy-affinity"]["passed"]
+    assert checks["normalization"]["value"] == 1.0
 
 
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
@@ -691,6 +712,52 @@ def test_effective_b0_overflow_is_usage_error(capsys, command, b0):
     rc, out, err = run_cli(capsys, [command, "--preset", "static", "--times", "0.5pi"] + b0)
     assert rc == 2 and out == ""
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("half_width", ["-2.39", "0"])
+@pytest.mark.parametrize("command", ["classical", "snapshot", "series", "verify",
+                                     "oracle-compare"])
+def test_non_positive_half_width_is_usage_error(capsys, command, half_width):
+    # refused by validate on every command, including those that build no
+    # spatial grid, instead of a ValueError traceback or a silent exit 0
+    rc, out, err = run_cli(capsys, [command, "--preset", "fig2-soliton", "--half-width",
+                                    half_width, "--grid-points", "8", "--times", "0.5pi"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: space.half_width must be positive") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["series", "--preset", "fig2-soliton", "--t-final", "1.7e308"],
+    ["series", "--preset", "static", "--rk4-step", "5e-324"],
+    ["classical", "--preset", "static", "--rk4-step", "5e-324"],
+    ["verify", "--preset", "static", "--t-final", "1.7e308"],
+    ["snapshot", "--preset", "static", "--times", "1.7e308"],
+    ["oracle-compare", "--preset", "static", "--times", "1e308"],
+], ids=["series-t-final", "series-rk4-step", "classical", "verify", "snapshot",
+        "oracle-compare"])
+def test_infinite_step_count_is_usage_error(capsys, argv):
+    # t_final / step overflows to inf: refused by the sample cap before the
+    # step count is rounded, instead of an OverflowError from math.ceil(inf)
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the classical solve needs inf samples")
+    assert "Traceback" not in err
+
+
+def test_sample_selection_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma on first use; the sampled commands dedupe
+    # their indices without it
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    code = ("import os, sys\n"
+            "from wavetrains.cli import main\n"
+            "for command in ('classical', 'series'):\n"
+            "    assert main([command, '--preset', 'static', '--samples', '64',\n"
+            "                 '--out', os.devnull]) == 0\n"
+            "print('numpy.ma' in sys.modules)\n")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 def test_verify_passes_on_smallest_resolving_grid(capsys):

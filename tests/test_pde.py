@@ -31,7 +31,7 @@ from wavetrains import (
 from wavetrains.errors import GridMismatch, InvalidCount
 
 from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
-from references import tdse_residual
+from references import full_kick_evolve, tdse_residual
 
 TWO_PI = 2.0 * math.pi
 
@@ -205,6 +205,33 @@ def test_norm_drift_aborts_lossy_step(monkeypatch, collapse_polar, collapse_spec
     monkeypatch.setattr(np.fft, "fft", lossy_fft)
     with pytest.raises(NormDrift):
         split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 16 * cfg.dt)
+
+
+def test_half_grid_kick_matches_the_full_kick(collapse_polar, collapse_spec):
+    # the propagation grid is centred on 0, so the kick is computed on
+    # N/2 + 1 points and mirrored: psi after a quarter period (1024 steps on
+    # 16384 points) agrees with the kick taken on every point
+    psi0 = _collapse_start(collapse_polar, collapse_spec)
+    grid = psi0.grid
+    assert grid.start + (grid.count // 2) * grid.step == 0.0
+    dt = math.pi / 2048
+    (final,) = split_step_evolve(psi0, COLLAPSE_PARAMS, PropagatorConfig(grid, dt),
+                                 0.5 * math.pi)
+    reference = full_kick_evolve(psi0, COLLAPSE_PARAMS, dt, 1024)
+    assert float(np.max(np.abs(final.values - reference))) <= 1e-12
+
+
+def test_uncentred_grid_takes_the_full_kick(static_polar, static_spec):
+    # an explicit grid whose point N/2 is not 0 keeps the kick on every
+    # point: bit for bit the full-kick reference
+    grid = build_space_grid(0.5, 9.0, 256)
+    assert grid.start + (grid.count // 2) * grid.step != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormDeficitWarning)
+        psi0 = renormalized(psi_on_grid(train_frame(static_polar, static_spec, 0.0), grid))
+    dt = math.pi / 256
+    (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(grid, dt), 64 * dt)
+    assert np.array_equal(final.values, full_kick_evolve(psi0, STATIC_PARAMS, dt, 64))
 
 
 def test_cancel_event_stops_the_propagation(collapse_polar, collapse_spec):

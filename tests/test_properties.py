@@ -9,11 +9,12 @@ import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
 from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_grid, numerics
-from wavetrains.cli import _commensurate_count, main
+from wavetrains.cli import _commensurate_count, _sample_indices, main
 from wavetrains.config import (
     _GROUPS,
     MAX_N,
@@ -55,6 +56,14 @@ def test_commensurate_count_puts_pi_rational_times_on_its_grid(fracs, step, with
         # the one step-lattice test of the split-step propagator
         assert lattice_steps(t, t_final / count) == round(Fraction(t / t_final)
                                                           .limit_denominator(4096) * count)
+
+
+@given(count=st.integers(2, 10**7), samples=st.integers(1, 20000))
+def test_sample_indices_equal_the_unique_rounded_linspace(count, samples):
+    # the adjacent-repeat dedupe of the non-decreasing rounded linspace is
+    # np.unique of it, without np.unique's import of numpy.ma
+    rounded = np.round(np.linspace(0, count - 1, min(samples, count))).astype(int)
+    assert np.array_equal(_sample_indices(count, samples), np.unique(rounded))
 
 
 @given(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3), st.integers(1, 16))

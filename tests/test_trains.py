@@ -6,6 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 from scipy.special import eval_hermite
 
 from wavetrains import (
@@ -41,6 +42,7 @@ from wavetrains.trains import (
     coefficients,
     gram_matrix,
     level_energies,
+    live_window,
 )
 
 from conftest import FOUR_PI
@@ -398,18 +400,59 @@ def test_energy_levels_match_per_level_quadrature(collapse_polar):
 
 def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_polar):
     # the verify battery takes E_0..E_7 from the first rows of its n = 8
-    # table: bit for bit what mean_energy_levels gives from its own n = 7 one
+    # table on the live window and from its Gram diagonal: within 1e-13
+    # relative of what mean_energy_levels integrates level by level
     grid = auto_space_grid(collapse_polar, TrainSpec(n=8, b0=0.02, c0=collapse_polar.c0))
     x = grid.points()
     for t in _sample_times(collapse_polar, 3):
         frame = train_frame(collapse_polar, TrainSpec(n=4, b0=0.02, c0=collapse_polar.c0),
                             float(t))
-        table = hermite_table(8, xi_of(frame, x))
+        xw = x[live_window(frame, grid)]
+        table = hermite_table(8, xi_of(frame, xw))
+        gram = gram_matrix(frame, table, grid.step)
         levels = mean_energy_levels(collapse_polar,
                                     TrainSpec(n=7, b0=0.02, c0=collapse_polar.c0),
                                     float(t), grid)
-        assert np.array_equal(level_energies(collapse_polar, frame, table[:8], x,
-                                             grid.step), levels)
+        energies = level_energies(collapse_polar, frame, table[:8], xw, grid.step, gram)
+        assert np.all(np.abs(energies - levels) <= 1e-13 * np.abs(levels))
+
+
+def _assert_live_window(frame, grid):
+    # the full-grid table is exactly 0.0 outside the live window, and the
+    # table written on the window into a wider buffer is the full-grid one
+    # inside it bit for bit
+    x = grid.points()
+    full = hermite_table(8, xi_of(frame, x))
+    window = live_window(frame, grid)
+    outside = np.ones(grid.count, dtype=bool)
+    outside[window] = False
+    assert not np.any(full[:, outside])
+    buffer = np.empty((9, grid.count))
+    width = len(x[window])
+    table = hermite_table(8, xi_of(frame, x[window]), out=buffer[:, :width])
+    assert table.base is buffer
+    assert np.array_equal(table.view(np.int64), full[:, window].view(np.int64))
+    return width
+
+
+@pytest.mark.parametrize("fixture", ["soliton", "collapse", "static"])
+def test_live_window_holds_every_nonzero_column(request, fixture):
+    # at the verify battery's 11 check times on its n = 8 grid
+    ptraj = request.getfixturevalue(f"{fixture}_polar")
+    spec = request.getfixturevalue(f"{fixture}_spec")
+    grid = auto_space_grid(ptraj, TrainSpec(n=8, b0=spec.b0, c0=spec.c0))
+    for t in _sample_times(ptraj, 11):
+        assert _assert_live_window(train_frame(ptraj, spec, float(t)), grid) > 0
+
+
+@given(rho=st.floats(1e-3, 1e3), theta=st.floats(-10.0, 10.0), b0=st.floats(-50.0, 50.0),
+       c0=st.floats(1e-2, 1e2), center=st.floats(-300.0, 300.0),
+       half_width=st.floats(1e-2, 1e3), power=st.integers(1, 12))
+def test_live_window_of_drawn_frames(rho, theta, b0, c0, center, half_width, power):
+    # any frame on any explicit grid, the state on, partly on or off it
+    frame = TrainFrame(t=0.0, rho=rho, theta=theta, drho=0.0,
+                       spec=TrainSpec(n=4, b0=b0, c0=c0))
+    _assert_live_window(frame, build_space_grid(center, half_width, 2**power))
 
 
 def test_mean_energy_matches_moment_oracle(soliton_polar, collapse_polar):
