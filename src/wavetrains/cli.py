@@ -46,6 +46,7 @@ from .mathieu import (
     picard_iterate,
     polar_decompose,
     polar_ode_residuals,
+    require_picard_budget,
     solve_classical,
 )
 from .numerics import UniformGrid, build_space_grid, require_samples
@@ -393,7 +394,8 @@ def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r
         check(f"coeff-{key}-residual", eq4[key], 1e-4)
 
 
-def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r):
+def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r,
+                       pic_grid: UniformGrid):
     """Every check of the battery but the PDE comparison, in report order."""
     t_final = cfg.time.t_final
     # classical conservation
@@ -402,7 +404,6 @@ def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step
     _residual_checks(check, cfg, traj, ptraj, spec, step_r)
 
     # Picard vs RK4 on a shared grid
-    pic_grid = UniformGrid(0.0, t_final / 8192, 8193)
     pic = picard_iterate(traj.params, traj.init, cfg.solver.iterations, pic_grid)
     rk = solve_classical(traj.params, traj.init, (0.0, t_final), pic_grid.step)
     sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
@@ -474,7 +475,8 @@ def _battery(cfg: RunConfig) -> dict:
     # the GIL); its result or error is taken up last, as in a serial run,
     # and an error of the other checks cancels it.  Its grid is sized for
     # propagation whatever grid the state checks use; its grid and step errors,
-    # then the refined residual solve's size, surface here, before it starts.
+    # then the refined residual solve's size and the Picard budget, surface
+    # here, before it starts.
     pgrid = propagation_grid(ptraj, spec, min_count=1024)
     dt = _auto_dt(ptraj.params, pgrid, horizon, (horizon,))
     # the residual checks' trajectory is refined until the fastest coefficient
@@ -486,6 +488,8 @@ def _battery(cfg: RunConfig) -> dict:
         * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)
     step_r = min(cfg.solver.rk4_step, 0.015 / omega)
     require_samples(t_final / step_r + 1.0, "the classical solve")
+    pic_grid = UniformGrid(0.0, t_final / 8192, 8193)
+    require_picard_budget(cfg.solver.iterations, pic_grid.count)
     oracle: list = []
     cancel = threading.Event()
 
@@ -498,7 +502,7 @@ def _battery(cfg: RunConfig) -> dict:
     worker = threading.Thread(target=run_oracle, name="pde-oracle")
     worker.start()
     try:
-        _checks_before_pde(check, cfg, traj, ptraj, spec, step_r)
+        _checks_before_pde(check, cfg, traj, ptraj, spec, step_r, pic_grid)
     except BaseException:
         cancel.set()
         raise

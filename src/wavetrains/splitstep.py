@@ -14,6 +14,12 @@ is second order in dt (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
 (1982)); adjacent half kinetic steps between outputs are merged into whole
 steps, so a step costs one FFT pair plus pointwise phases.  On a grid
 centred on 0 the kick is computed on half the grid and mirrored.
+
+Grids of up to ``FOUR_STEP_ABOVE`` points take numpy's 1-D FFT.  Larger
+ones transform as a four-step FFT (``four_step_fft``): short FFTs along
+each axis of a square-ish 2-D view of psi stay in cache where one 1-D
+transform of the whole buffer does not, and momentum space is kept in
+that transform's own point order, so no transpose is ever taken.
 """
 
 from __future__ import annotations
@@ -30,11 +36,19 @@ from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_o
                        require_samples)
 from .trains import NORM_TOL, FieldGrid, TrainSpec
 
-# Budget on steps x grid points of one propagation, about 5 minutes at
-# ~70 ns per point-step.  The largest propagation in the acceptance tests
-# (24576 steps on 16384 points, 4.0e8) is 10x below it, and the largest a
-# preset runs (oracle-compare fig3-collapse to 2pi, 4096 x 16384) 64x.
+# Budget on steps x grid points of one propagation, 3-5 minutes at the
+# 35-70 ns per point-step measured on 1024 to 16384 points (2-vCPU Xeon).
+# The largest propagation in the acceptance tests (24576 steps on 16384
+# points, 4.0e8) is 10x below it, and the largest a preset runs
+# (oracle-compare fig3-collapse to 2pi, 4096 x 16384) 64x.
 MAX_POINT_STEPS = 2**32
+
+# Largest grid count transformed by numpy's 1-D FFT; larger grids take the
+# four-step transform.  Interleaved, an FFT pair cost 155 us 1-D against
+# 153 us four-step at 4096 points, 322 against 267 at 8192 and 468 against
+# 409 at 16384; at 2048 and below the 1-D pair is faster (2-vCPU Xeon,
+# numpy 2.4).
+FOUR_STEP_ABOVE = 4096
 
 
 @dataclass(frozen=True)
@@ -70,6 +84,41 @@ def lattice_steps(span: float, dt: float) -> int:
     if abs(m * dt - span) > 1e-9 * max(1.0, abs(span)):
         raise GridMismatch(f"time span {span!r} is not a whole number of steps dt = {dt!r}")
     return m
+
+
+def four_step_fft(count: int):
+    """In-place forward and inverse DFT of a contiguous complex buffer of
+    ``count`` = 2^q points as four-step transforms (Bailey, J.
+    Supercomputing 4, 23 (1990)), and the permutation they share.
+
+    The buffer is viewed as A[j1, j2] = psi[j1 n2 + j2] with n1 = 2^(q//2)
+    and n2 = count / n1.  ``forward`` takes n2 FFTs of length n1 along
+    axis 0, multiplies by the twiddle exp(-2 pi i k1 j2 / count), then n1
+    FFTs of length n2 along axis 1, leaving F[k1 + n1 k2] at A[k1, k2];
+    ``inverse`` undoes it in reverse order and returns psi in natural
+    order.  ``layout(k)`` is a copy of an array in natural FFT order
+    permuted into that k-space order."""
+    n1 = 1 << (count.bit_length() - 1) // 2
+    n2 = count // n1
+    twiddle = np.exp(-2j * math.pi / count * np.outer(np.arange(n1), np.arange(n2)))
+    untwiddle = twiddle.conj()
+
+    def forward(a):
+        view = a.reshape(n1, n2)
+        np.fft.fft(view, axis=0, out=view)
+        view *= twiddle
+        np.fft.fft(view, axis=1, out=view)
+
+    def inverse(a):
+        view = a.reshape(n1, n2)
+        np.fft.ifft(view, axis=1, out=view)
+        view *= untwiddle
+        np.fft.ifft(view, axis=0, out=view)
+
+    def layout(k):
+        return k.reshape(n2, n1).T.flatten()
+
+    return forward, inverse, layout
 
 
 def renormalized(field: FieldGrid) -> FieldGrid:
@@ -116,6 +165,10 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     ``propagation_grid``), x^2 mirrors about it: the kick's cos/sin are
     computed on points N/2 .. N from (j dx)^2, and each half of psi takes
     its mirrored slice.  Other grids take the kick on every point.
+
+    Grids of more than ``FOUR_STEP_ABOVE`` points transform with
+    ``four_step_fft``, with the kinetic phases permuted once into its
+    k-space order; the drift guard's Parseval sum does not depend on it.
     """
     grid = config.grid
     if psi0.grid != grid:
@@ -154,8 +207,13 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
             raise GridMismatch(f"record time {tr!r} lies outside [t0, t_final]")
         record_steps.append(m)
 
+    if grid.count > FOUR_STEP_ABOVE:
+        forward, inverse, layout = four_step_fft(grid.count)
+    else:  # numpy's in-place 1-D pair, k in natural order
+        forward, inverse, layout = (lambda a: np.fft.fft(a, out=a),
+                                    lambda a: np.fft.ifft(a, out=a), lambda k: k)
     p = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.step)
-    half_kin = np.exp(-0.25j * p * p * dt)
+    half_kin = layout(np.exp(-0.25j * p * p * dt))
     full_kin = half_kin * half_kin
     # kick phase per unit k(t); ``halves`` pairs slices of psi and of the kick
     half = grid.count // 2
@@ -186,24 +244,28 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
 
     # pattern: K_half V [K_full V]^(n-1) K_half, with K_full split back
     # into two K_half factors wherever an intermediate state is recorded
-    psi = half_kin * np.fft.fft(psi0.values)
+    psi = psi0.values.copy()
+    forward(psi)
+    np.multiply(half_kin, psi, out=psi)  # operand order: complex * is not bitwise commutative
     flat = psi.view(float)  # re, im of psi: every update below is in place
     record_set = set(record_steps)
     for m in range(n_steps):
         if cancel is not None and cancel.is_set():
             raise Cancelled(f"propagation cancelled at step {m} of {n_steps}")
-        np.fft.ifft(psi, out=psi)
+        inverse(psi)
         k_mid = params.u2 + params.v * math.cos(2.0 * (t0 + (m + 0.5) * dt))
         np.multiply(kick_base, k_mid, out=kick_arg)
         np.cos(kick_arg, out=kick.real)
         np.sin(kick_arg, out=kick.imag)
         for dst, src in halves:
             psi[dst] *= kick[src]
-        np.fft.fft(psi, out=psi)
+        forward(psi)
         last = m + 1 == n_steps
         if last or (m + 1 in record_set):
             psi *= half_kin
-            field = FieldGrid(grid=grid, t=t0 + (m + 1) * dt, values=np.fft.ifft(psi))
+            values = psi.copy()
+            inverse(values)
+            field = FieldGrid(grid=grid, t=t0 + (m + 1) * dt, values=values)
             check_drift(field.norm, m + 1)
             if m + 1 in record_set:
                 out[m + 1] = field

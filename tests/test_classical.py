@@ -29,7 +29,7 @@ from wavetrains import (
     solve_classical,
     unperturbed_solution,
 )
-from wavetrains import numerics
+from wavetrains import mathieu, numerics
 from wavetrains.errors import ConfigError
 from wavetrains.numerics import SampledFunction, central_diff
 from wavetrains.trains import verify_eq4
@@ -112,6 +112,17 @@ def test_picard_input_validation():
     with pytest.raises(ValueError):
         picard_iterate(SOLITON_PARAMS, SOLITON_INIT, -1,
                        UniformGrid(0.0, 0.1, 32))
+
+
+def test_picard_refuses_iterations_past_the_budget(monkeypatch):
+    with pytest.raises(TooManySamples):
+        mathieu.require_picard_budget(2**40, 8193)
+    # the boundary on a lowered budget, so a missing check cannot hang the test
+    grid = UniformGrid(0.0, 0.1, 33)
+    monkeypatch.setattr(mathieu, "MAX_ITERATION_SAMPLES", 4 * 33)
+    picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 4, grid)
+    with pytest.raises(TooManySamples):
+        picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 5, grid)
 
 
 # ------------------------------------------------ closed-form reference

@@ -703,6 +703,20 @@ def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, va
     assert calls == []
 
 
+def test_picard_iterations_past_the_budget_are_usage_error(monkeypatch, capsys):
+    # 2^40 Picard passes over verify's 8193 samples would run for years:
+    # refused before any pass and before the PDE stage starts
+    calls = []
+    monkeypatch.setattr(cli, "picard_iterate", lambda *args: calls.append(args))
+    monkeypatch.setattr(cli, "_oracle_rows", lambda *args: calls.append(args))
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "static",
+                                    "--iterations", "1099511627776"])
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the Picard solve needs 1099511627776 iterations "
+                          "on 8193 samples")
+    assert calls == []
+
+
 @pytest.mark.parametrize("b0", [["--b0", "1e200"],
                                 ["--b0", "1e-100", "--declared-c0", "1e-300"]],
                          ids=["b0", "declared-c0"])

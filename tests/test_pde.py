@@ -29,6 +29,7 @@ from wavetrains import (
     train_frame,
 )
 from wavetrains.errors import GridMismatch, InvalidCount
+from wavetrains.splitstep import FOUR_STEP_ABOVE, four_step_fft
 
 from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
 from references import full_kick_evolve, tdse_residual
@@ -199,8 +200,8 @@ def test_norm_drift_aborts_lossy_step(monkeypatch, collapse_polar, collapse_spec
 
     exact_fft = np.fft.fft
 
-    def lossy_fft(a, out=None):
-        return np.multiply(exact_fft(a), 1.001, out=out)
+    def lossy_fft(a, axis=-1, out=None):
+        return np.multiply(exact_fft(a, axis=axis), 1.001, out=out)
 
     monkeypatch.setattr(np.fft, "fft", lossy_fft)
     with pytest.raises(NormDrift):
@@ -232,6 +233,38 @@ def test_uncentred_grid_takes_the_full_kick(static_polar, static_spec):
     dt = math.pi / 256
     (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(grid, dt), 64 * dt)
     assert np.array_equal(final.values, full_kick_evolve(psi0, STATIC_PARAMS, dt, 64))
+
+
+def test_uncentred_four_step_grid_matches_the_full_kick(static_polar, static_spec):
+    # above the crossover the propagator transforms four-step, in its own
+    # k-space order, and takes the full kick here: the reference stays on
+    # numpy's 1-D FFT in natural order
+    grid = build_space_grid(0.5, 9.0, 8192)
+    assert grid.count > FOUR_STEP_ABOVE
+    assert grid.start + (grid.count // 2) * grid.step != 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", NormDeficitWarning)
+        psi0 = renormalized(psi_on_grid(train_frame(static_polar, static_spec, 0.0), grid))
+    dt = math.pi / 256
+    (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(grid, dt), 64 * dt)
+    reference = full_kick_evolve(psi0, STATIC_PARAMS, dt, 64)
+    assert float(np.max(np.abs(final.values - reference))) <= 1e-12
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+def test_four_step_fft_matches_numpy(q):
+    count = 1 << q
+    rng = np.random.default_rng(q)
+    x = rng.standard_normal(count) + 1j * rng.standard_normal(count)
+    forward, inverse, layout = four_step_fft(count)
+    expected = np.fft.fft(x)
+    a = x.copy()
+    forward(a)
+    assert np.max(np.abs(a - layout(expected))) <= 1e-14 * np.max(np.abs(expected))
+    b = layout(x)
+    inverse(b)
+    expected = np.fft.ifft(x)
+    assert np.max(np.abs(b - expected)) <= 1e-14 * np.max(np.abs(expected))
 
 
 def test_cancel_event_stops_the_propagation(collapse_polar, collapse_spec):

@@ -45,6 +45,8 @@ COMMANDS = [
     ["oracle-compare", "--preset", "fig3-collapse", "--times", "0.5pi,1pi"],
     ["oracle-compare", "--preset", "static", "--times", "0.5pi", "--grid-points", "256",
      "--half-width", "9", "--center", "0.5"],
+    ["oracle-compare", "--preset", "static", "--times", "0.5pi", "--grid-points", "8192",
+     "--half-width", "9", "--center", "0.5"],
     ["snapshot", "--preset", "fig2-soliton", "--half-width", "-2.39", "--grid-points", "8",
      "--times", "0"],
     ["classical", "--preset", "fig2-soliton", "--half-width", "-2", "--grid-points", "8"],
