@@ -21,6 +21,7 @@ import json
 import math
 import sys
 import threading
+from collections.abc import Iterable
 from fractions import Fraction
 
 import numpy as np
@@ -29,11 +30,11 @@ from . import __version__
 from .config import (
     RunConfig,
     PRESET_NAMES,
+    csv_pieces,
+    json_pieces,
     load_config_file,
     parse_pi_times,
     preset,
-    render_csv,
-    render_json,
     to_dict,
     validate,
 )
@@ -60,6 +61,7 @@ from .splitstep import (
     split_step_evolve,
 )
 from .trains import (
+    NORM_TOL,
     TrainSpec,
     auto_space_grid,
     center_orbit,
@@ -236,16 +238,18 @@ def _meta_common(c0: float) -> list[tuple[str, str]]:
             ("tool.version", __version__)]
 
 
-def _render(cfg: RunConfig, columns, rows, meta_pairs) -> str:
+def _render(cfg: RunConfig, columns, rows, meta_pairs) -> Iterable[str]:
+    """The output text as pieces (header, then blocks of rows), formatted
+    only as ``_emit`` writes them."""
     if cfg.output.format == "json":
-        return render_json(cfg, columns, rows, meta=dict(meta_pairs))
-    return render_csv(cfg, columns, rows, meta=meta_pairs)
+        return json_pieces(cfg, columns, rows, meta=dict(meta_pairs))
+    return csv_pieces(cfg, columns, rows, meta=meta_pairs)
 
 
 # --------------------------------------------------------------------------
 # commands
 
-def run_classical(cfg: RunConfig) -> str:
+def run_classical(cfg: RunConfig) -> Iterable[str]:
     """t, phi1, phi2, rho, theta, drho, dtheta, c0_residual per sample."""
     traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     idx = _sample_indices(traj.grid.count, cfg.time.samples)
@@ -260,10 +264,14 @@ def run_classical(cfg: RunConfig) -> str:
     return _render(cfg, columns, rows, _meta_common(ptraj.c0))
 
 
-def run_snapshot(cfg: RunConfig) -> str:
+def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     """Long-format (t, x, density, re_psi, im_psi) rows for each requested
     time, with per-time norm, node count, maxima count, and center in the
-    header metadata."""
+    header metadata.
+
+    Under the auto grid policy a field whose norm misses 1 by more than
+    NORM_TOL is refused (ConfigError, exit 2): the grid the program chose
+    cannot hold the state.  An explicit grid keeps the NormDeficitWarning."""
     times = cfg.time.times
     if not times:
         raise ConfigError("snapshot needs at least one entry in times")
@@ -283,6 +291,11 @@ def run_snapshot(cfg: RunConfig) -> str:
         i = min(max(i, 0), traj.grid.count - 1)
         frame = train_frame(ptraj, spec, ptraj.grid.start + i * ptraj.grid.step)
         field = psi_on_grid(frame, grid)
+        if field.norm_deficit and cfg.space.policy == "auto":
+            raise ConfigError(
+                f"the auto grid of {grid.count} points cannot hold the state at "
+                f"t = {field.t:.6g}: its norm there is {field.norm:.6g}, not 1 within "
+                f"{NORM_TOL:g}; set the grid with --half-width and --grid-points")
         block = rows[j * grid.count:(j + 1) * grid.count]
         block[:, 0] = field.t
         block[:, 1] = x
@@ -300,7 +313,7 @@ def run_snapshot(cfg: RunConfig) -> str:
     return _render(cfg, columns, rows, meta)
 
 
-def run_series(cfg: RunConfig) -> str:
+def run_series(cfg: RunConfig) -> Iterable[str]:
     """t, x_c, rho, E_n per time sample.
 
     E_n comes from the exact second moments of the state
@@ -342,7 +355,7 @@ def _oracle_rows(ptraj, spec: TrainSpec, grid: UniformGrid, dt: float,
 
 
 def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
-                       tolerance: float = 1e-3) -> tuple[str, bool]:
+                       tolerance: float = 1e-3) -> tuple[Iterable[str], bool]:
     """Propagate the closed-form initial state with the split-step scheme
     and compare densities at the requested times.
 
@@ -371,8 +384,8 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
     meta.append(("propagation.tolerance", f"{tolerance:.17g}"))
     meta.append(("propagation.grid_count", str(grid.count)))
     meta.append(("propagation.max_distance", f"{worst:.17g}"))
-    text = _render(cfg, ["t", "density_distance", "fidelity"], rows, meta)
-    return text, worst <= tolerance
+    pieces = _render(cfg, ["t", "density_distance", "fidelity"], rows, meta)
+    return pieces, worst <= tolerance
 
 
 # --------------------------------------------------------------------------
@@ -523,21 +536,26 @@ def _battery(cfg: RunConfig) -> dict:
     }
 
 
-def run_verify(cfg: RunConfig) -> tuple[str, bool]:
-    """JSON report of the invariant battery; second element is overall pass."""
+def run_verify(cfg: RunConfig) -> tuple[Iterable[str], bool]:
+    """JSON report of the invariant battery, as one piece; second element
+    is overall pass."""
     report = _battery(cfg)
-    return json.dumps(report, sort_keys=True, indent=2) + "\n", report["passed"]
+    return [json.dumps(report, sort_keys=True, indent=2) + "\n"], report["passed"]
 
 
 # --------------------------------------------------------------------------
 # entry point
 
-def _emit(text: str, path: str | None):
+def _emit(pieces: Iterable[str], path: str | None):
+    """Write a command's output piece by piece as the pieces are formatted,
+    to stdout or to ``path``, so the whole text never exists at once.  The
+    file is opened only here, after the command has returned, so a command
+    that fails leaves no file."""
     if path is None:
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+        sys.stdout.writelines(pieces)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.writelines(pieces)
 
 
 def main(argv=None) -> int:
@@ -550,13 +568,13 @@ def main(argv=None) -> int:
         cfg = resolve_config(args)
         ok = True
         if args.command == "classical":
-            text = run_classical(cfg)
+            pieces = run_classical(cfg)
         elif args.command == "snapshot":
-            text = run_snapshot(cfg)
+            pieces = run_snapshot(cfg)
         elif args.command == "series":
-            text = run_series(cfg)
+            pieces = run_series(cfg)
         elif args.command == "verify":
-            text, ok = run_verify(cfg)
+            pieces, ok = run_verify(cfg)
         elif args.command == "oracle-compare":
             dt = None
             if args.dt is not None:
@@ -566,10 +584,10 @@ def main(argv=None) -> int:
                 dt = values[0]
             if not 0 <= args.tolerance < math.inf:
                 raise ConfigError(f"--tolerance must be finite and >= 0, got {args.tolerance!r}")
-            text, ok = run_oracle_compare(cfg, dt=dt, tolerance=args.tolerance)
+            pieces, ok = run_oracle_compare(cfg, dt=dt, tolerance=args.tolerance)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-        _emit(text, cfg.output.path)
+        _emit(pieces, cfg.output.path)
         return 0 if ok else 1
     except (ConfigError, UnknownPreset) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,6 +10,12 @@ block once: a snapshot's t column (one value per time) and its x column
 (one grid, repeated for every time) are not formatted again per row.
 The JSON writer renders its rows in blocks of float text and splices them
 into the ``json.dumps`` text of the rest of the document.
+
+Each writer is a generator of pieces, ``csv_pieces`` and ``json_pieces``:
+the header, then one piece per block of ``_CSV_BLOCK`` rows, formatted
+only when the consumer asks for it.  The command line writes each piece
+to its sink as it comes; ``render_csv`` and ``render_json`` return the
+join of the same pieces as one string.
 """
 
 from __future__ import annotations
@@ -29,7 +35,7 @@ from .numerics import is_power_of_two
 
 _HALF_PI = 0.5 * math.pi
 _TWO_PI = 2.0 * math.pi
-_CSV_BLOCK = 4096  # rows per formatting block in render_csv and render_json
+_CSV_BLOCK = 4096  # rows per formatting block (and per piece) of both writers
 MAX_N = 200  # stable range of TrainSpec.a0 and hermite_scaled
 
 
@@ -330,7 +336,8 @@ def _format_column(col: np.ndarray) -> np.ndarray:
 
 def _csv_blocks(data: np.ndarray):
     """Yield the data lines of a 2-D float array, ``_CSV_BLOCK`` rows per
-    string, each block by one ``%`` operation over a row template.
+    string, each line ended by its newline, each block by one ``%``
+    operation over a row template.
 
     Within a block, a constant column is formatted once and written into
     the template as a literal, and a column whose bytes recur elsewhere in
@@ -342,10 +349,10 @@ def _csv_blocks(data: np.ndarray):
     uses = Counter(h for row in keys for h in row if h is not None)
     left = uses.copy()
     memo: dict[bytes, np.ndarray] = {}
-    plain_fmt = ",".join(["%.17g"] * data.shape[1])
+    plain_fmt = ",".join(["%.17g"] * data.shape[1]) + "\n"
     for block, row in zip(blocks, keys):
         if all(h is not None and uses[h] == 1 for h in row):
-            yield "\n".join([plain_fmt] * len(block)) % tuple(block.ravel().tolist())
+            yield plain_fmt * len(block) % tuple(block.ravel().tolist())
             continue
         fmts, args = [], []
         for col, h in zip(block.T, row):
@@ -367,7 +374,19 @@ def _csv_blocks(data: np.ndarray):
         table = np.empty((len(block), len(args)), dtype=object)
         for j, col in enumerate(args):
             table[:, j] = col
-        yield "\n".join([",".join(fmts)] * len(block)) % tuple(table.ravel().tolist())
+        yield (",".join(fmts) + "\n") * len(block) % tuple(table.ravel().tolist())
+
+
+def csv_pieces(cfg: RunConfig, columns: list[str], rows,
+               meta: list[tuple[str, str]] | None = None):
+    """The text of ``render_csv`` as pieces: the comment header and the
+    column names, then one piece per block of ``_CSV_BLOCK`` data lines."""
+    lines = [f"# {key} = {value}" for key, value in flat_items(cfg) + list(meta or [])]
+    lines.append(",".join(columns))
+    yield "\n".join(lines) + "\n"
+    data = np.asarray(rows, dtype=float)
+    if data.size:
+        yield from _csv_blocks(data)
 
 
 def render_csv(cfg: RunConfig, columns: list[str], rows,
@@ -376,23 +395,20 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
     ``# key = value`` line, optional extra metadata lines, the column
     names, then the data at 17 significant digits.
 
-    Rows are formatted a block of ``_CSV_BLOCK`` rows at a time by one
-    ``%`` operation (``_csv_blocks``); a block column that is constant, or
-    that recurs elsewhere in the table (a snapshot's t and x columns), is
-    formatted once.  The bytes equal a per-value ``f"{float(v):.17g}"``
-    join."""
-    lines = [f"# {key} = {value}" for key, value in flat_items(cfg) + list(meta or [])]
-    lines.append(",".join(columns))
-    data = np.asarray(rows, dtype=float)
-    if data.size:
-        lines.extend(_csv_blocks(data))
-    return "\n".join(lines) + "\n"
+    The text is the join of ``csv_pieces``, which the command line writes
+    piece by piece instead.  Rows are formatted a block of ``_CSV_BLOCK``
+    rows at a time by one ``%`` operation (``_csv_blocks``); a block
+    column that is constant, or that recurs elsewhere in the table (a
+    snapshot's t and x columns), is formatted once.  The bytes equal a
+    per-value ``f"{float(v):.17g}"`` join."""
+    return "".join(csv_pieces(cfg, columns, rows, meta))
 
 
 def _json_row_blocks(data: np.ndarray):
     """Yield the items of the ``"rows"`` array of an ``indent=2`` document,
-    ``_CSV_BLOCK`` rows per string, each block by one ``%`` operation over
-    a row template.  The text of a finite float is its repr, which is what
+    ``_CSV_BLOCK`` rows per string, each block after the first led by the
+    separator between rows, each block by one ``%`` operation over a row
+    template.  The text of a finite float is its repr, which is what
     ``json.dumps`` writes; a block holding NaN or infinity takes each value's
     text from ``json.dumps`` itself (``NaN``, ``Infinity``)."""
     row_fmt = "    [\n" + ",\n".join(["      %s"] * data.shape[1]) + "\n    ]"
@@ -401,14 +417,13 @@ def _json_row_blocks(data: np.ndarray):
         values = block.ravel().tolist()
         if not np.isfinite(block).all():
             values = [json.dumps(v) for v in values]
-        yield ",\n".join([row_fmt] * len(block)) % tuple(values)
+        lead = ",\n" if s else ""
+        yield (lead + ",\n".join([row_fmt] * len(block))) % tuple(values)
 
 
-def render_json(cfg: RunConfig, columns: list[str], rows,
-                meta: dict | None = None) -> str:
-    """The document {columns, config, meta, rows} exactly as
-    ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, with floats as
-    shortest round-trip text.
+def json_pieces(cfg: RunConfig, columns: list[str], rows, meta: dict | None = None):
+    """The text of ``render_json`` as pieces: the document up to the open
+    rows array, one piece per block of ``_CSV_BLOCK`` rows, and the close.
 
     ``rows`` is the last sorted key, so the rest of the document is dumped
     with an empty rows array and the rows are spliced in from
@@ -420,10 +435,18 @@ def render_json(cfg: RunConfig, columns: list[str], rows,
         doc["meta"] = meta
     if not data.size:
         doc["rows"] = data.tolist()
-        return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        yield json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        return
     head = json.dumps(doc, sort_keys=True, indent=2)  # ends '"rows": []\n}'
-    parts = [head[:-len("[]\n}")], "[\n"]
-    for block in _json_row_blocks(data):
-        parts += (block, ",\n")
-    parts[-1] = "\n  ]\n}\n"
-    return "".join(parts)
+    yield head[:-len("[]\n}")] + "[\n"
+    yield from _json_row_blocks(data)
+    yield "\n  ]\n}\n"
+
+
+def render_json(cfg: RunConfig, columns: list[str], rows,
+                meta: dict | None = None) -> str:
+    """The document {columns, config, meta, rows} exactly as
+    ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, with floats as
+    shortest round-trip text: the join of ``json_pieces``, which the
+    command line writes piece by piece instead."""
+    return "".join(json_pieces(cfg, columns, rows, meta))

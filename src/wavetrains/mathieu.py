@@ -232,7 +232,8 @@ def _mul2(a, b):
 def _rk4_propagators(params: TrapParameters, h: float, n_steps: int,
                      block: int) -> np.ndarray:
     """Entries (00, 01, 10, 11) of the RK4 step matrices, shape
-    (4, blocks, block), flat position i along the last two axes.
+    (4, block, blocks): position i = b block + j sits at [:, j, b], so
+    position j of every block is one contiguous row.
 
     RK4 applied to y' = [[0, 1], [-k, 0]] y is linear in y, so the step
     t_(i-1) -> t_i is a matrix M_i.  With a, b, c the values of h^2 k at
@@ -246,28 +247,30 @@ def _rk4_propagators(params: TrapParameters, h: float, n_steps: int,
     maps sample 0 to sample i and the padding adds no step that could
     overflow where h sqrt(k) lies beyond RK4's stability limit.
     """
-    t = np.arange(n_steps + 1) * h
+    blocks = -(-(n_steps + 1) // block)
+    t = np.arange(-1, blocks * block) * h  # t[i] = t_(i-1), in position order
     hk = h * h * params.k(t)
-    b = h * h * params.k(t[:-1] + 0.5 * h)
-    a, c = hk[:-1], hk[1:]
-    m = np.empty((4, -(-(n_steps + 1) // block) * block))
+    b = (h * h * params.k(t[:-1] + 0.5 * h)).reshape(blocks, block)
+    a, c = hk[:-1].reshape(blocks, block), hk[1:].reshape(blocks, block)
+    m = np.empty((4, block, blocks))
+    steps = m.transpose(0, 2, 1)  # [:, b, j], a view in position order
+    steps[0] = 1.0 - b / 3.0 + a * (b - 4.0) / 24.0
+    steps[1] = h * (1.0 - b / 6.0)
+    steps[2] = ((a + c) * (b - 2.0) / 12.0 - 2.0 * b / 3.0) / h
+    steps[3] = 1.0 - b / 3.0 + c * (b - 4.0) / 24.0
     identity = np.array([[1.0], [0.0], [0.0], [1.0]])
-    m[:, :1] = identity
-    m[:, n_steps + 1:] = identity
-    m00, m01, m10, m11 = m[:, 1:n_steps + 1]
-    m00[:] = 1.0 - b / 3.0 + a * (b - 4.0) / 24.0
-    m11[:] = 1.0 - b / 3.0 + c * (b - 4.0) / 24.0
-    m01[:] = h * (1.0 - b / 6.0)
-    m10[:] = ((a + c) * (b - 2.0) / 12.0 - 2.0 * b / 3.0) / h
-    return m.reshape(4, -1, block)
+    steps[:, 0, :1] = identity
+    steps[:, -1, n_steps + 1 - (blocks - 1) * block:] = identity
+    return m
 
 
 def _rk4_scan(params: TrapParameters, grid: UniformGrid, y0):
     """States Y_i = M_i ... M_1 Y_0 at every grid point by a blocked prefix
     product (Blelloch 1990) over blocks of ceil(sqrt(N)) steps: inclusive
-    prefixes inside all blocks at once, then the state carried across block
-    ends, then every prefix applied to its block's starting state.  About
-    2 sqrt(N) Python iterations instead of N.
+    prefixes inside all blocks at once, one contiguous row per position,
+    then the state carried across block ends, then every prefix applied to
+    its block's starting state.  About 2 sqrt(N) Python iterations instead
+    of N.
 
     ``y0`` is the entry tuple of Y_0 = [[phi1, phi2], [dphi1, dphi2]];
     returns (phi1, phi2, dphi1, dphi2) arrays.  Raises NonFiniteValue at
@@ -278,14 +281,15 @@ def _rk4_scan(params: TrapParameters, grid: UniformGrid, y0):
     with np.errstate(over="ignore", invalid="ignore"):
         p = _rk4_propagators(params, grid.step, n_steps, block)
         for j in range(1, block):
-            p[:, :, j] = _mul2(p[:, :, j], p[:, :, j - 1])
+            p[:, j] = _mul2(p[:, j], p[:, j - 1])
         starts = []
         y = y0
-        for end in p[:, :, -1].T.tolist():
+        for end in p[:, -1].T.tolist():
             starts.append(y)
             y = _mul2(end, y)
-        starts = np.array(starts).T[:, :, None]
-        states = [s.reshape(-1)[:grid.count] for s in _mul2(p, starts)]
+        blocked = list(_mul2(p, np.array(starts).T[:, None, :]))
+        del p  # freed before each state is copied into time order
+        states = [blocked.pop(0).T.reshape(-1)[:grid.count] for _ in range(4)]
     finite = np.logical_and.reduce([np.isfinite(s) for s in states])
     if not finite.all():
         i = int(np.argmin(finite))

@@ -11,6 +11,7 @@ import subprocess
 import sys
 import threading
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -27,6 +28,7 @@ from wavetrains.config import (
     MAX_N,
     PRESET_NAMES,
     RunConfig,
+    csv_pieces,
     flat_items,
     from_dict,
     parse_pi_times,
@@ -35,7 +37,7 @@ from wavetrains.config import (
     render_json,
     to_dict,
 )
-from wavetrains.errors import ConfigError, NormDrift, UnknownPreset
+from wavetrains.errors import ConfigError, NormDeficitWarning, NormDrift, UnknownPreset
 from wavetrains.trains import level_energies
 
 from conftest import COLLAPSE_PARAMS
@@ -494,9 +496,9 @@ def test_snapshot_csv_matches_per_value_format(monkeypatch, capsys):
 
     def spy(cfg, columns, rows, meta=None):
         seen.update(cfg=cfg, columns=columns, rows=rows, meta=meta)
-        return render_csv(cfg, columns, rows, meta=meta)
+        return csv_pieces(cfg, columns, rows, meta=meta)
 
-    monkeypatch.setattr(cli, "render_csv", spy)
+    monkeypatch.setattr(cli, "csv_pieces", spy)
     rc, out, _ = run_cli(capsys, ["snapshot", "--preset", "static",
                                   "--times", "0,0.5pi,2pi", "--grid-points", "8192",
                                   "--half-width", "10"])
@@ -527,6 +529,81 @@ def test_render_json_matches_json_dumps(count, non_finite):
     expected = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     for given in (rows, rows.tolist()):
         _assert_same_text(render_json(RunConfig(), columns, given, meta=meta), expected)
+
+
+def _edge_table(count):
+    """``count`` rows of random floats with NaN, infinities, -0.0 and a
+    subnormal in the first row and the last."""
+    rows = _random_rows(count, 6, count)
+    if count:
+        rows[0] = [math.nan, math.inf, -math.inf, -0.0, 5e-324, 0.1]
+        rows[-1, :3] = [math.inf, math.nan, -0.0]
+    return rows
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
+def test_streamed_output_equals_rendered_text(tmp_path, capsys, fmt, count):
+    # the command line writes the pieces as they come; the bytes it
+    # writes to stdout and to --out are those of render_csv / render_json
+    rows = _edge_table(count)
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    meta = [("extra", "1")]
+    cfg = from_dict({"output": {"format": fmt}})
+    render = render_json if fmt == "json" else render_csv
+    expected = render(cfg, columns, rows, meta=dict(meta) if fmt == "json" else meta)
+    capsys.readouterr()
+    cli._emit(cli._render(cfg, columns, rows, meta), None)
+    _assert_same_text(capsys.readouterr().out, expected)
+    path = tmp_path / f"out.{fmt}"
+    cli._emit(cli._render(cfg, columns, rows, meta), str(path))
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("argv", [
+    ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
+    ["oracle-compare", "--preset", "static", "--times", "0.5pi", "--dt", "1e-7"],
+], ids=["snapshot-norm", "oracle-dt"])
+@pytest.mark.parametrize("existing", [False, True], ids=["new", "existing"])
+def test_refused_command_leaves_out_file_alone(tmp_path, capsys, argv, existing):
+    path = tmp_path / "out.csv"
+    old = b"# earlier output\n1,2\n"
+    if existing:
+        path.write_bytes(old)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        rc, out, err = run_cli(capsys, argv + ["--out", str(path)])
+    assert rc == 2 and out == "" and err.startswith("error: ")
+    if existing:
+        assert path.read_bytes() == old
+    else:
+        assert not path.exists()
+
+
+class _CountingSink(io.TextIOBase):
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+        return len(text)
+
+
+def test_streamed_csv_holds_a_fraction_of_its_text(monkeypatch):
+    # a 200,000 x 5 table is about 23 MB of text; joining it, as the
+    # whole-text render does, needs more than twice that
+    rows = _random_rows(200_000, 5, 7)
+    sink = _CountingSink()
+    monkeypatch.setattr(sys, "stdout", sink)
+    cfg = RunConfig()
+    tracemalloc.start()
+    try:
+        cli._emit(cli._render(cfg, ["a", "b", "c", "d", "e"], rows, []), None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sink.chars > 20_000_000
+    assert peak < sink.chars / 4, (peak, sink.chars)
 
 
 def test_pi_unit_time_parsing():
@@ -805,6 +882,30 @@ def test_oversized_requests_are_refused(capsys, argv):
     assert rc == 2
     assert out == ""
     assert "more than the cap" in err
+
+
+@pytest.mark.parametrize("argv, count, norm", [
+    (["--b0", "1e150"], 2**20, "0"),
+    (["--grid-points", "2", "--n", "200"], 2, "5.09295"),
+], ids=["huge-b0", "two-points"])
+def test_auto_grid_refuses_a_state_it_cannot_hold(capsys, recwarn, argv, count, norm):
+    # a grid the program chose must hold the state: the huge b0 clamps the
+    # grid at 2^20 points with a step of 4.8e137, two points alias n = 200
+    rc, out, err = run_cli(capsys, ["snapshot", "--preset", "static",
+                                    "--times", "0"] + argv)
+    assert rc == 2 and out == ""
+    assert err == (f"error: the auto grid of {count} points cannot hold the state at "
+                   f"t = 0: its norm there is {norm}, not 1 within 1e-06; set the grid "
+                   "with --half-width and --grid-points\n")
+
+
+def test_explicit_grid_keeps_the_norm_warning(capsys):
+    # an explicit grid is the caller's decision: written, with a warning
+    with pytest.warns(NormDeficitWarning):
+        rc, out, _ = run_cli(capsys, ["snapshot", "--preset", "static", "--times", "0",
+                                      "--grid-points", "16", "--half-width", "2"])
+    assert rc == 0
+    assert abs(float(meta_value(out, "snapshot.0.norm")) - 1.0) > 1e-6
 
 
 # --------------------------------------------------------- oracle-compare
