@@ -35,6 +35,8 @@ from .config import (
     load_config_file,
     parse_pi_times,
     preset,
+    render_csv,
+    render_json,
     to_dict,
     validate,
 )
@@ -239,11 +241,17 @@ def _meta_common(c0: float) -> list[tuple[str, str]]:
 
 
 def _render(cfg: RunConfig, columns, rows, meta_pairs) -> Iterable[str]:
-    """The output text as pieces (header, then blocks of rows), formatted
-    only as ``_emit`` writes them."""
+    """The output text as pieces (header, then blocks of rows), each
+    formatted by one ``render_csv`` / ``render_json`` call as ``_emit``
+    asks for it."""
     if cfg.output.format == "json":
-        return json_pieces(cfg, columns, rows, meta=dict(meta_pairs))
-    return csv_pieces(cfg, columns, rows, meta=meta_pairs)
+        render, meta = render_json, dict(meta_pairs)
+        pieces = json_pieces(cfg, columns, rows, meta=meta)
+    else:
+        render, meta = render_csv, meta_pairs
+        pieces = csv_pieces(cfg, columns, rows, meta=meta)
+    while piece := render(cfg, columns, rows, meta, pieces=pieces):
+        yield piece
 
 
 # --------------------------------------------------------------------------
@@ -550,7 +558,8 @@ def _emit(pieces: Iterable[str], path: str | None):
     """Write a command's output piece by piece as the pieces are formatted,
     to stdout or to ``path``, so the whole text never exists at once.  The
     file is opened only here, after the command has returned, so a command
-    that fails leaves no file."""
+    refused before it returns leaves no file; an interrupt while the pieces
+    are written leaves a partial one."""
     if path is None:
         sys.stdout.writelines(pieces)
         return

@@ -13,9 +13,12 @@ into the ``json.dumps`` text of the rest of the document.
 
 Each writer is a generator of pieces, ``csv_pieces`` and ``json_pieces``:
 the header, then one piece per block of ``_CSV_BLOCK`` rows, formatted
-only when the consumer asks for it.  The command line writes each piece
-to its sink as it comes; ``render_csv`` and ``render_json`` return the
-join of the same pieces as one string.
+only when the consumer asks for it.  ``render_csv`` and ``render_json``
+return the join of the same pieces as one string or, given the pieces
+iterator, format and return only its next piece: the command line writes
+its output that way, one piece per call, so the whole text never exists
+at once and a wrapper of the two names, such as perfbench's tracer, still
+sees all the formatting.
 """
 
 from __future__ import annotations
@@ -390,17 +393,20 @@ def csv_pieces(cfg: RunConfig, columns: list[str], rows,
 
 
 def render_csv(cfg: RunConfig, columns: list[str], rows,
-               meta: list[tuple[str, str]] | None = None) -> str:
+               meta: list[tuple[str, str]] | None = None, *, pieces=None) -> str:
     """CSV with a self-describing comment header: every config field as a
     ``# key = value`` line, optional extra metadata lines, the column
     names, then the data at 17 significant digits.
 
-    The text is the join of ``csv_pieces``, which the command line writes
-    piece by piece instead.  Rows are formatted a block of ``_CSV_BLOCK``
-    rows at a time by one ``%`` operation (``_csv_blocks``); a block
-    column that is constant, or that recurs elsewhere in the table (a
-    snapshot's t and x columns), is formatted once.  The bytes equal a
-    per-value ``f"{float(v):.17g}"`` join."""
+    The text is the join of ``csv_pieces``.  Given ``pieces``, an iterator
+    from ``csv_pieces`` over the same arguments, only its next piece is
+    formatted and returned ("" once it is spent).  Rows are formatted a
+    block of ``_CSV_BLOCK`` rows at a time by one ``%`` operation
+    (``_csv_blocks``); a block column that is constant, or that recurs
+    elsewhere in the table (a snapshot's t and x columns), is formatted
+    once.  The bytes equal a per-value ``f"{float(v):.17g}"`` join."""
+    if pieces is not None:
+        return next(pieces, "")
     return "".join(csv_pieces(cfg, columns, rows, meta))
 
 
@@ -444,9 +450,12 @@ def json_pieces(cfg: RunConfig, columns: list[str], rows, meta: dict | None = No
 
 
 def render_json(cfg: RunConfig, columns: list[str], rows,
-                meta: dict | None = None) -> str:
+                meta: dict | None = None, *, pieces=None) -> str:
     """The document {columns, config, meta, rows} exactly as
     ``json.dumps(doc, sort_keys=True, indent=2)`` writes it, with floats as
-    shortest round-trip text: the join of ``json_pieces``, which the
-    command line writes piece by piece instead."""
+    shortest round-trip text: the join of ``json_pieces``.  Given
+    ``pieces``, an iterator from ``json_pieces`` over the same arguments,
+    only its next piece is formatted and returned ("" once it is spent)."""
+    if pieces is not None:
+        return next(pieces, "")
     return "".join(json_pieces(cfg, columns, rows, meta))

@@ -560,6 +560,29 @@ def test_streamed_output_equals_rendered_text(tmp_path, capsys, fmt, count):
     assert path.read_bytes() == expected.encode("utf-8")
 
 
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_each_streamed_piece_comes_from_a_render_call(monkeypatch, fmt):
+    # one render_csv / render_json call per piece, so a wrapper of those
+    # two names sees every formatted byte
+    rows = _edge_table(4097)
+    columns = [f"c{j}" for j in range(rows.shape[1])]
+    meta = [("extra", "1")]
+    cfg = from_dict({"output": {"format": fmt}})
+    name = "render_json" if fmt == "json" else "render_csv"
+    render = getattr(cli, name)
+    returned = []
+
+    def spy(*args, **kwargs):
+        returned.append(render(*args, **kwargs))
+        return returned[-1]
+
+    monkeypatch.setattr(cli, name, spy)
+    pieces = list(cli._render(cfg, columns, rows, meta))
+    assert len(pieces) >= 3 and returned == pieces + [""]
+    _assert_same_text("".join(pieces),
+                      render(cfg, columns, rows, dict(meta) if fmt == "json" else meta))
+
+
 @pytest.mark.parametrize("argv", [
     ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
     ["oracle-compare", "--preset", "static", "--times", "0.5pi", "--dt", "1e-7"],

@@ -7,7 +7,8 @@ Runs one fixed list of command lines (``COMMANDS``) with each tree's
 per command: whether stdout (by SHA-256), stderr and the exit status
 match.  A command that names ``OUT`` writes through ``--out`` to one
 fixed temporary path for both trees, so the ``output.path`` header
-agrees, and the file's bytes (or its absence) are compared as well.  Each tree's own path is replaced by ``TREE`` in stderr before the
+agrees, and the file's bytes (or its absence) are compared as well.
+Each tree's own path is replaced by ``TREE`` in stderr before the
 comparison, so warnings that name a source file compare equal when only
 the checkout differs.  Where stdout differs, every numeric report or
 metadata field that differs is printed with its largest absolute
