@@ -19,6 +19,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 import threading
 from collections.abc import Iterable
@@ -596,7 +597,15 @@ def main(argv=None) -> int:
             pieces, ok = run_oracle_compare(cfg, dt=dt, tolerance=args.tolerance)
         else:  # pragma: no cover - argparse enforces the choices
             raise ConfigError(f"unknown command {args.command!r}")
-        _emit(pieces, cfg.output.path)
+        try:
+            _emit(pieces, cfg.output.path)
+        except BrokenPipeError:
+            # the reader stopped early (``| head``); point stdout at the null
+            # device so the interpreter's final flush does not fail again
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            return 1
         return 0 if ok else 1
     except (ConfigError, UnknownPreset) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -340,7 +340,9 @@ def level_energies(ptraj: PolarTrajectory, frame: TrainFrame, table: np.ndarray,
     quad, lin, const = _phase_rate(replace(frame.spec, n=0), *args)
     theta_x = quad * x * x - lin * x
     weight = step * math.sqrt(frame.spec.c0) / frame.rho
-    sums = np.array([np.dot(h * theta_x, h) for h in table])
+    # einsum, not np.dot: a threaded BLAS dot on these rows wakes a thread
+    # pool that then spins beside the PDE worker of the verify battery
+    sums = np.array([np.einsum("i,i->", h * theta_x, h) for h in table])
     consts = const - np.arange(len(table)) * args[3]
     return -weight * sums - consts * np.diagonal(gram)[:len(table)]
 

@@ -629,6 +629,22 @@ def test_streamed_csv_holds_a_fraction_of_its_text(monkeypatch):
     assert peak < sink.chars / 4, (peak, sink.chars)
 
 
+def test_reader_that_stops_early_ends_the_command_quietly():
+    # ``| head``: the reader closes the pipe after one line; the command
+    # exits 1 without a traceback
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    proc = subprocess.Popen([sys.executable, "-m", "wavetrains.cli", "snapshot",
+                             "--preset", "fig2-soliton", "--times", "0,1pi"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                            env=dict(os.environ, PYTHONPATH=src))
+    with proc, proc.stderr:
+        assert proc.stdout.readline().startswith(b"# ")
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    assert err == b""
+
+
 def test_pi_unit_time_parsing():
     assert tuple(parse_pi_times("0,0.5pi,2pi")) == (0.0, 0.5 * math.pi,
                                                     2.0 * math.pi)

@@ -1,5 +1,6 @@
 """Property tests: the time grammar, the commensurate step count, the
-spatial grid builder and the strict config parser over generated inputs."""
+spatial grid builder, the strict config parser and the CSV writer's
+``%.17g`` kernel over generated inputs."""
 
 import dataclasses
 import io
@@ -17,6 +18,7 @@ from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_gr
 from wavetrains.cli import _commensurate_count, _sample_indices, main
 from wavetrains.config import (
     _GROUPS,
+    _g17_text,
     MAX_N,
     PRESET_NAMES,
     from_dict,
@@ -161,3 +163,37 @@ def test_non_finite_config_values_are_refused_with_exit_2(key, value):
             rc = main(["classical", "--config", fh.name])
     assert rc == 2 and out.getvalue() == ""
     assert err.getvalue().startswith(f"error: {group}.{name} must be finite")
+
+
+def _g17_strings(values) -> list[str]:
+    """The CSV kernel's text of each value, absent bytes dropped."""
+    col = np.asarray(values, dtype=float)
+    out = np.empty((len(col), 4), dtype=np.uint64)
+    _g17_text(col, out)
+    return [row[row != 0].tobytes().decode("ascii") for row in out.view(np.uint8)]
+
+
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=64),
+       st.lists(st.floats(allow_subnormal=True), max_size=16))
+def test_g17_text_is_percent_17g(bits, floats):
+    # raw 64-bit patterns reach every exponent, subnormals, -0.0, NaN
+    # payloads and the infinities
+    values = np.array(bits, dtype=np.uint64).view(np.float64).tolist() + floats
+    assert _g17_strings(values) == ["%.17g" % v for v in values]
+
+
+def test_g17_text_sweep_of_decades_and_switches():
+    # every power of ten, where the first guess of E is off by one, the
+    # switches between fixed and scientific layout, the subnormal and
+    # normal edges and the largest double, each with both neighbours
+    edges = [float(f"1e{k}") for k in range(-323, 309)] + [
+        1e-5, 1e-4, 1e16, 1e17, 5e-324, 2.2250738585072014e-308,
+        1.7976931348623157e308, 1278675322477191.75]
+    values = np.array(edges)
+    with np.errstate(over="ignore"):  # past the largest double is infinity
+        above = np.nextafter(values, np.inf)
+    values = np.concatenate([values, np.nextafter(values, 0), above])
+    values = np.concatenate([values, -values]).tolist()
+    assert _g17_strings(values) == ["%.17g" % v for v in values]
+    # an exact halfway case rounds to even
+    assert _g17_strings([1278675322477191.75]) == ["1278675322477191.8"]

@@ -417,6 +417,24 @@ def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_pola
         assert np.all(np.abs(energies - levels) <= 1e-13 * np.abs(levels))
 
 
+def test_level_energies_do_not_call_blas_dot(collapse_polar, monkeypatch):
+    # a BLAS dot wakes OpenBLAS's thread pool, which then spins beside the
+    # verify battery's PDE worker; the weighted sums stay in einsum
+    def refuse(*args, **kwargs):
+        raise AssertionError("numpy.dot reached")
+
+    spec = TrainSpec(n=4, b0=0.02, c0=collapse_polar.c0)
+    grid = auto_space_grid(collapse_polar, TrainSpec(n=8, b0=0.02, c0=collapse_polar.c0))
+    frame = train_frame(collapse_polar, spec, float(_sample_times(collapse_polar, 3)[1]))
+    xw = grid.points()[live_window(frame, grid)]
+    table = hermite_table(8, xi_of(frame, xw))
+    gram = gram_matrix(frame, table, grid.step)
+    expected = level_energies(collapse_polar, frame, table, xw, grid.step, gram)
+    monkeypatch.setattr(np, "dot", refuse)
+    got = level_energies(collapse_polar, frame, table, xw, grid.step, gram)
+    assert np.array_equal(got, expected)
+
+
 def _assert_live_window(frame, grid):
     # the full-grid table is exactly 0.0 outside the live window, and the
     # table written on the window into a wider buffer is the full-grid one

@@ -61,6 +61,9 @@ COMMANDS = [
     ["snapshot", "--preset", "static", "--b0", "1e150", "--times", "0"],
     ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
     ["snapshot", "--preset", "fig3-collapse", "--times", "0,1pi,2pi", "--out", OUT],
+    # values down to the e-300s and 5e-324 in the tails of a wide box
+    ["snapshot", "--preset", "static", "--times", "0,0.25pi", "--grid-points", "16384",
+     "--half-width", "40", "--out", OUT],
     ["snapshot", "--preset", "fig2-soliton", "--format", "json", "--out", OUT],
     ["classical", "--preset", "static", "--samples", "4097", "--out", OUT],
     ["verify", "--preset", "fig2-soliton", "--out", OUT],
