@@ -5,11 +5,10 @@ A config file is a JSON object whose groups and keys mirror ``RunConfig``
 field for field; unknown keys at any level are errors, missing keys keep
 their defaults.  Rendering is bit-deterministic: floats are written with
 17 significant digits (CSV) or shortest round-trip (JSON), keys are
-emitted in sorted order.  The CSV writer's digits come from a numpy
-kernel, ``_g17_text``, that writes the exact ``'%.17g' % v`` text of a
-whole column as bytes: the 17 digits are rounded from a double-double
-product with the power of ten (Dekker), values within 1e-9 of a rounding
-tie and non-finite values take Python's own text.  It formats each
+emitted in sorted order.  The CSV writer's text comes from ``g17.text``,
+a numpy kernel that writes the exact ``'%.17g' % v`` text of a whole
+column as bytes (module ``g17``, imported on the first CSV written so
+that the package's import does not compile it).  It formats each
 distinct column block once: a snapshot's t column (one value per time)
 and its x column (one grid, repeated for every time) are not formatted
 again per row.  The JSON writer renders its rows in blocks of float text
@@ -29,7 +28,6 @@ sees all the formatting.
 from __future__ import annotations
 
 import dataclasses
-import functools
 import json
 import math
 import types
@@ -337,205 +335,19 @@ def _column_keys(block: np.ndarray) -> list[int | None]:
             for col, bits in zip(block.T, block.T.view(np.int64))]
 
 
-class _Pow10:
-    """10^s = (hi + lo) 2^k with hi in [1, 2] and |lo| <= ulp(hi) / 2, for
-    the s = 16 - E of every double (E = -325 .. 309 counts the corrections
-    of ``_g17_digits``).  An entry is filled on first need from exact
-    integers (``int / int`` true division rounds correctly), so a block
-    pays only for the decades it holds.  ``hi_hi + hi_lo`` is the Veltkamp
-    split of hi for Dekker's product."""
-
-    S_MIN, S_MAX = -293, 341
-
-    def __init__(self):
-        size = self.S_MAX - self.S_MIN + 1
-        self.filled = np.zeros(size, dtype=bool)
-        self.k = np.zeros(size, dtype=np.int32)  # ldexp's own exponent type
-        self.hi, self.lo, self.hi_hi, self.hi_lo = np.zeros((4, size))
-
-    def lookup(self, s: np.ndarray):
-        """(k, hi, lo, hi_hi, hi_lo) arrays for the exponents ``s``."""
-        idx = s - self.S_MIN
-        if not self.filled[idx].all():
-            for i in set(idx[~self.filled[idx]].tolist()):  # np.unique would import numpy.ma
-                self._fill(i)
-        return (self.k[idx], self.hi[idx], self.lo[idx],
-                self.hi_hi[idx], self.hi_lo[idx])
-
-    def _fill(self, i: int):
-        s = i + self.S_MIN
-        if s >= 0:
-            k = (10**s).bit_length() - 1
-            num, den = 10**s, 1 << k
-        else:
-            k = -(10**-s).bit_length()
-            num, den = 1 << -k, 10**-s
-        hi = num / den
-        a, b = hi.as_integer_ratio()
-        split = 134217729.0 * hi
-        hi_hi = split - (split - hi)
-        self.k[i], self.hi[i], self.hi_hi[i], self.hi_lo[i] = k, hi, hi_hi, hi - hi_hi
-        self.lo[i] = (num * b - a * den) / (den * b)
-        self.filled[i] = True
-
-
-@functools.cache
-def _pow10() -> _Pow10:
-    return _Pow10()
-
-
-_TIE_WINDOW = 1e-9
-_ZEROS = np.uint64(0x3030303030303030)  # eight ASCII "0"
-
-
-def _scaled(a: np.ndarray, e: np.ndarray):
-    """floor(a 10^(16-e)) as int64 and the fraction above it, from the
-    double-double 10^s by Dekker's exact product w hi = p + err."""
-    k, hi, lo, hi_hi, hi_lo = _pow10().lookup(16 - e)
-    w = np.ldexp(a, k)  # exact: w is near 10^16 / hi, a normal double
-    p = w * hi
-    split = w * 134217729.0
-    w_hi = split - (split - w)
-    w_lo = w - w_hi
-    err = ((w_hi * hi_hi - p) + w_hi * hi_lo + w_lo * hi_hi) + w_lo * hi_lo
-    rest = err + w * lo
-    whole = np.floor(rest)
-    # p is an integer when p >= 2^53; below 10^16 the floor only has to
-    # land below 10^16, which truncation keeps
-    return p.astype(np.int64) + whole.astype(np.int64), rest - whole
-
-
-def _g17_digits(a: np.ndarray):
-    """The 17 significant digits D and decimal exponent E of each positive
-    finite ``a``, a = D 10^(E-16) rounded half-even, and a mask of the
-    values the kernel decides exactly.
-
-    E starts as floor(log10 a) and is corrected by one where floor(a
-    10^(16-E)) falls outside [10^16, 10^17); a D that rounds up to 10^17 is
-    renormalised to 10^16 with E + 1.  The product a 10^s is carried as
-    the exact p + err of w hi plus w lo, so the computed value is within
-    1e-14 of a unit in the 17th digit: hi + lo is within 2^-105 of
-    10^s 2^-k, which moves a product below 2^57 by less than 2^-48, and
-    rounding w lo and err + w lo adds less than 2^-48 more.  Outside a
-    1e-9 window around a rounding tie the direction is therefore certain;
-    values inside the window, exact halfway cases among them, are marked
-    inexact for ``'%.17g' % v``."""
-    with np.errstate(divide="ignore"):
-        e = np.floor(np.log10(a)).astype(np.int64)
-    low, frac = _scaled(a, e)
-    wrong = (low < 10**16) | (low >= 10**17)
-    if wrong.any():
-        e[wrong] += np.where(low[wrong] < 10**16, -1, 1)
-        low[wrong], frac[wrong] = _scaled(a[wrong], e[wrong])
-    digits = low + (frac > 0.5)
-    top = digits == 10**17
-    digits[top] = 10**16
-    e += top
-    return digits, e, np.abs(frac - 0.5) >= _TIE_WINDOW
-
-
-@functools.cache
-def _text_tables():
-    """Tables of ``_g17_text``, built on first use.  A 24-byte string is
-    three little-endian uint64 words, byte j in word j // 8.
-
-    * ``quads``: the four ASCII digits of each integer below 10^4, the
-      first digit in the low byte;
-    * ``low``: per count c = 0 .. 24, the three words that keep bytes
-      [0, c);
-    * ``gap``: the bytes inserted into the digits: none (row 0), a point
-      at byte c (row c, 1 .. 17), or "0." and the zeros of 0.000ddd ahead
-      of the digits (row 17 - E, E = -1 .. -4);
-    * ``exp``: "e+XX" / "e-XXX" at bytes 3 .. 7 of a word, for E = -325
-      .. 309 at row E + 325, and an empty last row."""
-    q = np.arange(10_000)[:, None] // np.array([1000, 100, 10, 1]) % 10 + ord("0")
-    quads = (q.astype(np.uint64) << np.arange(0, 32, 8, dtype=np.uint64)).sum(axis=1)
-
-    def words(strings):
-        raw = b"".join(s.ljust(24, b"\0") for s in strings)
-        return np.frombuffer(raw, dtype="<u8").reshape(-1, 3).T.copy()
-
-    low = words(b"\xff" * c for c in range(25))
-    gap = words([b""] + [b"\0" * c + b"." for c in range(1, 18)]
-                + [b"0." + b"0" * (-e - 1) for e in (-1, -2, -3, -4)])
-    exp = np.array([int.from_bytes(b"e%+03d" % e, "little") << 24 for e in range(-325, 310)]
-                   + [0], dtype=np.uint64)
-    return quads, low, gap, exp
-
-
-def _g17_text(col: np.ndarray, out: np.ndarray):
-    """Write the ``'%.17g' % v`` text of each value of ``col`` into ``out``,
-    four uint64 words per value, absent bytes 0: a sign word ("-" in its
-    last byte, its first byte left free for the separator ahead of the
-    value), then a 24-byte string, byte j in word 1 + j // 8:
-
-        digits, a point after the first E + 1   (0 <= E < 17)
-        0. zeros of 0.000ddd digits              (-4 <= E < 0)
-        d.ddd in bytes 0 .. 17, e+XX in 19 .. 23 (otherwise)
-
-    Trailing fraction zeros and a point with nothing after it are absent,
-    as ``%g`` drops them.  Non-finite values and near-ties take Python's
-    own text."""
-    quads, low, gap, exp = _text_tables()
-    a = np.abs(col)
-    out[:, 0] = np.signbit(col) * np.uint64(ord("-") << 56)
-    out[:, 1] = (a == 0) * np.uint64(ord("0"))
-    out[:, 2:] = 0
-    # only the finite non-zero values go through the digits
-    regular = np.flatnonzero((a > 0) & (a < math.inf))
-    digits, e, exact = _g17_digits(a[regular])
-    # digit i at byte i: d0 .. d7 (q0) in x[0], d8 .. d15 (q1) in x[1], d16 in x[2]
-    q0 = digits // 10**9
-    q1 = (digits - q0 * 10**9) // 10
-    d16 = digits - q0 * 10**9 - q1 * 10
-    x = []
-    for q in (q0, q1):
-        top = q // 10_000
-        x.append(quads[top] | (quads[q - top * 10_000] << np.uint64(32)))
-    x.append(d16.astype(np.uint64) + np.uint64(ord("0")))
-    # bytes up to the last non-zero digit, from the bit length of the
-    # string with "0" -> 0 held in a float: its top bytes are at most 9,
-    # so rounding cannot carry it to the next power of two
-    string = (d16 * 2.0**128 + (x[1] ^ _ZEROS).astype(float) * 2.0**64
-              + (x[0] ^ _ZEROS).astype(float))
-    significant = (np.frexp(string)[1] + 7) >> 3
-    fixed = (e >= -4) & (e < 17)
-    small = (e >= -4) & (e < 0)
-    lead = np.where(fixed, np.maximum(e + 1, 0), 1)  # digits before the point
-    keep = np.maximum(significant, lead)
-    x = [w & m[keep] for w, m in zip(x, low)]
-    # open a gap at byte ``lead``: one byte for the point, or 1 - E bytes
-    # at byte 0 for "0." and the zeros
-    below = [w & m[lead] for w, m in zip(x, low)]
-    above = [w ^ b for w, b in zip(x, below)]
-    up = np.where(small, 8 - 8 * e, 8).astype(np.uint64)
-    down = np.uint64(64) - up
-    above = [above[0] << up, (above[1] << up) | (above[0] >> down),
-             (above[2] << up) | (above[1] >> down)]
-    row = np.where(small, 17 - e, (keep > lead) * lead)
-    x = [b | u | g[row] for b, u, g in zip(below, above, gap)]
-    x[2] |= exp[np.where(fixed, len(exp) - 1, e + 325)]
-    for j, w in enumerate(x, 1):
-        out[regular, j] = w
-    redo = ~np.isfinite(a)
-    redo[regular] = ~exact
-    for i in np.flatnonzero(redo).tolist():
-        value = ("%.17g" % col[i]).encode("ascii")
-        out[i] = 0
-        out[i, 1:].view(np.uint8)[:len(value)] = np.frombuffer(value, dtype=np.uint8)
-
-
 def _csv_blocks(data: np.ndarray):
     """Yield the data lines of a 2-D float array, ``_CSV_BLOCK`` rows per
     string, each line ended by its newline.
 
-    A block is laid out as the ``_g17_text`` words of its values, row by
+    A block is laid out as the ``g17.text`` words of its values, row by
     row, with each separator in the free first byte of the next value's
     sign word and a last word for the final newline; one compaction drops
     the absent (0) bytes.  A constant column is formatted once per
     distinct value and broadcast, and a column whose bytes recur elsewhere
     in the table (counted by hash in a pre-pass) is formatted once and held
     in a memo keyed by its full bytes until its last use."""
+    from . import g17  # here, not at the top: only a CSV needs it
+
     blocks = [data[s:s + _CSV_BLOCK] for s in range(0, len(data), _CSV_BLOCK)]
     keys = [_column_keys(block) for block in blocks]
     uses = Counter(h for row in keys for h in row if h is not None)
@@ -547,7 +359,7 @@ def _csv_blocks(data: np.ndarray):
         text = cache.get(key)
         if text is None:
             text = cache[key] = np.empty((len(col), 4), dtype=np.uint64)
-            _g17_text(col, text)
+            g17.text(col, text)
         return text
 
     for block, row in zip(blocks, keys):
@@ -557,7 +369,7 @@ def _csv_blocks(data: np.ndarray):
             if h is None:
                 table[:, j] = formatted(col[:1], constants, col[:1].tobytes())
             elif uses[h] == 1:
-                _g17_text(col, table[:, j])
+                g17.text(col, table[:, j])
             else:
                 key = col.tobytes()
                 table[:, j] = formatted(col, memo, key)
@@ -594,7 +406,7 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
     from ``csv_pieces`` over the same arguments, only its next piece is
     formatted and returned ("" once it is spent).  Rows are formatted a
     block of ``_CSV_BLOCK`` rows at a time (``_csv_blocks``), each column
-    by the numpy kernel ``_g17_text``; a block column that is constant, or
+    by the numpy kernel ``g17.text``; a block column that is constant, or
     that recurs elsewhere in the table (a snapshot's t and x columns), is
     formatted once.  The bytes equal a per-value ``f"{float(v):.17g}"``
     join."""

@@ -890,6 +890,17 @@ def test_sample_selection_does_not_import_numpy_ma():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_leaves_the_csv_kernel_uncompiled():
+    # the package sources are compiled on every start when no bytecode is
+    # written; the CSV kernel is imported by the first CSV, not by the CLI
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    code = "import sys, wavetrains.cli\nprint('wavetrains.g17' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
 def test_verify_passes_on_smallest_resolving_grid(capsys):
     # 32 points over [-6, 6) resolve the n = 8 check state: the
     # rectangle-rule norm is within 4e-7 of 1

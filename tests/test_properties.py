@@ -14,11 +14,10 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, strategies as st
 
-from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_grid, numerics
+from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_grid, g17, numerics
 from wavetrains.cli import _commensurate_count, _sample_indices, main
 from wavetrains.config import (
     _GROUPS,
-    _g17_text,
     MAX_N,
     PRESET_NAMES,
     from_dict,
@@ -169,7 +168,7 @@ def _g17_strings(values) -> list[str]:
     """The CSV kernel's text of each value, absent bytes dropped."""
     col = np.asarray(values, dtype=float)
     out = np.empty((len(col), 4), dtype=np.uint64)
-    _g17_text(col, out)
+    g17.text(col, out)
     return [row[row != 0].tobytes().decode("ascii") for row in out.view(np.uint8)]
 
 
