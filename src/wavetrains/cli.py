@@ -53,7 +53,8 @@ from .mathieu import (
     require_picard_budget,
     solve_classical,
 )
-from .numerics import UniformGrid, build_space_grid, require_samples
+from . import numerics
+from .numerics import UniformGrid, build_space_grid, require_samples, require_step
 from .splitstep import (
     PropagatorConfig,
     aliasing_dt_bound,
@@ -400,15 +401,22 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
 # --------------------------------------------------------------------------
 # verify battery
 
-def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r):
-    """The classical, polar and coefficient-ODE residual checks, on the
-    trajectory refined to ``step_r`` if that is finer.  The refined one lives only
-    inside this call, so it is freed before the battery's spatial stages."""
-    if step_r < traj.grid.step:
-        traj = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), step_r)
+def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec,
+                     step_a: float, step_c: float):
+    """The classical, polar and coefficient-ODE residual checks on one
+    trajectory, refined to ``step_a`` if that is finer: the coefficient ODEs
+    on every sample, the classical and polar equations on every m-th, m the
+    number of samples within ``step_c`` (at least 1, and at most what leaves
+    6 samples).  The refined one lives only inside this call, so it is freed
+    before the battery's spatial stages."""
+    if step_a < traj.grid.step:
+        traj = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), step_a)
         ptraj = polar_decompose(traj)
-    check("mathieu-residual", mathieu_residual(traj, relative=True), 1e-4)
-    polar_res = polar_ode_residuals(ptraj, relative=True)
+    grid = traj.grid
+    m = max(1, min(math.floor(step_c / grid.step), (grid.count - 1) // 5))
+    sub = None if m == 1 else UniformGrid(0.0, m * grid.step, (grid.count - 1) // m + 1)
+    check("mathieu-residual", mathieu_residual(traj, sub, relative=True), 1e-4)
+    polar_res = polar_ode_residuals(ptraj, sub, relative=True)
     check("polar-theta-residual", polar_res["theta"], 1e-4)
     check("polar-rho-residual", polar_res["rho"], 1e-4)
     eq4 = verify_eq4(ptraj, spec, relative=True)
@@ -416,44 +424,40 @@ def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r
         check(f"coeff-{key}-residual", eq4[key], 1e-4)
 
 
-def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step_r,
-                       pic_grid: UniformGrid):
-    """Every check of the battery but the PDE comparison, in report order."""
-    t_final = cfg.time.t_final
-    # classical conservation
-    check("first-integral-drift", ptraj.max_c0_drift, 1e-8)
-
-    _residual_checks(check, cfg, traj, ptraj, spec, step_r)
-
-    # Picard vs RK4 on a shared grid
-    pic = picard_iterate(traj.params, traj.init, cfg.solver.iterations, pic_grid)
-    rk = solve_classical(traj.params, traj.init, (0.0, t_final), pic_grid.step)
-    sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
-              float(np.max(np.abs(pic.phi2 - rk.phi2))))
-    amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
-    check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp))
-
-    # quantum-state checks on 11 times, each from one Hermite table h_0..h_8
-    # of xi(x) in one buffer, on the live window of the check grid (exact
-    # zeros outside): its Gram matrix gives the norm and the overlaps, rows
-    # 0..7 the energy ladder E_0..E_7
+def _state_checks(check, cfg: RunConfig, ptraj, spec: TrainSpec):
+    """The quantum-state checks on 11 times, each from the Hermite table
+    h_0..h_8 of xi(x) on the live window of the check grid (exact zeros
+    outside), walked in blocks of ``numerics.RESIDUAL_BLOCK`` columns: the
+    blocks' Gram matrices add up to the window's, which gives the norm and
+    the overlaps, and so do their energies E_0..E_7 from rows 0..7.  Only
+    the window's h_n row is kept whole, for the node count."""
     grid_spec = TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0)
     grid = _space_grid(cfg, ptraj, grid_spec)
-    x = grid.points()
-    buf = np.empty((9, grid.count))
+    block = numerics.RESIDUAL_BLOCK
+    buf = np.empty((9, min(block, grid.count)))
     worst_norm = worst_cross = worst_aff = 0.0
     worst_nodes = 0
     for tv in ptraj.t[_sample_indices(ptraj.grid.count, 11)]:
         frame = train_frame(ptraj, spec, float(tv))
-        xw = x[live_window(frame, grid)]
-        xi = xi_of(frame, xw)
-        table = hermite_table(8, xi, out=buf[:, :len(xw)])
-        gram = gram_matrix(frame, table, grid.step)
+        live = live_window(frame, grid)
+        h_n = np.empty(live.stop - live.start)
+        gram, energies, norm = np.zeros((9, 9)), np.zeros(8), 0.0
+        for a in range(live.start, live.stop, block):
+            b = min(a + block, live.stop)
+            cols = slice(a - live.start, b - live.start)
+            x = grid.start + np.arange(a, b) * grid.step  # as grid.points() has it
+            xi = xi_of(frame, x)
+            table = hermite_table(8, xi, out=buf[:, :len(x)])
+            block_gram = gram_matrix(frame, table, grid.step)
+            gram += block_gram
+            energies += level_energies(ptraj, frame, table[:8], x, grid.step, block_gram)
+            if spec.n <= 8:
+                h_n[cols] = table[spec.n]
+            else:
+                h_n[cols] = h = hermite_scaled(spec.n, xi)
+                norm += gram_matrix(frame, h[np.newaxis], grid.step)[0, 0]
         if spec.n <= 8:
-            h_n, norm = table[spec.n], gram[spec.n, spec.n]
-        else:
-            h_n = hermite_scaled(spec.n, xi)
-            norm = gram_matrix(frame, h_n[np.newaxis], grid.step)[0, 0]
+            norm = gram[spec.n, spec.n]
         worst_norm = max(worst_norm, abs(float(norm) - 1.0))
         # nodes of h_n(xi(x)) on the checked grid: fewer than n when the
         # grid does not resolve the packet
@@ -462,13 +466,32 @@ def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec, step
         worst_cross = max(worst_cross, float(np.max(cross)))
         # energy affinity: differences E_{m+1} - E_m are m-independent; a
         # ladder with no spacing (the state off the grid) reads 1.0
-        diffs = np.diff(level_energies(ptraj, frame, table[:8], xw, grid.step, gram))
+        diffs = np.diff(energies)
         spread = float(np.max(np.abs(diffs - diffs[0])))
         worst_aff = max(worst_aff, spread / abs(diffs[0]) if diffs[0] else 1.0)
     check("normalization", worst_norm, 1e-6)
     check("node-count", worst_nodes, 0)
     check("orthogonality", worst_cross, 1e-6)
     check("energy-affinity", worst_aff, 1e-6)
+
+
+def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec,
+                       step_a: float, step_c: float, pic_grid: UniformGrid):
+    """Every check of the battery but the PDE comparison, in report order."""
+    # classical conservation
+    check("first-integral-drift", ptraj.max_c0_drift, 1e-8)
+
+    _residual_checks(check, cfg, traj, ptraj, spec, step_a, step_c)
+
+    # Picard vs RK4 on a shared grid
+    pic = picard_iterate(traj.params, traj.init, cfg.solver.iterations, pic_grid)
+    rk = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), pic_grid.step)
+    sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
+              float(np.max(np.abs(pic.phi2 - rk.phi2))))
+    amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
+    check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp))
+
+    _state_checks(check, cfg, ptraj, spec)
 
 
 def _battery(cfg: RunConfig) -> dict:
@@ -503,14 +526,18 @@ def _battery(cfg: RunConfig) -> dict:
     dt = _auto_dt(ptraj.params, pgrid, horizon, (horizon,))
     # the residual checks' trajectory is refined until the fastest coefficient
     # phase (a_n's, at up to max|dtheta| (1/2 + n + b0^2/(2 c0))) advances at
-    # most 0.015 rad per step, well below a radian for finite differencing; the
-    # factor is floored at its n = 4 value, since the c, b, e, f and polar
-    # residuals do not depend on n and a low n must not coarsen their step.
-    omega = float(np.max(np.abs(ptraj.dtheta))) \
-        * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)
-    step_r = min(cfg.solver.rk4_step, 0.015 / omega)
-    require_samples(t_final / step_r + 1.0, "the classical solve")
-    pic_grid = UniformGrid(0.0, t_final / 8192, 8193)
+    # most 0.06 rad per step, well resolved by fourth-order differences; the
+    # factor is floored at its n = 4 value, since the c, b, e, f residuals do
+    # not depend on n and a low n must not coarsen their step.  The classical
+    # and polar residuals take the step of the floor alone: neither n nor b0
+    # enters their equations, and a finer step only lifts their rounding
+    # floor, about eps/h^2 for a second difference.
+    rate = float(np.max(np.abs(ptraj.dtheta)))
+    step_a = min(cfg.solver.rk4_step,
+                 0.06 / (rate * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)))
+    step_c = min(cfg.solver.rk4_step, 0.06 / (rate * 4.5))
+    require_samples(t_final / step_a + 1.0, "the classical solve")
+    pic_grid = UniformGrid(0.0, require_step(t_final / 8192, "the Picard grid"), 8193)
     require_picard_budget(cfg.solver.iterations, pic_grid.count)
     oracle: list = []
     cancel = threading.Event()
@@ -524,7 +551,7 @@ def _battery(cfg: RunConfig) -> dict:
     worker = threading.Thread(target=run_oracle, name="pde-oracle")
     worker.start()
     try:
-        _checks_before_pde(check, cfg, traj, ptraj, spec, step_r, pic_grid)
+        _checks_before_pde(check, cfg, traj, ptraj, spec, step_a, step_c, pic_grid)
     except BaseException:
         cancel.set()
         raise

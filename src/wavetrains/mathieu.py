@@ -348,15 +348,18 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
                            c0=traj.c0, max_c0_drift=traj.max_c0_drift)
 
 
-def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[str, float]:
+def polar_ode_residuals(ptraj: PolarTrajectory, t_grid: UniformGrid | None = None,
+                        relative: bool = False) -> dict[str, float]:
     """Max residuals of the polar equations of motion in ``ptraj.params``,
 
         theta'' + 2 theta' rho' / rho = 0,
         rho''  - rho theta'^2 + k(t) rho = 0,
 
-    with the second derivatives taken by central differences on the
-    sampled theta and rho (first derivatives are the stored algebraic
-    ones).  Converges to zero at second order as the grid refines.
+    with the second derivatives taken by fourth-order central differences
+    on the sampled theta and rho (first derivatives are the stored
+    algebraic ones).  Converges to zero at fourth order as the grid
+    refines.  ``t_grid`` defaults to the trajectory's own grid; a coarser
+    grid must hit trajectory samples exactly.
 
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
@@ -375,18 +378,21 @@ def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[
         # by them alone would compare noise to noise
         yield "theta", (theta_dd + coupling, theta_dd, coupling, dtheta**2)
         yield "rho", (rho_dd - drive + restore, drive, restore)
-    return residual_maxima(ptraj.grid, window, relative)
+    return residual_maxima(ptraj.grid, window, relative, t_grid)
 
 
-def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
+def mathieu_residual(traj: Trajectory, t_grid: UniformGrid | None = None,
+                     relative: bool = False) -> float:
     """Sup norm of phi'' + k(t) phi over both components, k of ``traj.params``,
-    phi'' by central differences: O(V^(k+1)) plus quadrature and differencing
-    error for a k-th Picard iterate.  With ``relative=True`` each component's
-    residual is divided by its own max |k(t) phi| before the larger is taken.
+    phi'' by fourth-order central differences: O(V^(k+1)) plus quadrature and
+    differencing error for a k-th Picard iterate.  ``t_grid`` defaults to the
+    trajectory's own grid; a coarser grid must hit trajectory samples exactly.
+    With ``relative=True`` each component's residual is divided by its own
+    max |k(t) phi| before the larger is taken.
     Swept by ``residual_maxima``, so memory stays bounded."""
     def window(rows, t, sub):
         k = traj.params.k(t)
         for name, comp in (("phi1", traj.phi1[rows]), ("phi2", traj.phi2[rows])):
             kc = k * comp
             yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
-    return max(residual_maxima(traj.grid, window, relative).values())
+    return max(residual_maxima(traj.grid, window, relative, t_grid).values())

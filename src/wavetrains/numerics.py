@@ -3,7 +3,7 @@
 Two quadratures with separate jobs: cumulative Simpson for time
 integrals, and the rectangle rule ``field_integral`` for every spatial
 integral of a decaying field (norms, overlaps, distances).  Also
-second-order central differences, uniform-grid construction with its
+fourth-order central differences, uniform-grid construction with its
 sample cap ``MAX_SAMPLES``, and ``residual_maxima``, the one halo-windowed
 sweep of all residual checks (RK4 step matrices live in ``mathieu``).
 Everything here is a pure function of its inputs; the record types are frozen.
@@ -18,6 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
+    ConfigError,
     GridMismatch,
     InvalidCount,
     NonFiniteValue,
@@ -29,7 +30,8 @@ from .errors import (
 # 2 GB at the classical solver's 128 B per step.
 MAX_SAMPLES = 2**24
 
-# Samples per window of a residual sweep (``halo_windows``).
+# Samples per window of a residual sweep (``halo_windows``), and columns
+# per block of the verify battery's state checks.
 RESIDUAL_BLOCK = 2**16
 
 
@@ -40,6 +42,15 @@ def require_samples(count: float, what: str):
         raise TooManySamples(
             f"{what} needs {count:.4g} samples, more than the cap of {MAX_SAMPLES}"
         )
+
+
+def require_step(step: float, what: str) -> float:
+    """``step``, a quotient of positive values; ConfigError when it rounds
+    to 0.0, before a grid is built on it."""
+    if not step > 0:
+        raise ConfigError(f"the step of {what} rounds to {step!r}: its span is too short "
+                          "for its points")
+    return step
 
 
 @dataclass(frozen=True)
@@ -73,6 +84,16 @@ class UniformGrid:
         if i < 0 or i >= self.count or abs(self.start + i * self.step - value) > 1e-9:
             raise GridMismatch(f"{value} is not a point of this grid")
         return i
+
+    def indices_of(self, other: UniformGrid) -> np.ndarray:
+        """``index_of`` every point of ``other``, at once."""
+        values = other.points()
+        i = np.rint((values - self.start) / self.step)
+        miss = ((i < 0) | (i >= self.count)
+                | (np.abs(self.start + i * self.step - values) > 1e-9))
+        if np.any(miss):
+            raise GridMismatch(f"{values[np.argmax(miss)]} is not a point of this grid")
+        return i.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -139,66 +160,77 @@ def cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
 
 
 def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
-    """Second-order finite-difference derivative of sampled values.
+    """Fourth-order finite-difference derivative of sampled values
+    (Fornberg, Math. Comp. 51, 699 (1988)).
 
-    order=1: first derivative, central interior, one-sided 3-point ends.
-    order=2: second derivative, central interior, one-sided 5-point ends
-    (both end stencils are themselves second-order accurate).
+    order=1: first derivative, 5-point central interior; the two rows at
+    each end take 5-point one-sided stencils.
+    order=2: second derivative, 5-point central interior; the two rows at
+    each end take 6-point one-sided stencils.
+    Every row, end rows included, is fourth-order accurate.
     """
     y = samples.values
     h = samples.grid.step
     n = y.shape[-1]
-    if order == 1:
-        if n < 3:
-            raise TooFewPoints("first derivative needs >= 3 samples")
-        d = np.empty_like(y, dtype=np.result_type(y, float))
-        d[1:-1] = (y[2:] - y[:-2]) / (2.0 * h)
-        d[0] = (-3.0 * y[0] + 4.0 * y[1] - y[2]) / (2.0 * h)
-        d[-1] = (3.0 * y[-1] - 4.0 * y[-2] + y[-3]) / (2.0 * h)
-    elif order == 2:
-        if n < 5:
-            raise TooFewPoints("second derivative needs >= 5 samples")
-        d = np.empty_like(y, dtype=np.result_type(y, float))
-        d[1:-1] = (y[2:] - 2.0 * y[1:-1] + y[:-2]) / (h * h)
-        d[0] = (35.0 * y[0] - 104.0 * y[1] + 114.0 * y[2]
-                - 56.0 * y[3] + 11.0 * y[4]) / (12.0 * h * h)
-        d[-1] = (35.0 * y[-1] - 104.0 * y[-2] + 114.0 * y[-3]
-                 - 56.0 * y[-4] + 11.0 * y[-5]) / (12.0 * h * h)
-    else:
+    if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
+    if n < order + 4:
+        raise TooFewPoints(f"derivative of order {order} needs >= {order + 4} samples")
+    d = np.empty_like(y, dtype=np.result_type(y, float))
+    if order == 1:
+        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+    else:
+        d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2]
+                   + 16.0 * y[3:-1] - y[4:]) / (12.0 * h * h)
+    for end, s in ((0, 1), (-1, -1)):  # each end, its samples counted inwards
+        u = [y[end + s * j] for j in range(order + 4)]
+        if order == 1:  # mirrored at the right end, so the sign flips
+            d[end] = s * (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
+                          + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
+            d[end + s] = s * (-3.0 * u[0] - 10.0 * u[1] + 18.0 * u[2]
+                              - 6.0 * u[3] + u[4]) / (12.0 * h)
+        else:
+            d[end] = (45.0 * u[0] - 154.0 * u[1] + 214.0 * u[2]
+                      - 156.0 * u[3] + 61.0 * u[4] - 10.0 * u[5]) / (12.0 * h * h)
+            d[end + s] = (10.0 * u[0] - 15.0 * u[1] - 4.0 * u[2]
+                          + 14.0 * u[3] - 6.0 * u[4] + u[5]) / (12.0 * h * h)
     return SampledFunction(samples.grid, d)
 
 
 def halo_windows(grid: UniformGrid):
     """Windows of about RESIDUAL_BLOCK samples over ``grid`` for stencils
-    three points wide, as (rows, keep, t, sub): ``rows`` slices the window
+    five points wide, as (rows, keep, t, sub): ``rows`` slices the window
     from the full arrays, ``keep`` its owned rows from the window (the rest
-    is a one-sample halo on each inner side), ``t`` its time points computed
+    is a two-sample halo on each inner side), ``t`` its time points computed
     as ``grid.points()`` does, ``sub`` its grid for ``central_diff``.  A
-    remainder under 4 samples joins the last window, so one-sided end
+    remainder under 6 samples joins the last window, so one-sided end
     stencils land on halo rows except at the grid's true ends: kept rows
     equal a whole-grid evaluation bit for bit.
     """
     count = grid.count
     starts = list(range(0, count, RESIDUAL_BLOCK))
-    if len(starts) > 1 and count - starts[-1] < 4:
+    if len(starts) > 1 and count - starts[-1] < 6:
         starts.pop()
     ends = starts[1:] + [count]
     for a, b in zip(starts, ends):
-        lo, hi = max(a - 1, 0), min(b + 1, count)
+        lo, hi = max(a - 2, 0), min(b + 2, count)
         t = grid.start + np.arange(lo, hi) * grid.step
         yield (slice(lo, hi), slice(a - lo, b - lo), t,
                UniformGrid(float(t[0]), grid.step, hi - lo))
 
 
-def residual_maxima(grid: UniformGrid, window, relative: bool) -> dict[str, float]:
+def residual_maxima(grid: UniformGrid, window, relative: bool,
+                    t_grid: UniformGrid | None = None) -> dict[str, float]:
     """Max |residual| of each equation over ``grid``, swept over ``halo_windows``.
     ``window(rows, t, sub)`` yields ``(name, (residual, *terms))`` one equation
     at a time, so memory is bounded by one window's temporaries of one equation;
-    ``relative`` divides each residual by its equation's largest |term| (or tiny)."""
+    ``relative`` divides each residual by its equation's largest |term| (or tiny).
+    A coarser ``t_grid`` whose points are samples of ``grid`` (GridMismatch
+    otherwise) is swept instead, ``rows`` then indexing its samples in ``grid``."""
+    idx = None if t_grid is None else grid.indices_of(t_grid)
     worst = {}
-    for rows, keep, t, sub in halo_windows(grid):
-        for name, arrays in window(rows, t, sub):
+    for rows, keep, t, sub in halo_windows(grid if idx is None else t_grid):
+        for name, arrays in window(rows if idx is None else idx[rows], t, sub):
             maxima = [np.max(np.abs(x[keep])) for x in arrays]
             worst[name] = np.maximum(worst.get(name, 0.0), maxima)
     out = {}
@@ -224,5 +256,5 @@ def build_space_grid(center: float, half_width: float, count: int) -> UniformGri
     if not is_power_of_two(count) or count < 2:
         raise InvalidCount(f"space grid count must be a power of two >= 2, got {count}")
     require_samples(count, "the space grid")
-    step = 2.0 * half_width / count
+    step = require_step(2.0 * half_width / count, "the space grid")
     return UniformGrid(start=center - half_width, step=step, count=count)

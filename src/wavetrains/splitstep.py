@@ -29,8 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (AliasingRisk, Cancelled, GridMismatch, InvalidCount, NormDrift,
-                     TooManySamples)
+from .errors import (AliasingRisk, Cancelled, ConfigError, GridMismatch, InvalidCount,
+                     NormDrift, TooManySamples)
 from .mathieu import PolarTrajectory, TrapParameters
 from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_of_two,
                        require_samples)
@@ -70,9 +70,14 @@ class PropagatorConfig:
 def aliasing_dt_bound(params: TrapParameters, grid: UniformGrid) -> float:
     """pi / (2 k_max x_edge dx): the step at which the kick's edge wavenumber
     k_max x_edge dt reaches half of Nyquist (Feit, Fleck & Steiger, J.
-    Comput. Phys. 47, 412 (1982)), with k_max = U^2 + |V|."""
+    Comput. Phys. 47, 412 (1982)), with k_max = U^2 + |V|; ConfigError when
+    k_max x_edge dx rounds to 0.0, on a grid too fine for any bound."""
     edge = max(abs(grid.start), abs(grid.stop))
-    return 0.5 * math.pi / ((params.u2 + abs(params.v)) * edge * grid.step)
+    rate = (params.u2 + abs(params.v)) * edge * grid.step
+    if not rate > 0:
+        raise ConfigError(f"the grid step {grid.step:.4g} is too small for a propagation "
+                          f"step bound: k_max x_edge dx rounds to {rate!r}")
+    return 0.5 * math.pi / rate
 
 
 def lattice_steps(span: float, dt: float) -> int:

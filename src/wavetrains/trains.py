@@ -335,7 +335,10 @@ def level_energies(ptraj: PolarTrajectory, frame: TrainFrame, table: np.ndarray,
     """E_m of each row h_m(xi(x)) of ``table`` (the levels sharing ``frame``'s
     b0 and c0) from its ``gram_matrix``, one weighted sum per row:
     E_m = -(sqrt(c0)/rho) step sum h_m^2 (quad x^2 - lin x) - const_m G[m, m].
-    ``mean_energy_levels``, level by level, is the check of this one."""
+    Both terms are sums over the columns, so for a window taken in blocks of
+    columns, the sum of each block's E_m (with that block's Gram matrix) is
+    the window's.  ``mean_energy_levels``, level by level, is the check of
+    this one."""
     args = _rate_args(ptraj, frame)
     quad, lin, const = _phase_rate(replace(frame.spec, n=0), *args)
     theta_x = quad * x * x - lin * x
@@ -374,25 +377,18 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
         i de/dt = 2 c e - e^3,      i df/dt = b e - e^2 f,
         i (da_n/dt)/a_n = i f df/dt - b^2/2 + c + n e^2,
 
-    with every time derivative taken by central differences on the
-    ``coefficients`` at the sampled times.  Residuals converge to zero at
-    second order as the time grid refines.  ``t_grid`` defaults to the trajectory's own
-    grid; a coarser grid must hit trajectory samples exactly.  With
-    ``relative=True`` each residual is divided by the largest term
-    magnitude in its equation (scale-free cancellation quality).
-    Swept by ``residual_maxima``, so memory stays bounded.
+    with every time derivative taken by fourth-order central differences
+    on the ``coefficients`` at the sampled times.  Residuals converge to
+    zero at fourth order as the time grid refines.  ``t_grid`` defaults to
+    the trajectory's own grid; a coarser grid must hit trajectory samples
+    exactly.  With ``relative=True`` each residual is divided by the
+    largest term magnitude in its equation (scale-free cancellation
+    quality).  Swept by ``residual_maxima``, so memory stays bounded.
     """
-    if t_grid is None:
-        grid = ptraj.grid
-        samples = (ptraj.rho, ptraj.theta, ptraj.drho, ptraj.dtheta)
-    else:
-        grid = t_grid
-        idx = np.array([ptraj.grid.index_of(tv) for tv in grid.points()])
-        samples = (ptraj.rho[idx], ptraj.theta[idx], ptraj.drho[idx], ptraj.dtheta[idx])
-
     def window(rows, t, sub):
         k = ptraj.params.k(t)
-        b, c, e, f, a = coefficients(spec, *(x[rows] for x in samples))
+        b, c, e, f, a = coefficients(spec, ptraj.rho[rows], ptraj.theta[rows],
+                                     ptraj.drho[rows], ptraj.dtheta[rows])
         dc, db, de, df, da = (central_diff(SampledFunction(sub, x), order=1).values
                               for x in (c, b, e, f, a))
         yield "c", (1j * dc - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k)
@@ -401,7 +397,7 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
         yield "f", (1j * df - b * e + e * e * f, b * e, e * e * f)
         yield "a", (1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
                     f * df, 0.5 * b * b, c, spec.n * e * e)
-    return residual_maxima(grid, window, relative)
+    return residual_maxima(ptraj.grid, window, relative, t_grid)
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,

@@ -348,15 +348,17 @@ def test_riccati_equation_residual_converges():
 
 # --------------------------------------------- equation-of-motion residuals
 
-def test_polar_ode_residuals_second_order():
+def test_polar_ode_residuals_fourth_order():
+    # 512 -> 1024 steps: theta falls about 32x, rho about 16x; finer steps
+    # reach the rounding floor of the second difference
     def residuals(n):
         traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT,
                                (0.0, FOUR_PI), FOUR_PI / n)
         return polar_ode_residuals(polar_decompose(traj))
 
-    coarse, fine = residuals(2048), residuals(4096)
-    assert coarse["theta"] / fine["theta"] > 3.5
-    assert coarse["rho"] / fine["rho"] > 3.5
+    coarse, fine = residuals(512), residuals(1024)
+    assert coarse["theta"] / fine["theta"] > 12.0
+    assert coarse["rho"] / fine["rho"] > 12.0
 
 
 def _residual_sweep(traj):
@@ -366,7 +368,9 @@ def _residual_sweep(traj):
     out = []
     for relative in (False, True):
         out.append(mathieu_residual(traj, relative=relative))
+        out.append(mathieu_residual(traj, sub, relative=relative))
         out.append(polar_ode_residuals(ptraj, relative=relative))
+        out.append(polar_ode_residuals(ptraj, sub, relative=relative))
         out.append(verify_eq4(ptraj, spec, relative=relative))
         out.append(verify_eq4(ptraj, spec, t_grid=sub, relative=relative))
     # plain Python floats, never numpy scalars
@@ -378,7 +382,7 @@ def _residual_sweep(traj):
 @pytest.mark.parametrize("n_steps", [4002, 4003, 4049],
                          ids=["tail-3-joins", "tail-4", "tail-50"])
 def test_residuals_blocked_equal_single_block(monkeypatch, n_steps):
-    # 1000-sample windows with one-sample halos: every residual, relative
+    # 1000-sample windows with two-sample halos: every residual, relative
     # scale and t_grid subsample must equal the one-window sweep bit for bit
     traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 0.5 * math.pi),
                            0.5 * math.pi / n_steps)

@@ -730,6 +730,57 @@ def test_verify_of_a_state_off_the_grid_fails_affinity_quietly(capsys):
     assert checks["normalization"]["value"] == 1.0
 
 
+def _state_check_values(argv):
+    """The battery's four state-check values, by name, for ``verify ARGV``."""
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["verify", *argv]))
+    horizon = min(0.5 * math.pi, cfg.time.t_final)
+    _, ptraj = cli._solve_polar(cfg, cfg.time.t_final, times=(horizon,))
+    values = {}
+    cli._state_checks(lambda name, value, tolerance: values.update({name: value}),
+                      cfg, ptraj, cli._effective_spec(cfg, ptraj.c0))
+    return values
+
+
+@pytest.mark.parametrize("argv", [["--preset", "fig2-soliton"],
+                                  ["--preset", "fig2-soliton", "--n", "10"],
+                                  ["--preset", "static"]],
+                         ids=["soliton", "soliton-n10", "static"])
+def test_state_checks_blocked_match_single_block(monkeypatch, argv):
+    # 1000-column blocks split every live window (1024 to 1678 columns)
+    # that one block holds whole: the node count must not move, and the
+    # norm, overlaps and energy ladder, summed block by block, only by
+    # rounding
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)
+    whole = _state_check_values(argv)
+    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
+    blocked = _state_check_values(argv)
+    assert list(blocked) == ["normalization", "node-count", "orthogonality",
+                             "energy-affinity"]
+    assert blocked["node-count"] == whole["node-count"] == 0
+    for name in ("normalization", "orthogonality", "energy-affinity"):
+        assert blocked[name] == pytest.approx(whole[name], rel=0, abs=1e-13), name
+
+
+def test_state_checks_peak_memory_is_flat_in_grid_count():
+    # the stage holds one block of the Hermite table and the h_n row of a
+    # live window, nothing as long as the check grid: quadrupling an
+    # explicit grid at a fixed step, which keeps every live window, must
+    # not raise its traced peak
+    peaks = []
+    for count in (2**16, 2**18):
+        argv = ["--preset", "fig2-soliton", "--grid-points", str(count),
+                "--half-width", str(80.0 * count / 2**16)]
+        tracemalloc.start()
+        try:
+            values = _state_check_values(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values["normalization"] < 1e-12
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
     # the Gram matrix is a BLAS product; on 65536 points it is large enough
     # for OpenBLAS to split it over threads, and the report must not move
@@ -796,9 +847,11 @@ def test_verify_stage_error_exits_1_and_leaves_no_thread(monkeypatch, capsys, fa
 
 def test_verify_error_cancels_the_running_propagation(capsys):
     # the refined residual step is refused at once, while the PDE stage on
-    # its n = 200 grid would propagate for about half a minute
+    # its n = 200 grid would propagate for about half a minute; over 16 pi,
+    # n = 200 asks for 4.2e7 samples, more than the cap
     start = time.perf_counter()
-    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "200"])
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "200",
+                                    "--t-final", "16pi"])
     assert rc == 2 and out == ""
     assert err.startswith("error: the classical solve needs")
     assert time.perf_counter() - start < 5.0
@@ -809,10 +862,12 @@ def test_verify_error_cancels_the_running_propagation(capsys):
 def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, value,
                                                    samples):
     # the refined residual solve is sized before the PDE worker starts, so
-    # a refused request builds no propagation state
+    # a refused request builds no propagation state (over 16 pi, so that
+    # n = 200 passes the cap)
     calls = []
     monkeypatch.setattr(cli, "_oracle_rows", lambda *args: calls.append(args))
-    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", flag, value])
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", flag, value,
+                                    "--t-final", "16pi"])
     assert rc == 2 and out == ""
     assert err == (f"error: the classical solve needs {samples} samples, "
                    f"more than the cap of {numerics.MAX_SAMPLES}\n")
@@ -874,6 +929,23 @@ def test_infinite_step_count_is_usage_error(capsys, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["snapshot", "--preset", "fig2-soliton", "--half-width", "5e-324",
+     "--grid-points", "1024", "--times", "0"],
+    ["oracle-compare", "--preset", "fig3-collapse", "--grid-points", "1024",
+     "--half-width", "1e-244"],
+    ["verify", "--preset", "fig3-collapse", "--t-final", "5e-324", "--rk4-step", "8.5e221",
+     "--samples", "1000"],
+], ids=["space-step", "aliasing-bound", "picard-step"])
+def test_step_that_rounds_to_zero_is_usage_error(capsys, argv):
+    # 2 half_width / count, k_max x_edge dx and t_final / 8192 underflow to
+    # 0.0: refused instead of a ValueError or ZeroDivisionError traceback
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_sample_selection_does_not_import_numpy_ma():
     # np.unique imports numpy.ma on first use; the sampled commands dedupe
     # their indices without it
@@ -922,9 +994,31 @@ def test_verify_collapse_passes_at_ground_state(capsys, recwarn):
     assert all(ch["passed"] for ch in report["checks"])
 
 
+@pytest.mark.parametrize("argv", [["--b0", "1"], ["--b0", "3"], ["--n", "2"], ["--n", "6"],
+                                  ["--n", "8"]], ids=["b0-1", "b0-3", "n2", "n6", "n8"])
+def test_verify_collapse_passes_off_the_default_train(capsys, argv):
+    # a larger b0 or n refines the coefficient residuals' step (b0 = 3 by
+    # 11x); the classical and polar residuals keep the step of the n = 4
+    # floor, since neither enters their equations, and stay off the
+    # rounding floor eps/h^2 of a second difference
+    rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig3-collapse", *argv])
+    failed = [ch for ch in json.loads(out)["checks"] if not ch["passed"]]
+    assert rc == 0 and failed == []
+
+
+@pytest.mark.parametrize("name", ["fig2-soliton", "fig3-collapse", "static"])
+def test_verify_residuals_sit_a_decade_below_tolerance(capsys, name):
+    # a formula defect must be able to lift a residual past its tolerance,
+    # so the discretization floor sits at least 10x below it
+    rc, out, _ = run_cli(capsys, ["verify", "--preset", name])
+    residuals = [ch for ch in json.loads(out)["checks"] if ch["name"].endswith("-residual")]
+    assert rc == 0 and len(residuals) == 8
+    assert all(ch["value"] <= ch["tolerance"] / 10 for ch in residuals), residuals
+
+
 @pytest.mark.parametrize("argv", [
     ["classical", "--rk4-step", "1e-15", "--t-final", "1e-3"],
-    ["verify", "--preset", "fig3-collapse", "--n", "200"],
+    ["verify", "--preset", "fig3-collapse", "--n", "200", "--t-final", "16pi"],
     ["snapshot", "--grid-points", str(2**40), "--half-width", "10"],
 ], ids=["classical-step", "verify-refined-step", "snapshot-grid"])
 def test_oversized_requests_are_refused(capsys, argv):

@@ -184,15 +184,17 @@ def test_central_diff_second_derivative_quadratic_exact():
     assert np.allclose(d2.values, 2.0, atol=1e-9)
 
 
-def test_central_diff_second_order_convergence():
-    def interior_error(n):
+def test_central_diff_fourth_order_convergence():
+    # every row, the one-sided end rows included, is fourth order
+    def error(n, order):
         grid = UniformGrid(start=0.0, step=3.0 / n, count=n + 1)
         x = grid.points()
-        d = central_diff(SampledFunction(grid, np.sin(x)), order=1)
-        return float(np.max(np.abs(d.values[1:-1] - np.cos(x)[1:-1])))
+        d = central_diff(SampledFunction(grid, np.sin(x)), order=order)
+        exact = np.cos(x) if order == 1 else -np.sin(x)
+        return float(np.max(np.abs(d.values - exact)))
 
-    ratio = interior_error(150) / interior_error(300)
-    assert ratio > 3.8  # order >= 1.95
+    for order in (1, 2):
+        assert error(150, order) / error(300, order) > 12.0  # order >= 3.58
 
 
 def test_central_diff_guard_rails():
@@ -244,9 +246,9 @@ def test_halo_windows_partition_the_grid(monkeypatch, count):
         assert np.array_equal(t, grid.points()[rows])
         assert sub.count == t.size and sub.step == grid.step
         assert t.size >= 5
-        # the halo is one sample on each inner side, none at the true ends
-        assert keep.start == (0 if rows.start == 0 else 1)
-        assert rows.stop - keep.stop - rows.start == (0 if rows.stop == count else 1)
+        # the halo is two samples on each inner side, none at the true ends
+        assert keep.start == (0 if rows.start == 0 else 2)
+        assert rows.stop - keep.stop - rows.start == (0 if rows.stop == count else 2)
         owned.extend(range(rows.start + keep.start, rows.start + keep.stop))
     assert owned == list(range(count))
 

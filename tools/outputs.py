@@ -8,9 +8,10 @@ per command: whether stdout (by SHA-256), stderr and the exit status
 match.  A command that names ``OUT`` writes through ``--out`` to one
 fixed temporary path for both trees, so the ``output.path`` header
 agrees, and the file's bytes (or its absence) are compared as well.
-Each tree's own path is replaced by ``TREE`` in stderr before the
-comparison, so warnings that name a source file compare equal when only
-the checkout differs.  Where stdout differs, every numeric report or
+Stderr is compared without the ``FILE:LINE:`` prefix of each warning,
+so a warning whose source line moved compares equal; where the messages
+differ, the first differing pair of raw lines is printed, with each
+tree's own path replaced by ``TREE``.  Where stdout differs, every numeric report or
 metadata field that differs is printed with its largest absolute
 deviation: verify checks by name, CSV ``# key = value`` header lines and
 JSON keys by name, and table rows per column.  Exits 1 when any command
@@ -22,6 +23,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -29,6 +31,7 @@ from pathlib import Path
 
 PRESETS = ("fig2-soliton", "fig3-collapse", "static")
 OUT = "OUT"  # replaced by the --out path shared by both trees
+WARNING_AT = re.compile(r"^\S+:\d+: ", re.M)  # "FILE:LINE: " ahead of a warning
 
 COMMANDS = [
     *([command, "--preset", p] for p in PRESETS
@@ -58,6 +61,15 @@ COMMANDS = [
     ["series", "--preset", "fig2-soliton", "--t-final", "1.7e308"],
     ["series", "--preset", "static", "--rk4-step", "5e-324"],
     ["verify", "--preset", "fig3-collapse", "--n", "200"],
+    ["verify", "--preset", "fig3-collapse", "--b0", "1"],
+    ["verify", "--preset", "fig3-collapse", "--b0", "3"],
+    # steps that round to 0.0
+    ["snapshot", "--preset", "fig2-soliton", "--half-width", "5e-324", "--grid-points", "1024",
+     "--times", "0"],
+    ["oracle-compare", "--preset", "fig3-collapse", "--grid-points", "1024",
+     "--half-width", "1e-244"],
+    ["verify", "--preset", "fig3-collapse", "--t-final", "5e-324", "--rk4-step", "8.5e221",
+     "--samples", "1000"],
     ["snapshot", "--preset", "static", "--b0", "1e150", "--times", "0"],
     ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
     ["snapshot", "--preset", "fig3-collapse", "--times", "0,1pi,2pi", "--out", OUT],
@@ -151,7 +163,8 @@ def compare(command: list[str], trees: list[Path], out: Path) -> bool:
     (out_a, file_a, err_a, rc_a), (out_b, file_b, err_b, rc_b) = (
         run(t, command, out) for t in trees)
     checks = {"stdout": hashlib.sha256(out_a).digest() == hashlib.sha256(out_b).digest(),
-              "stderr": err_a == err_b, "exit": rc_a == rc_b}
+              "stderr": WARNING_AT.sub("", err_a) == WARNING_AT.sub("", err_b),
+              "exit": rc_a == rc_b}
     if OUT in command:
         checks["file"] = file_a == file_b
     marks = " ".join(f"{name}={'same' if ok else 'DIFF'}" for name, ok in checks.items())
@@ -165,8 +178,8 @@ def compare(command: list[str], trees: list[Path], out: Path) -> bool:
             print("\n".join(deviations(file_a, file_b) or ["    (no numeric field differs)"]))
     if not checks["stderr"]:  # the first line that differs, or the last of the longer
         lines_a, lines_b = err_a.splitlines(), err_b.splitlines()
-        at = next((i for i, pair in enumerate(zip(lines_a, lines_b))
-                   if pair[0] != pair[1]), None)
+        at = next((i for i, (a, b) in enumerate(zip(lines_a, lines_b))
+                   if WARNING_AT.sub("", a) != WARNING_AT.sub("", b)), None)
         for label, lines in (("A", lines_a), ("B", lines_b)):
             line = lines[at] if at is not None else (lines[-1:] or ["(empty)"])[0]
             print(f"    stderr {label}: {line[:160]}")
