@@ -5,7 +5,7 @@ Commands
 classical       time series of the classical solution and its polar form
 snapshot        wavefunction samples at requested times
 series          center orbit, envelope width, and mean energy over time
-verify          invariant battery with a JSON pass/fail report
+verify          invariant battery (``wavetrains.verify``), JSON pass/fail report
 oracle-compare  split-step propagation vs the closed-form states
 
 Exit status: 0 success, 1 verification/comparison failure, 2 usage or
@@ -21,7 +21,6 @@ import json
 import math
 import os
 import sys
-import threading
 from collections.abc import Iterable
 from fractions import Fraction
 
@@ -46,24 +45,11 @@ from .mathieu import (
     ClassicalInit,
     TrapParameters,
     first_integral,
-    mathieu_residual,
-    picard_iterate,
     polar_decompose,
-    polar_ode_residuals,
-    require_picard_budget,
     solve_classical,
 )
-from . import numerics
-from .numerics import UniformGrid, build_space_grid, require_samples, require_step
-from .splitstep import (
-    PropagatorConfig,
-    aliasing_dt_bound,
-    l2_density_distance,
-    lattice_steps,
-    propagation_grid,
-    renormalized,
-    split_step_evolve,
-)
+from .numerics import UniformGrid, build_space_grid, require_samples, sample_indices
+from .splitstep import aliasing_dt_bound, lattice_steps, propagation_grid
 from .trains import (
     NORM_TOL,
     TrainSpec,
@@ -71,18 +57,13 @@ from .trains import (
     center_orbit,
     count_density_maxima,
     count_nodes,
-    gram_matrix,
     hermite_scaled,
-    hermite_table,
-    level_energies,
-    live_window,
     mean_energy_moments,
-    overlap,
     psi_on_grid,
     train_frame,
-    verify_eq4,
     xi_of,
 )
+from .verify import battery, oracle_rows
 
 
 # --------------------------------------------------------------------------
@@ -195,9 +176,9 @@ def _commensurate_count(t_final: float, times, step: float,
                         what: str = "the classical solve") -> int:
     """Step count n so the grid t_final/n hits every requested time exactly
     whenever times/t_final are small rationals (they are for pi-unit
-    inputs); otherwise the plain ceiling count.  A count past the cap is
-    refused (TooManySamples, naming ``what``) before it is rounded."""
-    require_samples(t_final / step + 1.0, what)
+    inputs); otherwise the plain ceiling count.  A count past the cap, or a
+    step of 0.0, is refused (TooManySamples, naming ``what``) before it is rounded."""
+    require_samples(t_final / step + 1.0 if step else math.inf, what)
     n = max(1, math.ceil(t_final / step - 1e-12))
     denom = 1
     for t in times:
@@ -216,12 +197,6 @@ def _solve_polar(cfg: RunConfig, t_final: float, times=()):
     count = _commensurate_count(t_final, times, cfg.solver.rk4_step)
     traj = solve_classical(params, init, (0.0, t_final), t_final / count)
     return traj, polar_decompose(traj)
-
-
-def _sample_indices(count: int, samples: int) -> np.ndarray:
-    idx = np.round(np.linspace(0, count - 1, min(samples, count))).astype(int)
-    # non-decreasing, so repeats are adjacent (np.unique would import numpy.ma)
-    return idx[np.r_[True, idx[1:] != idx[:-1]]]
 
 
 def _space_grid(cfg: RunConfig, ptraj, spec: TrainSpec,
@@ -262,7 +237,7 @@ def _render(cfg: RunConfig, columns, rows, meta_pairs) -> Iterable[str]:
 def run_classical(cfg: RunConfig) -> Iterable[str]:
     """t, phi1, phi2, rho, theta, drho, dtheta, c0_residual per sample."""
     traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
-    idx = _sample_indices(traj.grid.count, cfg.time.samples)
+    idx = sample_indices(traj.grid.count, cfg.time.samples)
     wron = first_integral(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2)
     scale = max(abs(ptraj.c0), np.finfo(float).tiny)
     rows = np.column_stack([
@@ -331,7 +306,7 @@ def run_series(cfg: RunConfig) -> Iterable[str]:
     battery keeps the quadrature (``level_energies``) as its check."""
     traj, ptraj = _solve_polar(cfg, cfg.time.t_final)
     spec = _effective_spec(cfg, ptraj.c0)
-    idx = _sample_indices(traj.grid.count, cfg.time.samples)
+    idx = sample_indices(traj.grid.count, cfg.time.samples)
     xc = (spec.b0 / spec.c0) * traj.phi1[idx]
     energy = mean_energy_moments(ptraj, spec, idx)
     rows = np.column_stack([traj.t[idx], xc, ptraj.rho[idx], energy])
@@ -347,21 +322,6 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
     target = min(math.pi / 2048.0, 0.9 * aliasing_dt_bound(params, grid))
     count = _commensurate_count(t_final, times, target, "the split-step propagation")
     return t_final / count
-
-
-def _oracle_rows(ptraj, spec: TrainSpec, grid: UniformGrid, dt: float,
-                 times, cancel=None) -> list[list[float]]:
-    """Propagate the renormalized closed-form state at t = 0 by split-step
-    through the sorted ``times``; [t, L2 density distance, |overlap|]
-    against the closed form at each."""
-    psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
-    evolved = split_step_evolve(psi0, ptraj.params, PropagatorConfig(grid, dt),
-                                times[-1], record_times=list(times), cancel=cancel)
-    rows = []
-    for t, field in zip(times, evolved):
-        exact = psi_on_grid(train_frame(ptraj, spec, t), grid)
-        rows.append([t, l2_density_distance(field, exact), abs(overlap(exact, field))])
-    return rows
 
 
 def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
@@ -387,7 +347,7 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
                 lattice_steps(t, dt)
             except GridMismatch as exc:
                 raise ConfigError(f"--dt does not divide the requested times: {exc}") from None
-    rows = _oracle_rows(ptraj, spec, grid, dt, times)
+    rows = oracle_rows(ptraj, spec, grid, dt, times)
     worst = max(row[1] for row in rows)
     meta = _meta_common(ptraj.c0)
     meta.append(("propagation.dt", f"{dt:.17g}"))
@@ -398,184 +358,25 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
     return pieces, worst <= tolerance
 
 
-# --------------------------------------------------------------------------
-# verify battery
-
-def _residual_checks(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec,
-                     step_a: float, step_c: float):
-    """The classical, polar and coefficient-ODE residual checks on one
-    trajectory, refined to ``step_a`` if that is finer: the coefficient ODEs
-    on every sample, the classical and polar equations on every m-th, m the
-    number of samples within ``step_c`` (at least 1, and at most what leaves
-    6 samples).  The refined one lives only inside this call, so it is freed
-    before the battery's spatial stages."""
-    if step_a < traj.grid.step:
-        traj = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), step_a)
-        ptraj = polar_decompose(traj)
-    grid = traj.grid
-    m = max(1, min(math.floor(step_c / grid.step), (grid.count - 1) // 5))
-    sub = None if m == 1 else UniformGrid(0.0, m * grid.step, (grid.count - 1) // m + 1)
-    check("mathieu-residual", mathieu_residual(traj, sub, relative=True), 1e-4)
-    polar_res = polar_ode_residuals(ptraj, sub, relative=True)
-    check("polar-theta-residual", polar_res["theta"], 1e-4)
-    check("polar-rho-residual", polar_res["rho"], 1e-4)
-    eq4 = verify_eq4(ptraj, spec, relative=True)
-    for key in ("c", "b", "e", "f", "a"):
-        check(f"coeff-{key}-residual", eq4[key], 1e-4)
-
-
-def _state_checks(check, cfg: RunConfig, ptraj, spec: TrainSpec):
-    """The quantum-state checks on 11 times, each from the Hermite table
-    h_0..h_8 of xi(x) on the live window of the check grid (exact zeros
-    outside), walked in blocks of ``numerics.RESIDUAL_BLOCK`` columns: the
-    blocks' Gram matrices add up to the window's, which gives the norm and
-    the overlaps, and so do their energies E_0..E_7 from rows 0..7.  Only
-    the window's h_n row is kept whole, for the node count."""
-    grid_spec = TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0)
-    grid = _space_grid(cfg, ptraj, grid_spec)
-    block = numerics.RESIDUAL_BLOCK
-    buf = np.empty((9, min(block, grid.count)))
-    worst_norm = worst_cross = worst_aff = 0.0
-    worst_nodes = 0
-    for tv in ptraj.t[_sample_indices(ptraj.grid.count, 11)]:
-        frame = train_frame(ptraj, spec, float(tv))
-        live = live_window(frame, grid)
-        h_n = np.empty(live.stop - live.start)
-        gram, energies, norm = np.zeros((9, 9)), np.zeros(8), 0.0
-        for a in range(live.start, live.stop, block):
-            b = min(a + block, live.stop)
-            cols = slice(a - live.start, b - live.start)
-            x = grid.start + np.arange(a, b) * grid.step  # as grid.points() has it
-            xi = xi_of(frame, x)
-            table = hermite_table(8, xi, out=buf[:, :len(x)])
-            block_gram = gram_matrix(frame, table, grid.step)
-            gram += block_gram
-            energies += level_energies(ptraj, frame, table[:8], x, grid.step, block_gram)
-            if spec.n <= 8:
-                h_n[cols] = table[spec.n]
-            else:
-                h_n[cols] = h = hermite_scaled(spec.n, xi)
-                norm += gram_matrix(frame, h[np.newaxis], grid.step)[0, 0]
-        if spec.n <= 8:
-            norm = gram[spec.n, spec.n]
-        worst_norm = max(worst_norm, abs(float(norm) - 1.0))
-        # nodes of h_n(xi(x)) on the checked grid: fewer than n when the
-        # grid does not resolve the packet
-        worst_nodes = max(worst_nodes, abs(count_nodes(h_n) - spec.n))
-        cross = np.abs(gram[np.triu_indices(len(gram), 1)])
-        worst_cross = max(worst_cross, float(np.max(cross)))
-        # energy affinity: differences E_{m+1} - E_m are m-independent; a
-        # ladder with no spacing (the state off the grid) reads 1.0
-        diffs = np.diff(energies)
-        spread = float(np.max(np.abs(diffs - diffs[0])))
-        worst_aff = max(worst_aff, spread / abs(diffs[0]) if diffs[0] else 1.0)
-    check("normalization", worst_norm, 1e-6)
-    check("node-count", worst_nodes, 0)
-    check("orthogonality", worst_cross, 1e-6)
-    check("energy-affinity", worst_aff, 1e-6)
-
-
-def _checks_before_pde(check, cfg: RunConfig, traj, ptraj, spec: TrainSpec,
-                       step_a: float, step_c: float, pic_grid: UniformGrid):
-    """Every check of the battery but the PDE comparison, in report order."""
-    # classical conservation
-    check("first-integral-drift", ptraj.max_c0_drift, 1e-8)
-
-    _residual_checks(check, cfg, traj, ptraj, spec, step_a, step_c)
-
-    # Picard vs RK4 on a shared grid
-    pic = picard_iterate(traj.params, traj.init, cfg.solver.iterations, pic_grid)
-    rk = solve_classical(traj.params, traj.init, (0.0, cfg.time.t_final), pic_grid.step)
-    sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
-              float(np.max(np.abs(pic.phi2 - rk.phi2))))
-    amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
-    check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp))
-
-    _state_checks(check, cfg, ptraj, spec)
-
-
-def _battery(cfg: RunConfig) -> dict:
-    """All invariant checks for the configured run; see the README for the
-    tolerance rationale.  Residual checks are scale-relative so one
-    tolerance covers both the weakly driven and the strongly squeezed
-    regimes; the residual checks run on a refined trajectory
-    (``_residual_checks``) sized before the PDE stage starts."""
-    checks: list[dict] = []
-
-    def check(name: str, value: float, tolerance: float):
-        checks.append({
-            "name": name,
-            "value": float(value),
-            "tolerance": float(tolerance),
-            "passed": bool(value <= tolerance),
-        })
-
+def run_verify(cfg: RunConfig) -> tuple[Iterable[str], bool]:
+    """JSON report of ``verify.battery``, as one piece; second element is
+    overall pass.  The run is resolved before the battery's PDE worker starts:
+    the PDE's grid is sized for propagation, the state checks' for h_0..h_8."""
     t_final = cfg.time.t_final
     horizon = min(0.5 * math.pi, t_final)
     traj, ptraj = _solve_polar(cfg, t_final, times=(horizon,))
     spec = _effective_spec(cfg, ptraj.c0)
-
-    # analytic states against the independent PDE propagator, on a worker
-    # thread that overlaps the other checks (numpy's FFT and cos/sin release
-    # the GIL); its result or error is taken up last, as in a serial run,
-    # and an error of the other checks cancels it.  Its grid is sized for
-    # propagation whatever grid the state checks use; its grid and step errors,
-    # then the refined residual solve's size and the Picard budget, surface
-    # here, before it starts.
     pgrid = propagation_grid(ptraj, spec, min_count=1024)
     dt = _auto_dt(ptraj.params, pgrid, horizon, (horizon,))
-    # the residual checks' trajectory is refined until the fastest coefficient
-    # phase (a_n's, at up to max|dtheta| (1/2 + n + b0^2/(2 c0))) advances at
-    # most 0.06 rad per step, well resolved by fourth-order differences; the
-    # factor is floored at its n = 4 value, since the c, b, e, f residuals do
-    # not depend on n and a low n must not coarsen their step.  The classical
-    # and polar residuals take the step of the floor alone: neither n nor b0
-    # enters their equations, and a finer step only lifts their rounding
-    # floor, about eps/h^2 for a second difference.
-    rate = float(np.max(np.abs(ptraj.dtheta)))
-    step_a = min(cfg.solver.rk4_step,
-                 0.06 / (rate * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)))
-    step_c = min(cfg.solver.rk4_step, 0.06 / (rate * 4.5))
-    require_samples(t_final / step_a + 1.0, "the classical solve")
-    pic_grid = UniformGrid(0.0, require_step(t_final / 8192, "the Picard grid"), 8193)
-    require_picard_budget(cfg.solver.iterations, pic_grid.count)
-    oracle: list = []
-    cancel = threading.Event()
-
-    def run_oracle():
-        try:
-            oracle.append(_oracle_rows(ptraj, spec, pgrid, dt, [horizon], cancel))
-        except BaseException as exc:  # re-raised in the calling thread
-            oracle.append(exc)
-
-    worker = threading.Thread(target=run_oracle, name="pde-oracle")
-    worker.start()
-    try:
-        _checks_before_pde(check, cfg, traj, ptraj, spec, step_a, step_c, pic_grid)
-    except BaseException:
-        cancel.set()
-        raise
-    finally:
-        worker.join()
-    [result] = oracle
-    if isinstance(result, BaseException):
-        raise result
-    [(_, distance, _)] = result
-    check("pde-density-distance", distance, 1e-3)
-
-    passed = all(c["passed"] for c in checks)
-    return {
+    grid = _space_grid(cfg, ptraj, TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0))
+    checks = battery(traj, ptraj, spec, grid, pgrid, dt, horizon, t_final,
+                     cfg.solver.rk4_step, cfg.solver.iterations)
+    report = {
         "config": to_dict(cfg),
         "derived": {"c0": ptraj.c0, "tool": "wavetrains", "version": __version__},
         "checks": checks,
-        "passed": passed,
+        "passed": all(c["passed"] for c in checks),
     }
-
-
-def run_verify(cfg: RunConfig) -> tuple[Iterable[str], bool]:
-    """JSON report of the invariant battery, as one piece; second element
-    is overall pass."""
-    report = _battery(cfg)
     return [json.dumps(report, sort_keys=True, indent=2) + "\n"], report["passed"]
 
 

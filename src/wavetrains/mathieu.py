@@ -9,14 +9,15 @@ steps are 2x2 matrices (the equation is linear) built at once in closed
 form and composed by a blocked prefix product.  The polar decomposition
 phi = rho * exp(i*theta) and the first integral c0 = rho^2 * dtheta =
 phi1*dphi2 - phi2*dphi1 feed the quantum construction in ``trains``.
-Both trajectory records hold whole arrays on one uniform time grid.
+Both trajectory records hold whole arrays on one uniform time grid;
+``every`` slices either to every m-th sample.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -167,7 +168,7 @@ def require_picard_budget(iterations: int, count: int):
 
 
 def picard_iterate(params: TrapParameters, init: ClassicalInit,
-                   iterations: int, t_grid: UniformGrid) -> Trajectory:
+                   iterations: int, grid: UniformGrid) -> Trajectory:
     """Iterate the Volterra integral form of the oscillator equation.
 
     Iteration zero is the unperturbed solution.  Iterate k+1 substitutes
@@ -178,7 +179,7 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
         S(t) = int_0^t sin(Us) cos(2s) phi_k(s) ds,
 
     with h the unperturbed term; both running integrals are evaluated by
-    cumulative Simpson quadrature on ``t_grid``, which must start at t = 0
+    cumulative Simpson quadrature on ``grid``, which must start at t = 0
     (NonZeroStart otherwise).  The sign of the V/U term is fixed by
     variation of parameters: substituting the form back into
     phi'' + U^2 phi = -V cos(2t) phi requires the minus.
@@ -189,14 +190,14 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
     """
     if iterations < 0:
         raise ValueError(f"iterations must be >= 0, got {iterations}")
-    require_picard_budget(iterations, t_grid.count)
-    if t_grid.start != 0.0:
+    require_picard_budget(iterations, grid.count)
+    if grid.start != 0.0:
         raise NonZeroStart(
             f"the integral equations take their lower limit at t = 0; grid "
-            f"starts at {t_grid.start}"
+            f"starts at {grid.start}"
         )
-    t = t_grid.points()
-    h = t_grid.step
+    t = grid.points()
+    h = grid.step
     u, v = params.u, params.v
     cosu = np.cos(u * t)
     sinu = np.sin(u * t)
@@ -216,7 +217,7 @@ def picard_iterate(params: TrapParameters, init: ClassicalInit,
         dphi = dbase - v * (cosu * cint + sinu * sint)
         out.append((phi, dphi))
     (phi1, dphi1), (phi2, dphi2) = out
-    return Trajectory(params=params, init=init, grid=t_grid,
+    return Trajectory(params=params, init=init, grid=grid,
                       phi1=phi1, phi2=phi2, dphi1=dphi1, dphi2=dphi2)
 
 
@@ -348,8 +349,15 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
                            c0=traj.c0, max_c0_drift=traj.max_c0_drift)
 
 
-def polar_ode_residuals(ptraj: PolarTrajectory, t_grid: UniformGrid | None = None,
-                        relative: bool = False) -> dict[str, float]:
+def every(traj, m: int):
+    """``traj``, a Trajectory or PolarTrajectory, on every ``m``-th sample
+    from the first; its arrays are views of the original's."""
+    grid = UniformGrid(traj.grid.start, m * traj.grid.step, (traj.grid.count - 1) // m + 1)
+    arrays = {k: v[::m] for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    return replace(traj, grid=grid, **arrays)
+
+
+def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[str, float]:
     """Max residuals of the polar equations of motion in ``ptraj.params``,
 
         theta'' + 2 theta' rho' / rho = 0,
@@ -358,8 +366,7 @@ def polar_ode_residuals(ptraj: PolarTrajectory, t_grid: UniformGrid | None = Non
     with the second derivatives taken by fourth-order central differences
     on the sampled theta and rho (first derivatives are the stored
     algebraic ones).  Converges to zero at fourth order as the grid
-    refines.  ``t_grid`` defaults to the trajectory's own grid; a coarser
-    grid must hit trajectory samples exactly.
+    refines.
 
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
@@ -378,21 +385,19 @@ def polar_ode_residuals(ptraj: PolarTrajectory, t_grid: UniformGrid | None = Non
         # by them alone would compare noise to noise
         yield "theta", (theta_dd + coupling, theta_dd, coupling, dtheta**2)
         yield "rho", (rho_dd - drive + restore, drive, restore)
-    return residual_maxima(ptraj.grid, window, relative, t_grid)
+    return residual_maxima(ptraj.grid, window, relative)
 
 
-def mathieu_residual(traj: Trajectory, t_grid: UniformGrid | None = None,
-                     relative: bool = False) -> float:
+def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
     """Sup norm of phi'' + k(t) phi over both components, k of ``traj.params``,
     phi'' by fourth-order central differences: O(V^(k+1)) plus quadrature and
-    differencing error for a k-th Picard iterate.  ``t_grid`` defaults to the
-    trajectory's own grid; a coarser grid must hit trajectory samples exactly.
-    With ``relative=True`` each component's residual is divided by its own
-    max |k(t) phi| before the larger is taken.
+    differencing error for a k-th Picard iterate.  With ``relative=True``
+    each component's residual is divided by its own max |k(t) phi| before
+    the larger is taken.
     Swept by ``residual_maxima``, so memory stays bounded."""
     def window(rows, t, sub):
         k = traj.params.k(t)
         for name, comp in (("phi1", traj.phi1[rows]), ("phi2", traj.phi2[rows])):
             kc = k * comp
             yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
-    return max(residual_maxima(traj.grid, window, relative, t_grid).values())
+    return max(residual_maxima(traj.grid, window, relative).values())

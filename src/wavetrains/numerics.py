@@ -4,8 +4,9 @@ Two quadratures with separate jobs: cumulative Simpson for time
 integrals, and the rectangle rule ``field_integral`` for every spatial
 integral of a decaying field (norms, overlaps, distances).  Also
 fourth-order central differences, uniform-grid construction with its
-sample cap ``MAX_SAMPLES``, and ``residual_maxima``, the one halo-windowed
-sweep of all residual checks (RK4 step matrices live in ``mathieu``).
+sample cap ``MAX_SAMPLES``, even sub-sampling (``sample_indices``), and
+``residual_maxima``, the one halo-windowed sweep of all residual checks
+(RK4 step matrices live in ``mathieu``).
 Everything here is a pure function of its inputs; the record types are frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
 on any parallel reduction order.
@@ -53,6 +54,13 @@ def require_step(step: float, what: str) -> float:
     return step
 
 
+def sample_indices(count: int, samples: int) -> np.ndarray:
+    """Up to ``samples`` indices spread evenly over ``count``, ends included."""
+    idx = np.round(np.linspace(0, count - 1, min(samples, count))).astype(int)
+    # non-decreasing, so repeats are adjacent (np.unique would import numpy.ma)
+    return idx[np.r_[True, idx[1:] != idx[:-1]]]
+
+
 @dataclass(frozen=True)
 class UniformGrid:
     """Uniformly spaced axis (time or space).
@@ -84,16 +92,6 @@ class UniformGrid:
         if i < 0 or i >= self.count or abs(self.start + i * self.step - value) > 1e-9:
             raise GridMismatch(f"{value} is not a point of this grid")
         return i
-
-    def indices_of(self, other: UniformGrid) -> np.ndarray:
-        """``index_of`` every point of ``other``, at once."""
-        values = other.points()
-        i = np.rint((values - self.start) / self.step)
-        miss = ((i < 0) | (i >= self.count)
-                | (np.abs(self.start + i * self.step - values) > 1e-9))
-        if np.any(miss):
-            raise GridMismatch(f"{values[np.argmax(miss)]} is not a point of this grid")
-        return i.astype(np.intp)
 
 
 @dataclass(frozen=True)
@@ -219,18 +217,15 @@ def halo_windows(grid: UniformGrid):
                UniformGrid(float(t[0]), grid.step, hi - lo))
 
 
-def residual_maxima(grid: UniformGrid, window, relative: bool,
-                    t_grid: UniformGrid | None = None) -> dict[str, float]:
+def residual_maxima(grid: UniformGrid, window, relative: bool) -> dict[str, float]:
     """Max |residual| of each equation over ``grid``, swept over ``halo_windows``.
     ``window(rows, t, sub)`` yields ``(name, (residual, *terms))`` one equation
     at a time, so memory is bounded by one window's temporaries of one equation;
     ``relative`` divides each residual by its equation's largest |term| (or tiny).
-    A coarser ``t_grid`` whose points are samples of ``grid`` (GridMismatch
-    otherwise) is swept instead, ``rows`` then indexing its samples in ``grid``."""
-    idx = None if t_grid is None else grid.indices_of(t_grid)
+    A sweep of every m-th sample is one of a trajectory sliced by ``mathieu.every``."""
     worst = {}
-    for rows, keep, t, sub in halo_windows(grid if idx is None else t_grid):
-        for name, arrays in window(rows if idx is None else idx[rows], t, sub):
+    for rows, keep, t, sub in halo_windows(grid):
+        for name, arrays in window(rows, t, sub):
             maxima = [np.max(np.abs(x[keep])) for x in arrays]
             worst[name] = np.maximum(worst.get(name, 0.0), maxima)
     out = {}

@@ -310,5 +310,8 @@ def propagation_grid(ptraj: PolarTrajectory, spec: TrainSpec,
     half = float(np.max(np.abs(xc))) + pad * float(np.max(sigma))
     k_env = float(np.max(np.sqrt(spec.c0 / ptraj.rho**2 + ptraj.drho**2 / spec.c0)))
     k_need = pad * k_env + abs(spec.b0) / float(np.min(ptraj.rho))
-    count = 1 << math.ceil(math.log2(max(min_count, 2.0 * half * k_need * 1.15 / math.pi)))
+    need = max(min_count, 2.0 * half * k_need * 1.15 / math.pi)
+    if need == math.inf:  # overflowed, so there is no power of two to round it to
+        require_samples(need, "the space grid")
+    count = 1 << math.ceil(math.log2(need))
     return build_space_grid(0.0, half, count)

@@ -369,7 +369,6 @@ def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndar
 
 
 def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
-               t_grid: UniformGrid | None = None,
                relative: bool = False) -> dict[str, float]:
     """Max residual of each coefficient ODE of the ansatz,
 
@@ -379,11 +378,10 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
 
     with every time derivative taken by fourth-order central differences
     on the ``coefficients`` at the sampled times.  Residuals converge to
-    zero at fourth order as the time grid refines.  ``t_grid`` defaults to
-    the trajectory's own grid; a coarser grid must hit trajectory samples
-    exactly.  With ``relative=True`` each residual is divided by the
-    largest term magnitude in its equation (scale-free cancellation
-    quality).  Swept by ``residual_maxima``, so memory stays bounded.
+    zero at fourth order as the time grid refines.  With ``relative=True``
+    each residual is divided by the largest term magnitude in its equation
+    (scale-free cancellation quality).  Swept by ``residual_maxima``, so
+    memory stays bounded.
     """
     def window(rows, t, sub):
         k = ptraj.params.k(t)
@@ -397,7 +395,7 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
         yield "f", (1j * df - b * e + e * e * f, b * e, e * e * f)
         yield "a", (1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
                     f * df, 0.5 * b * b, c, spec.n * e * e)
-    return residual_maxima(ptraj.grid, window, relative, t_grid)
+    return residual_maxima(ptraj.grid, window, relative)
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,

@@ -34,6 +34,7 @@ from wavetrains import (
     verify_eq4,
 )
 from wavetrains.cli import main
+from wavetrains.mathieu import every
 from wavetrains.trains import amplitude
 
 import conftest
@@ -130,8 +131,8 @@ def test_criterion_04_envelope_band_and_period(soliton_polar):
     rho_max = float(np.max(soliton_polar.rho))
     lag = _repeat_lag(soliton_polar.t, soliton_polar.rho,
                       0.5 * math.pi, 3.0 * math.pi)
-    period_dev = abs(lag - TWO_PI) / TWO_PI
-    ok = 0.94 <= rho_min and rho_max <= 1.06 and period_dev <= 0.05
+    period_dev = (lag - TWO_PI) / TWO_PI
+    ok = 0.94 <= rho_min and rho_max <= 1.06 and abs(period_dev) <= 0.05
     _record(4, "soliton envelope", ok,
             f"rho in [{rho_min:.5f}, {rho_max:.5f}] (band [0.94, 1.06]), "
             f"period {lag:.4f} = 2pi {period_dev * 100.0:+.3f}% (tol 5%)")
@@ -165,7 +166,7 @@ def test_criterion_06_center_geometry(soliton_polar_8pi, capsys):
     xc_min = float(np.min(xc))
     xc_max = float(np.max(xc))
     lag = _repeat_lag(soliton_polar_8pi.t, xc, 2.5 * math.pi, 5.5 * math.pi)
-    period_dev = abs(lag - FOUR_PI) / FOUR_PI
+    period_dev = (lag - FOUR_PI) / FOUR_PI
 
     rc = main(["snapshot", "--preset", "fig2-soliton", "--declared-c0", "1",
                "--times", "0,0.5pi,pi,1.5pi,2pi,2.5pi,3pi,4pi"])
@@ -174,7 +175,7 @@ def test_criterion_06_center_geometry(soliton_polar_8pi, capsys):
               if line.startswith("# snapshot.") and ".maxima" in line]
 
     ok = (abs(xc_min + 10.0) <= 0.2 and abs(xc_max - 10.0) <= 0.2
-          and period_dev <= 0.02 and rc == 0 and len(maxima) == 8
+          and abs(period_dev) <= 0.02 and rc == 0 and len(maxima) == 8
           and all(m == 9 for m in maxima))
     _record(6, "center-orbit geometry", ok,
             f"x_c in [{xc_min:.5f}, {xc_max:.5f}] vs -10/+10 +/- 2%, "
@@ -269,11 +270,8 @@ def test_criterion_09_residual_convergence(soliton_polar, soliton_spec):
     tdse_orders = [math.log2(a / b)
                    for a, b in zip(tdse_levels, tdse_levels[1:])]
 
-    eq4_levels = []
-    for stride in (128, 64, 32):
-        sub = UniformGrid(0.0, stride * step,
-                          (soliton_polar.grid.count - 1) // stride + 1)
-        eq4_levels.append(verify_eq4(soliton_polar, soliton_spec, t_grid=sub))
+    eq4_levels = [verify_eq4(every(soliton_polar, stride), soliton_spec)
+                  for stride in (128, 64, 32)]
     eq4_orders = [math.log2(a[k] / b[k])
                   for a, b in zip(eq4_levels, eq4_levels[1:])
                   for k in ("c", "b", "e", "f", "a")]

@@ -364,15 +364,12 @@ def test_polar_ode_residuals_fourth_order():
 def _residual_sweep(traj):
     ptraj = polar_decompose(traj)
     spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
-    sub = UniformGrid(0.0, 3 * traj.grid.step, (traj.grid.count - 1) // 3 + 1)
     out = []
     for relative in (False, True):
-        out.append(mathieu_residual(traj, relative=relative))
-        out.append(mathieu_residual(traj, sub, relative=relative))
-        out.append(polar_ode_residuals(ptraj, relative=relative))
-        out.append(polar_ode_residuals(ptraj, sub, relative=relative))
-        out.append(verify_eq4(ptraj, spec, relative=relative))
-        out.append(verify_eq4(ptraj, spec, t_grid=sub, relative=relative))
+        for t, p in ((traj, ptraj), (mathieu.every(traj, 3), mathieu.every(ptraj, 3))):
+            out.append(mathieu_residual(t, relative=relative))
+            out.append(polar_ode_residuals(p, relative=relative))
+            out.append(verify_eq4(p, spec, relative=relative))
     # plain Python floats, never numpy scalars
     assert all(type(v) is float
                for r in out for v in (r.values() if isinstance(r, dict) else (r,)))
@@ -383,7 +380,8 @@ def _residual_sweep(traj):
                          ids=["tail-3-joins", "tail-4", "tail-50"])
 def test_residuals_blocked_equal_single_block(monkeypatch, n_steps):
     # 1000-sample windows with two-sample halos: every residual, relative
-    # scale and t_grid subsample must equal the one-window sweep bit for bit
+    # scale and every-third-sample slice must equal the one-window sweep
+    # bit for bit
     traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 0.5 * math.pi),
                            0.5 * math.pi / n_steps)
     monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)

@@ -20,7 +20,7 @@ import pytest
 import wavetrains
 from wavetrains import (TrainSpec, auto_space_grid, mean_energy_levels,
                         propagation_grid)
-from wavetrains import cli, numerics
+from wavetrains import cli, numerics, verify
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
 from wavetrains.config import (
@@ -702,7 +702,7 @@ def test_battery_energies_equal_mean_energy_levels(monkeypatch, capsys):
         seen.append((ptraj, frame, x, step, energies))
         return energies
 
-    monkeypatch.setattr(cli, "level_energies", spy)
+    monkeypatch.setattr(verify, "level_energies", spy)
     rc, _, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
     assert len({frame.t for _, frame, *_ in seen}) == len(seen) == 11
@@ -735,10 +735,9 @@ def _state_check_values(argv):
     cfg = cli.resolve_config(cli.build_parser().parse_args(["verify", *argv]))
     horizon = min(0.5 * math.pi, cfg.time.t_final)
     _, ptraj = cli._solve_polar(cfg, cfg.time.t_final, times=(horizon,))
-    values = {}
-    cli._state_checks(lambda name, value, tolerance: values.update({name: value}),
-                      cfg, ptraj, cli._effective_spec(cfg, ptraj.c0))
-    return values
+    spec = cli._effective_spec(cfg, ptraj.c0)
+    grid = cli._space_grid(cfg, ptraj, TrainSpec(n=max(spec.n, 8), b0=spec.b0, c0=spec.c0))
+    return {c["name"]: c["value"] for c in verify._state_checks(ptraj, spec, grid)}
 
 
 @pytest.mark.parametrize("argv", [["--preset", "fig2-soliton"],
@@ -803,14 +802,14 @@ def test_verify_pde_distance_is_the_serial_oracle_bit_for_bit(monkeypatch, capsy
     # the PDE stage runs on a worker thread; the same call made serially
     # here gives the report's value exactly
     calls = []
-    oracle_rows = cli._oracle_rows
+    oracle_rows = verify.oracle_rows
 
     def spy(*args):
         rows = oracle_rows(*args)
         calls.append((args, rows))
         return rows
 
-    monkeypatch.setattr(cli, "_oracle_rows", spy)
+    monkeypatch.setattr(verify, "oracle_rows", spy)
     rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
     [(args, rows)] = calls
@@ -835,9 +834,9 @@ def test_verify_stage_error_exits_1_and_leaves_no_thread(monkeypatch, capsys, fa
             raise NormDrift(f"{name} failed")
         return fail
 
-    monkeypatch.setattr(cli, "split_step_evolve", slow_evolve)
+    monkeypatch.setattr(verify, "split_step_evolve", slow_evolve)
     for name in failing:
-        monkeypatch.setattr(cli, name, failure(name))
+        monkeypatch.setattr(verify, name, failure(name))
     before = threading.active_count()
     rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
     assert rc == 1 and out == ""
@@ -865,7 +864,7 @@ def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, va
     # a refused request builds no propagation state (over 16 pi, so that
     # n = 200 passes the cap)
     calls = []
-    monkeypatch.setattr(cli, "_oracle_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(verify, "oracle_rows", lambda *args: calls.append(args))
     rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", flag, value,
                                     "--t-final", "16pi"])
     assert rc == 2 and out == ""
@@ -878,8 +877,8 @@ def test_picard_iterations_past_the_budget_are_usage_error(monkeypatch, capsys):
     # 2^40 Picard passes over verify's 8193 samples would run for years:
     # refused before any pass and before the PDE stage starts
     calls = []
-    monkeypatch.setattr(cli, "picard_iterate", lambda *args: calls.append(args))
-    monkeypatch.setattr(cli, "_oracle_rows", lambda *args: calls.append(args))
+    monkeypatch.setattr(verify, "picard_iterate", lambda *args: calls.append(args))
+    monkeypatch.setattr(verify, "oracle_rows", lambda *args: calls.append(args))
     rc, out, err = run_cli(capsys, ["verify", "--preset", "static",
                                     "--iterations", "1099511627776"])
     assert rc == 2 and out == ""
@@ -967,6 +966,16 @@ def test_cli_import_leaves_the_csv_kernel_uncompiled():
     # written; the CSV kernel is imported by the first CSV, not by the CLI
     src = os.path.dirname(os.path.dirname(wavetrains.__file__))
     code = "import sys, wavetrains.cli\nprint('wavetrains.g17' in sys.modules)\n"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
+
+
+def test_verify_module_does_not_load_the_cli():
+    # the battery is a library module under the front end, not beside it
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    code = "import sys, wavetrains.verify\nprint('wavetrains.cli' in sys.modules)\n"
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           env=dict(os.environ, PYTHONPATH=src), timeout=60)
     assert proc.returncode == 0, proc.stderr

@@ -1,21 +1,24 @@
 """Property tests: the time grammar, the commensurate step count, the
-spatial grid builder, the strict config parser and the CSV writer's
-``%.17g`` kernel over generated inputs."""
+spatial grid builder, the strict config parser, the CSV writer's
+``%.17g`` kernel and the exit status of every command line over
+generated inputs."""
 
 import dataclasses
 import io
 import json
 import math
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from wavetrains import ConfigError, InvalidCount, TooManySamples, build_space_grid, g17, numerics
-from wavetrains.cli import _commensurate_count, _sample_indices, main
+from wavetrains import mathieu, splitstep
+from wavetrains.cli import _commensurate_count, main
 from wavetrains.config import (
     _GROUPS,
     MAX_N,
@@ -64,7 +67,7 @@ def test_sample_indices_equal_the_unique_rounded_linspace(count, samples):
     # the adjacent-repeat dedupe of the non-decreasing rounded linspace is
     # np.unique of it, without np.unique's import of numpy.ma
     rounded = np.round(np.linspace(0, count - 1, min(samples, count))).astype(int)
-    assert np.array_equal(_sample_indices(count, samples), np.unique(rounded))
+    assert np.array_equal(numerics.sample_indices(count, samples), np.unique(rounded))
 
 
 @given(st.floats(-100.0, 100.0), st.floats(1e-3, 1e3), st.integers(1, 16))
@@ -196,3 +199,66 @@ def test_g17_text_sweep_of_decades_and_switches():
     assert _g17_strings(values) == ["%.17g" % v for v in values]
     # an exact halfway case rounds to even
     assert _g17_strings([1278675322477191.75]) == ["1278675322477191.8"]
+
+
+# Numeric flags of each command, as (flag, kind): "int" and "float" values
+# are parsed by argparse, "time" values by the pi-unit grammar.
+COMMON_FLAGS = [("--n", "int"), ("--b0", "float"), ("--declared-c0", "float"),
+                ("--iterations", "int"), ("--rk4-step", "float"), ("--grid-points", "int"),
+                ("--half-width", "float"), ("--center", "float"), ("--times", "time")]
+HORIZON_FLAGS = [("--t-final", "time"), ("--samples", "int")]
+COMMAND_FLAGS = {"classical": COMMON_FLAGS + HORIZON_FLAGS,
+                 "snapshot": COMMON_FLAGS,
+                 "series": COMMON_FLAGS + HORIZON_FLAGS,
+                 "verify": COMMON_FLAGS + HORIZON_FLAGS,
+                 "oracle-compare": COMMON_FLAGS + [("--dt", "time"), ("--tolerance", "float")]}
+VALUE_TEXT = {
+    # every float, NaN, the infinities and subnormals included
+    "float": st.floats().map(repr),
+    "time": st.tuples(st.floats(), st.booleans()).map(
+        lambda v: repr(v[0]) + ("pi" if v[1] else "")),
+    "int": st.one_of(st.integers(-2**64, 2**64), st.integers(0, 70).map(lambda p: 2**p)),
+}
+
+
+@st.composite
+def command_lines(draw):
+    command = draw(st.sampled_from(sorted(COMMAND_FLAGS)))
+    flags = draw(st.lists(st.sampled_from(COMMAND_FLAGS[command]), min_size=1, max_size=3,
+                          unique=True))
+    # --flag=value, so that argparse reads a negative value as a value
+    argv = [command, "--preset", draw(st.sampled_from(PRESET_NAMES))]
+    return argv + [f"{flag}={draw(VALUE_TEXT[kind])}" for flag, kind in flags]
+
+
+@pytest.mark.filterwarnings("ignore")  # numpy overflow in the orbits blown up below
+@settings(max_examples=200, deadline=None)
+@given(command_lines())
+# steps that round to 0.0: space grid, aliasing bound, Picard grid
+@example(["snapshot", "--preset", "fig2-soliton", "--half-width=5e-324",
+          "--grid-points=1024", "--times=0"])
+@example(["oracle-compare", "--preset", "fig3-collapse", "--grid-points=1024",
+          "--half-width=1e-244"])
+@example(["verify", "--preset", "fig3-collapse", "--t-final=5e-324", "--rk4-step=8.5e221",
+          "--samples=1000"])
+# b0^2/c0 past the float range
+@example(["snapshot", "--preset", "static", "--b0=1e200", "--times=0"])
+# RK4 steps far past stability blow the orbit up: the propagation grid's
+# demand and its step bound's k_max x_edge dx overflow
+@example(["verify", "--preset", "static", "--rk4-step=8.979213989234729e+64",
+          "--iterations=4267", "--t-final=8.979213989234729e+64"])
+@example(["verify", "--preset", "fig1-rho", "--samples=1125899906842624",
+          "--t-final=1.8096195390552148e+16pi", "--rk4-step=1.8096195390552148e+16"])
+def test_every_command_line_exits_0_1_or_2(argv):
+    # lowered caps keep each example cheap; what they refuse is refused
+    # by the same checks as at the real caps
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(numerics, "MAX_SAMPLES", 2**15)
+        mp.setattr(splitstep, "MAX_POINT_STEPS", 2**23)
+        mp.setattr(mathieu, "MAX_ITERATION_SAMPLES", 2**22)
+        with redirect_stdout(out), redirect_stderr(err):
+            rc = main(argv)
+    assert rc in (0, 1, 2)
+    if rc == 2:
+        assert re.search(r"^error: \S", err.getvalue(), re.M), err.getvalue()

@@ -34,6 +34,7 @@ from wavetrains import (
     xi_of,
 )
 from wavetrains.errors import GridMismatch
+from wavetrains.mathieu import every
 from wavetrains.numerics import SampledFunction, field_integral
 from wavetrains.trains import (
     TrainFrame,
@@ -519,21 +520,13 @@ def test_coefficient_odes_static_limit():
         assert res[key] < 1e-8
 
 
-def test_coefficient_odes_second_order(soliton_polar, soliton_spec):
-    step = soliton_polar.grid.step
-    res = {}
-    for stride in (64, 32):
-        sub = UniformGrid(0.0, stride * step,
-                          (soliton_polar.grid.count - 1) // stride + 1)
-        res[stride] = verify_eq4(soliton_polar, soliton_spec, t_grid=sub)
+def test_coefficient_odes_fourth_order(soliton_polar, soliton_spec):
+    # strides 64 -> 32 of the soliton trajectory: every residual falls
+    # about 14-16x
+    res = {stride: verify_eq4(every(soliton_polar, stride), soliton_spec)
+           for stride in (64, 32)}
     for key in ("c", "b", "e", "f", "a"):
-        assert res[64][key] / res[32][key] > 3.5
-
-
-def test_coefficient_odes_reject_offgrid_subsampling(soliton_polar, soliton_spec):
-    bad = UniformGrid(0.0, soliton_polar.grid.step * 10.5, 32)
-    with pytest.raises(GridMismatch):
-        verify_eq4(soliton_polar, soliton_spec, t_grid=bad)
+        assert res[64][key] / res[32][key] > 12.0
 
 
 # ------------------------------------------------------------ grid sizing
