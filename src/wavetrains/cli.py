@@ -52,6 +52,7 @@ from .numerics import UniformGrid, build_space_grid, require_samples, sample_ind
 from .splitstep import aliasing_dt_bound, lattice_steps, propagation_grid
 from .trains import (
     NORM_TOL,
+    FieldGrid,
     TrainSpec,
     auto_space_grid,
     center_orbit,
@@ -166,7 +167,7 @@ def _effective_spec(cfg: RunConfig, c0: float) -> TrainSpec:
     b0 = cfg.train.b0
     if cfg.train.declared_c0 is not None:
         b0 *= c0 / cfg.train.declared_c0
-    spec = TrainSpec(n=cfg.train.n, b0=b0, c0=c0)  # refuses c0 <= 0 first
+    spec = TrainSpec(n=cfg.train.n, b0=b0, c0=c0)  # refuses a c0 not > 0 (NaN too) first
     if not math.isfinite(b0 * b0 / c0):
         raise ConfigError(f"the effective b0 {b0:.4g} overflows b0^2/c0 (c0 = {c0:.4g})")
     return spec
@@ -194,8 +195,11 @@ def _commensurate_count(t_final: float, times, step: float,
 def _solve_polar(cfg: RunConfig, t_final: float, times=()):
     params = TrapParameters(cfg.params.u2, cfg.params.v)
     init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
-    count = _commensurate_count(t_final, times, cfg.solver.rk4_step)
-    traj = solve_classical(params, init, (0.0, t_final), t_final / count)
+    h = t_final / _commensurate_count(t_final, times, cfg.solver.rk4_step)
+    if h * math.sqrt(params.u2 + abs(params.v)) > 2.0 * math.sqrt(2.0):  # on the imaginary axis
+        raise ConfigError(f"the RK4 step {h:.4g} is past the stability limit "
+                          "h sqrt(u2 + |v|) = 2 sqrt(2); lower --rk4-step")
+    traj = solve_classical(params, init, (0.0, t_final), h)
     return traj, polar_decompose(traj)
 
 
@@ -249,6 +253,29 @@ def run_classical(cfg: RunConfig) -> Iterable[str]:
     return _render(cfg, columns, rows, _meta_common(ptraj.c0))
 
 
+class _SnapshotRows:
+    """The snapshot's (t, x, density, re_psi, im_psi) rows, time after time:
+    a table that builds each ``[s:e]`` block, which may span times, from the
+    fields (16 B per point) when sliced, so no times x N x 5 array exists."""
+
+    def __init__(self, fields: list[FieldGrid], x: np.ndarray):
+        self.fields, self.x, self.shape = fields, x, (len(fields) * len(x), 5)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        s, e, _ = rows.indices(len(self))
+        n = len(self.x)
+        block = np.empty((max(e - s, 0), 5))
+        for j in range(s // n, -(-e // n)):
+            lo, hi = max(s - j * n, 0), min(e - j * n, n)
+            v, part = self.fields[j].values[lo:hi], block[j * n + lo - s:j * n + hi - s]
+            part[:, 0], part[:, 1] = self.fields[j].t, self.x[lo:hi]
+            part[:, 2], part[:, 3], part[:, 4] = np.abs(v) ** 2, v.real, v.imag  # as .density()
+        return block
+
+
 def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     """Long-format (t, x, density, re_psi, im_psi) rows for each requested
     time, with per-time norm, node count, maxima count, and center in the
@@ -270,7 +297,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     meta.append(("grid.start", f"{grid.start:.17g}"))
     meta.append(("grid.step", f"{grid.step:.17g}"))
     meta.append(("grid.count", str(grid.count)))
-    rows = np.empty((len(times) * grid.count, 5))
+    fields = []
     for j, t_req in enumerate(times):
         i = int(round(t_req / traj.grid.step))
         i = min(max(i, 0), traj.grid.count - 1)
@@ -281,12 +308,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
                 f"the auto grid of {grid.count} points cannot hold the state at "
                 f"t = {field.t:.6g}: its norm there is {field.norm:.6g}, not 1 within "
                 f"{NORM_TOL:g}; set the grid with --half-width and --grid-points")
-        block = rows[j * grid.count:(j + 1) * grid.count]
-        block[:, 0] = field.t
-        block[:, 1] = x
-        block[:, 2] = field.density()
-        block[:, 3] = field.values.real
-        block[:, 4] = field.values.imag
+        fields.append(field)
         meta.append((f"snapshot.{j}.t", f"{field.t:.17g}"))
         meta.append((f"snapshot.{j}.norm", f"{field.norm:.17g}"))
         nodes = count_nodes(hermite_scaled(spec.n, xi_of(frame, x)))
@@ -295,7 +317,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
         meta.append((f"snapshot.{j}.xc",
                      f"{center_orbit(ptraj, spec, field.t):.17g}"))
     columns = ["t", "x", "density", "re_psi", "im_psi"]
-    return _render(cfg, columns, rows, meta)
+    return _render(cfg, columns, _SnapshotRows(fields, x), meta)
 
 
 def run_series(cfg: RunConfig) -> Iterable[str]:

@@ -335,9 +335,15 @@ def _column_keys(block: np.ndarray) -> list[int | None]:
             for col, bits in zip(block.T, block.T.view(np.int64))]
 
 
-def _csv_blocks(data: np.ndarray):
-    """Yield the data lines of a 2-D float array, ``_CSV_BLOCK`` rows per
-    string, each line ended by its newline.
+def _table(rows):
+    """``rows`` as a 2-D float array, or as given when it is a row table: an
+    object with ``shape``, ``len()`` and ``[s:e]`` slices that build blocks."""
+    return np.asarray(rows, dtype=float) if isinstance(rows, (list, tuple, np.ndarray)) else rows
+
+
+def _csv_blocks(data):
+    """Yield the data lines of a 2-D float array or row table (``_table``),
+    ``_CSV_BLOCK`` rows per string, each line ended by its newline.
 
     A block is laid out as the ``g17.text`` words of its values, row by
     row, with each separator in the free first byte of the next value's
@@ -345,11 +351,12 @@ def _csv_blocks(data: np.ndarray):
     the absent (0) bytes.  A constant column is formatted once per
     distinct value and broadcast, and a column whose bytes recur elsewhere
     in the table (counted by hash in a pre-pass) is formatted once and held
-    in a memo keyed by its full bytes until its last use."""
+    in a memo keyed by its full bytes until its last use; each pass slices
+    the blocks anew."""
     from . import g17  # here, not at the top: only a CSV needs it
 
-    blocks = [data[s:s + _CSV_BLOCK] for s in range(0, len(data), _CSV_BLOCK)]
-    keys = [_column_keys(block) for block in blocks]
+    starts = range(0, len(data), _CSV_BLOCK)
+    keys = [_column_keys(data[s:s + _CSV_BLOCK]) for s in starts]
     uses = Counter(h for row in keys for h in row if h is not None)
     left = uses.copy()
     memo: dict[bytes, np.ndarray] = {}
@@ -362,7 +369,8 @@ def _csv_blocks(data: np.ndarray):
             g17.text(col, text)
         return text
 
-    for block, row in zip(blocks, keys):
+    for s, row in zip(starts, keys):
+        block = data[s:s + _CSV_BLOCK]
         words = np.empty(block.size * 4 + 1, dtype=np.uint64)
         table = words[:-1].reshape(block.shape + (4,))
         for j, (col, h) in enumerate(zip(block.T, row)):
@@ -387,12 +395,13 @@ def _csv_blocks(data: np.ndarray):
 def csv_pieces(cfg: RunConfig, columns: list[str], rows,
                meta: list[tuple[str, str]] | None = None):
     """The text of ``render_csv`` as pieces: the comment header and the
-    column names, then one piece per block of ``_CSV_BLOCK`` data lines."""
+    column names, then one piece per block of ``_CSV_BLOCK`` data lines of
+    ``rows``, a 2-D float array, a list of rows or a row table (``_table``)."""
     lines = [f"# {key} = {value}" for key, value in flat_items(cfg) + list(meta or [])]
     lines.append(",".join(columns))
     yield "\n".join(lines) + "\n"
-    data = np.asarray(rows, dtype=float)
-    if data.size:
+    data = _table(rows)
+    if math.prod(data.shape):
         yield from _csv_blocks(data)
 
 
@@ -404,7 +413,8 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
 
     The text is the join of ``csv_pieces``.  Given ``pieces``, an iterator
     from ``csv_pieces`` over the same arguments, only its next piece is
-    formatted and returned ("" once it is spent).  Rows are formatted a
+    formatted and returned ("" once it is spent).  ``rows`` may be a row
+    table (``_table``), sliced a block at a time.  Rows are formatted a
     block of ``_CSV_BLOCK`` rows at a time (``_csv_blocks``), each column
     by the numpy kernel ``g17.text``; a block column that is constant, or
     that recurs elsewhere in the table (a snapshot's t and x columns), is
@@ -415,10 +425,11 @@ def render_csv(cfg: RunConfig, columns: list[str], rows,
     return "".join(csv_pieces(cfg, columns, rows, meta))
 
 
-def _json_row_blocks(data: np.ndarray):
-    """Yield the items of the ``"rows"`` array of an ``indent=2`` document,
-    ``_CSV_BLOCK`` rows per string, each block after the first led by the
-    separator between rows, each block by one ``%`` operation over a row
+def _json_row_blocks(data):
+    """Yield the items of the ``"rows"`` array of an ``indent=2`` document
+    from a float array or row table, ``_CSV_BLOCK`` rows per string, each
+    block after the first led by the separator between rows, each by one
+    ``%`` operation over a row
     template.  The text of a finite float is its repr, which is what
     ``json.dumps`` writes; a block holding NaN or infinity takes each value's
     text from ``json.dumps`` itself (``NaN``, ``Infinity``)."""
@@ -439,12 +450,12 @@ def json_pieces(cfg: RunConfig, columns: list[str], rows, meta: dict | None = No
     ``rows`` is the last sorted key, so the rest of the document is dumped
     with an empty rows array and the rows are spliced in from
     ``_json_row_blocks``: no Python list per row, no pure-Python indenting
-    encoder over every value."""
-    data = np.asarray(rows, dtype=float)
+    encoder over every value.  ``rows`` is as for ``csv_pieces``."""
+    data = _table(rows)
     doc = {"config": to_dict(cfg), "columns": list(columns), "rows": []}
     if meta:
         doc["meta"] = meta
-    if not data.size:
+    if not math.prod(data.shape):
         doc["rows"] = data.tolist()
         yield json.dumps(doc, sort_keys=True, indent=2) + "\n"
         return

@@ -12,8 +12,8 @@ Strang splitting with the half kinetic steps in momentum space:
 
 is second order in dt (Feit, Fleck & Steiger, J. Comput. Phys. 47, 412
 (1982)); adjacent half kinetic steps between outputs are merged into whole
-steps, so a step costs one FFT pair plus pointwise phases.  On a grid
-centred on 0 the kick is computed on half the grid and mirrored.
+steps, so a step costs one FFT pair plus pointwise phases; the kick takes
+cos/sin of 2(R + Q) - 1 ~ 4 sqrt(N) phases, not N (``kick_phases``).
 
 Grids of up to ``FOUR_STEP_ABOVE`` points take numpy's 1-D FFT.  Larger
 ones transform as a four-step FFT (``four_step_fft``): short FFTs along
@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import (AliasingRisk, Cancelled, ConfigError, GridMismatch, InvalidCount,
                      NormDrift, TooManySamples)
@@ -36,8 +37,8 @@ from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_o
                        require_samples)
 from .trains import NORM_TOL, FieldGrid, TrainSpec
 
-# Budget on steps x grid points of one propagation, 3-5 minutes at the
-# 35-70 ns per point-step measured on 1024 to 16384 points (2-vCPU Xeon).
+# Budget on steps x grid points of one propagation, 1.5-3 minutes at the
+# 22-40 ns per point-step measured on 16384 down to 1024 points (2-vCPU Xeon).
 # The largest propagation in the acceptance tests (24576 steps on 16384
 # points, 4.0e8) is 10x below it, and the largest a preset runs
 # (oracle-compare fig3-collapse to 2pi, 4096 x 16384) 64x.
@@ -126,6 +127,20 @@ def four_step_fft(count: int):
     return forward, inverse, layout
 
 
+def kick_phases(grid: UniformGrid, dt: float):
+    """The kick phase per unit k(t), -dt/2 x^2, on the R x Q view of the grid
+    (R = 2^(q//2) rows as in ``four_step_fft``): with x = start + (Q r + b) dx,
+    the chirp identity 2rb = r^2 + b^2 - (r - b)^2 (Bluestein, IEEE Trans.
+    Audio Electroacoust. 18, 451 (1970)) splits it into 2(R + Q) - 1 values,
+    -dt/2 x^2 = row[r] + col[b] + diag[R - 1 - r + b] (diag over r - b)."""
+    rows = 1 << (grid.count.bit_length() - 1) // 2
+    cols, c, dx = grid.count // rows, -0.5 * dt, grid.step
+    r, b, d = np.arange(rows), np.arange(cols), np.arange(rows - 1, -cols, -1)
+    row = c * ((grid.start + cols * dx * r) ** 2 + cols * dx * dx * r * r)
+    col = c * dx * b * ((1 + cols) * dx * b + 2.0 * grid.start)
+    return row, col, -c * cols * dx * dx * d * d
+
+
 def renormalized(field: FieldGrid) -> FieldGrid:
     """Rescale a field to unit rectangle-rule norm (``FieldGrid.norm``).
 
@@ -166,10 +181,9 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
       which cost 5-40% of a step under default threading and slowed any
       work sharing the machine.
 
-    When point N/2 of the grid is exactly 0 (always so for
-    ``propagation_grid``), x^2 mirrors about it: the kick's cos/sin are
-    computed on points N/2 .. N from (j dx)^2, and each half of psi takes
-    its mirrored slice.  Other grids take the kick on every point.
+    The kick e^(-i k(t_mid) x^2 dt/2) is the product of the three factors
+    of ``kick_phases`` on the R x Q view of psi, the Toeplitz one a strided
+    view of its 2(R + Q) - 1 phases, on every grid, centred or not.
 
     Grids of more than ``FOUR_STEP_ABOVE`` points transform with
     ``four_step_fft``, with the kinetic phases permuted once into its
@@ -220,16 +234,14 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     p = 2.0 * math.pi * np.fft.fftfreq(grid.count, d=grid.step)
     half_kin = layout(np.exp(-0.25j * p * p * dt))
     full_kin = half_kin * half_kin
-    # kick phase per unit k(t); ``halves`` pairs slices of psi and of the kick
-    half = grid.count // 2
-    if grid.start + half * grid.step == 0.0:
-        kick_base = -0.5 * dt * (np.arange(half + 1) * grid.step) ** 2
-        halves = ((slice(half, None), slice(0, half)), (slice(0, half), slice(half, 0, -1)))
-    else:
-        kick_base = -0.5 * dt * grid.points() ** 2
-        halves = ((slice(None), slice(None)),)
+    # the row, column and Toeplitz factors of the kick on the R x Q view of psi
+    phases = kick_phases(grid, dt)
+    rows, cols = len(phases[0]), len(phases[1])
+    kick_base = np.concatenate(phases)
     kick_arg = np.empty(len(kick_base))
     kick = np.empty(len(kick_base), dtype=complex)
+    factors = (kick[:rows, None], kick[rows:rows + cols],
+               sliding_window_view(kick[rows + cols:], cols)[::-1])
 
     norm0 = math.sqrt(psi0.norm)
     out: dict[int, FieldGrid] = {}
@@ -253,6 +265,7 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     forward(psi)
     np.multiply(half_kin, psi, out=psi)  # operand order: complex * is not bitwise commutative
     flat = psi.view(float)  # re, im of psi: every update below is in place
+    view = psi.reshape(rows, cols)
     record_set = set(record_steps)
     for m in range(n_steps):
         if cancel is not None and cancel.is_set():
@@ -262,8 +275,8 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
         np.multiply(kick_base, k_mid, out=kick_arg)
         np.cos(kick_arg, out=kick.real)
         np.sin(kick_arg, out=kick.imag)
-        for dst, src in halves:
-            psi[dst] *= kick[src]
+        for factor in factors:
+            view *= factor
         forward(psi)
         last = m + 1 == n_steps
         if last or (m + 1 in record_set):

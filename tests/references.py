@@ -6,8 +6,8 @@ The package integrates fields by the rectangle rule and time integrals by
 They stay here as independent checks: ``simpson`` of the Hermite norms and
 of ``cumulative_simpson``'s endpoint, ``tdse_residual`` of split-step frames
 (acceptance criterion 9).  ``full_kick_evolve`` is the check of the
-mirrored half-grid kick that ``split_step_evolve`` takes on a grid centred
-on 0.
+factored kick (row, column and Toeplitz factors of ``kick_phases``) that
+``split_step_evolve`` takes on every grid.
 """
 
 import math

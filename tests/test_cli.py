@@ -503,11 +503,61 @@ def test_snapshot_csv_matches_per_value_format(monkeypatch, capsys):
                                   "--times", "0,0.5pi,2pi", "--grid-points", "8192",
                                   "--half-width", "10"])
     assert rc == 0
-    rows = np.asarray(seen["rows"])
-    assert rows.shape == (3 * 8192, 5)
+    assert seen["rows"].shape == (3 * 8192, 5)
+    rows = seen["rows"][:len(seen["rows"])]
     assert np.array_equal(rows[:8192, 1], rows[2 * 8192:, 1])
     _assert_same_text(out, _render_csv_per_value(seen["cfg"], seen["columns"],
                                                  rows.tolist(), seen["meta"]))
+
+
+def _snapshot_cfg(times, count):
+    return cli.resolve_config(cli.build_parser().parse_args(
+        ["snapshot", "--preset", "static", "--times", times, "--grid-points", str(count),
+         "--half-width", "10"]))
+
+
+@pytest.mark.parametrize("count", [1024, 8192])
+def test_snapshot_row_blocks_equal_the_whole_table(monkeypatch, count):
+    # 1024-point times put several in one 4096-row block; every slice,
+    # aligned or not, is bit for bit the table laid out whole from the fields
+    seen = {}
+    monkeypatch.setattr(cli, "_render", lambda cfg, columns, rows, meta: seen.update(rows=rows))
+    cli.run_snapshot(_snapshot_cfg("0,0.5pi,1pi,2pi", count))
+    table = seen["rows"]
+    whole = np.empty((4 * count, 5))
+    for j, field in enumerate(table.fields):
+        block = whole[j * count:(j + 1) * count]
+        block[:, 0] = field.t
+        block[:, 1] = field.grid.points()
+        block[:, 2] = field.density()
+        block[:, 3] = field.values.real
+        block[:, 4] = field.values.imag
+    assert table.shape == whole.shape and len(table) == len(whole)
+    edges = [(s, s + _CSV_BLOCK) for s in range(0, len(whole), _CSV_BLOCK)]
+    edges += [(0, len(whole)), (count - 3, 2 * count + 5), (7, 7), (len(whole) - 1, 10**9)]
+    for s, e in edges:
+        got = table[s:e]
+        assert got.dtype == whole.dtype and got.shape == whole[s:e].shape
+        assert np.array_equal(got.view(np.int64), whole[s:e].view(np.int64)), (s, e)
+
+
+def test_snapshot_peak_memory_per_time():
+    # each extra time keeps its complex field (16 B per point); a
+    # times x N x 5 float table would add 40 B per point on top
+    count = 65536
+
+    def peak(times):
+        cfg = _snapshot_cfg(times, count)
+        tracemalloc.start()
+        try:
+            for _ in cli.run_snapshot(cfg):
+                pass
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    growth = (peak("0,0.5pi,1pi,1.5pi,2pi") - peak("0,2pi")) / 3
+    assert growth <= 20 * count
 
 
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])
@@ -926,6 +976,25 @@ def test_infinite_step_count_is_usage_error(capsys, argv):
     assert rc == 2 and out == ""
     assert err.startswith("error: the classical solve needs inf samples")
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", ["classical", "series", "verify"])
+def test_rk4_step_past_stability_limit_is_usage_error(capsys, command):
+    # one step of h sqrt(k) = 9e64 would blow the orbit up to drho inf and
+    # dtheta nan; a step past RK4's limit 2 sqrt(2) is refused instead
+    argv = [command, "--preset", "static", "--rk4-step", "8.98e64", "--t-final", "8.98e64"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("error: the RK4 step 8.98e+64 is past the stability limit")
+    assert err.count("\n") == 1
+
+
+def test_rk4_step_inside_stability_limit_runs(capsys):
+    # static trap, k = 1: one step of 2.8 lies inside 2 sqrt(2) = 2.83
+    argv = ["classical", "--preset", "static", "--rk4-step", "2.8", "--t-final", "2.8"]
+    rc, out, err = run_cli(capsys, argv)
+    assert rc == 0 and err == ""
+    assert run_cli(capsys, argv[:-3] + ["2.9", "--t-final", "2.9"])[0] == 2
 
 
 @pytest.mark.parametrize("argv", [

@@ -29,7 +29,7 @@ from wavetrains import (
     train_frame,
 )
 from wavetrains.errors import GridMismatch, InvalidCount
-from wavetrains.splitstep import FOUR_STEP_ABOVE, four_step_fft
+from wavetrains.splitstep import FOUR_STEP_ABOVE, four_step_fft, kick_phases
 
 from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
 from references import full_kick_evolve, tdse_residual
@@ -208,10 +208,10 @@ def test_norm_drift_aborts_lossy_step(monkeypatch, collapse_polar, collapse_spec
         split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 16 * cfg.dt)
 
 
-def test_half_grid_kick_matches_the_full_kick(collapse_polar, collapse_spec):
-    # the propagation grid is centred on 0, so the kick is computed on
-    # N/2 + 1 points and mirrored: psi after a quarter period (1024 steps on
-    # 16384 points) agrees with the kick taken on every point
+def test_factored_kick_matches_the_full_kick(collapse_polar, collapse_spec):
+    # the kick is a row, a column and a Toeplitz factor from 511 phases on
+    # 16384 points: psi after a quarter period (1024 steps) agrees with the
+    # kick evaluated at every point
     psi0 = _collapse_start(collapse_polar, collapse_spec)
     grid = psi0.grid
     assert grid.start + (grid.count // 2) * grid.step == 0.0
@@ -222,9 +222,9 @@ def test_half_grid_kick_matches_the_full_kick(collapse_polar, collapse_spec):
     assert float(np.max(np.abs(final.values - reference))) <= 1e-12
 
 
-def test_uncentred_grid_takes_the_full_kick(static_polar, static_spec):
-    # an explicit grid whose point N/2 is not 0 keeps the kick on every
-    # point: bit for bit the full-kick reference
+def test_uncentred_grid_matches_the_full_kick(static_polar, static_spec):
+    # an explicit grid whose point N/2 is not 0 takes the same factored
+    # kick as a centred one
     grid = build_space_grid(0.5, 9.0, 256)
     assert grid.start + (grid.count // 2) * grid.step != 0.0
     with warnings.catch_warnings():
@@ -232,13 +232,13 @@ def test_uncentred_grid_takes_the_full_kick(static_polar, static_spec):
         psi0 = renormalized(psi_on_grid(train_frame(static_polar, static_spec, 0.0), grid))
     dt = math.pi / 256
     (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(grid, dt), 64 * dt)
-    assert np.array_equal(final.values, full_kick_evolve(psi0, STATIC_PARAMS, dt, 64))
+    reference = full_kick_evolve(psi0, STATIC_PARAMS, dt, 64)
+    assert float(np.max(np.abs(final.values - reference))) <= 1e-12
 
 
 def test_uncentred_four_step_grid_matches_the_full_kick(static_polar, static_spec):
     # above the crossover the propagator transforms four-step, in its own
-    # k-space order, and takes the full kick here: the reference stays on
-    # numpy's 1-D FFT in natural order
+    # k-space order: the reference stays on numpy's 1-D FFT in natural order
     grid = build_space_grid(0.5, 9.0, 8192)
     assert grid.count > FOUR_STEP_ABOVE
     assert grid.start + (grid.count // 2) * grid.step != 0.0
@@ -249,6 +249,28 @@ def test_uncentred_four_step_grid_matches_the_full_kick(static_polar, static_spe
     (final,) = split_step_evolve(psi0, STATIC_PARAMS, PropagatorConfig(grid, dt), 64 * dt)
     reference = full_kick_evolve(psi0, STATIC_PARAMS, dt, 64)
     assert float(np.max(np.abs(final.values - reference))) <= 1e-12
+
+
+@pytest.mark.parametrize("q", range(1, 17))
+@pytest.mark.parametrize("center", [0.0, 0.5], ids=["centred", "uncentred"])
+def test_kick_phases_factor_the_kick_phase(q, center):
+    # row[r] + col[b] + diag[R - 1 - r + b] is -dt/2 x^2 at point rQ + b of
+    # the R x Q view, for odd and even q; the product of the three factors
+    # has unit modulus and is the kick at every point
+    grid = build_space_grid(center, 9.0, 1 << q)
+    dt = math.pi / 2048
+    row, col, diag = kick_phases(grid, dt)
+    rows, cols = len(row), len(col)
+    assert rows == 1 << q // 2 and rows * cols == grid.count
+    assert len(row) + len(col) + len(diag) == 2 * (rows + cols) - 1
+    r, b = np.divmod(np.arange(grid.count), cols)
+    exact = -0.5 * dt * grid.points() ** 2
+    assert np.max(np.abs(row[r] + col[b] + diag[rows - 1 - r + b] - exact)) <= 1e-16
+    k = COLLAPSE_PARAMS.u2 + COLLAPSE_PARAMS.v
+    kick = (np.exp(1j * k * row)[r] * np.exp(1j * k * col)[b]
+            * np.exp(1j * k * diag)[rows - 1 - r + b])
+    assert np.max(np.abs(np.abs(kick) - 1.0)) <= 1e-15
+    assert np.max(np.abs(kick - np.exp(1j * k * exact))) <= 1e-15
 
 
 @pytest.mark.parametrize("q", range(1, 17))

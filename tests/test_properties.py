@@ -243,12 +243,13 @@ def command_lines(draw):
           "--samples=1000"])
 # b0^2/c0 past the float range
 @example(["snapshot", "--preset", "static", "--b0=1e200", "--times=0"])
-# RK4 steps far past stability blow the orbit up: the propagation grid's
-# demand and its step bound's k_max x_edge dx overflow
+# RK4 steps far past the stability limit, refused before the orbit
+# blows up (and overflows the propagation grid's demand downstream)
 @example(["verify", "--preset", "static", "--rk4-step=8.979213989234729e+64",
           "--iterations=4267", "--t-final=8.979213989234729e+64"])
 @example(["verify", "--preset", "fig1-rho", "--samples=1125899906842624",
           "--t-final=1.8096195390552148e+16pi", "--rk4-step=1.8096195390552148e+16"])
+@example(["classical", "--preset", "static", "--rk4-step=8.98e64", "--t-final=8.98e64"])
 def test_every_command_line_exits_0_1_or_2(argv):
     # lowered caps keep each example cheap; what they refuse is refused
     # by the same checks as at the real caps

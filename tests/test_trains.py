@@ -76,6 +76,8 @@ def test_trainspec_rejects_bad_input():
         TrainSpec(n=0, b0=0.0, c0=0.0)
     with pytest.raises(NonPositiveC0):
         TrainSpec(n=0, b0=0.0, c0=-0.5)
+    with pytest.raises(NonPositiveC0):  # the c0 of an orbit whose Wronskian overflowed
+        TrainSpec(n=0, b0=0.0, c0=math.nan)
 
 
 # ----------------------------------------------------- Hermite functions

@@ -71,8 +71,12 @@ COMMANDS = [
     ["verify", "--preset", "fig3-collapse", "--t-final", "5e-324", "--rk4-step", "8.5e221",
      "--samples", "1000"],
     ["snapshot", "--preset", "static", "--b0", "1e150", "--times", "0"],
+    # one RK4 step past the method's stability limit
+    ["classical", "--preset", "static", "--rk4-step", "8.98e64", "--t-final", "8.98e64"],
     ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
     ["snapshot", "--preset", "fig3-collapse", "--times", "0,1pi,2pi", "--out", OUT],
+    ["snapshot", "--preset", "fig3-collapse", "--format", "json", "--times", "0,1pi,2pi",
+     "--out", OUT],
     # values down to the e-300s and 5e-324 in the tails of a wide box
     ["snapshot", "--preset", "static", "--times", "0,0.25pi", "--grid-points", "16384",
      "--half-width", "40", "--out", OUT],
