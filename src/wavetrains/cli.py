@@ -46,13 +46,14 @@ from .mathieu import (
     TrapParameters,
     first_integral,
     polar_decompose,
+    require_rk4_step,
     solve_classical,
 )
 from .numerics import UniformGrid, build_space_grid, require_samples, sample_indices
 from .splitstep import aliasing_dt_bound, lattice_steps, propagation_grid
 from .trains import (
     NORM_TOL,
-    FieldGrid,
+    FieldRows,
     TrainSpec,
     auto_space_grid,
     center_orbit,
@@ -196,9 +197,7 @@ def _solve_polar(cfg: RunConfig, t_final: float, times=()):
     params = TrapParameters(cfg.params.u2, cfg.params.v)
     init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
     h = t_final / _commensurate_count(t_final, times, cfg.solver.rk4_step)
-    if h * math.sqrt(params.u2 + abs(params.v)) > 2.0 * math.sqrt(2.0):  # on the imaginary axis
-        raise ConfigError(f"the RK4 step {h:.4g} is past the stability limit "
-                          "h sqrt(u2 + |v|) = 2 sqrt(2); lower --rk4-step")
+    require_rk4_step(params, h)
     traj = solve_classical(params, init, (0.0, t_final), h)
     return traj, polar_decompose(traj)
 
@@ -253,29 +252,6 @@ def run_classical(cfg: RunConfig) -> Iterable[str]:
     return _render(cfg, columns, rows, _meta_common(ptraj.c0))
 
 
-class _SnapshotRows:
-    """The snapshot's (t, x, density, re_psi, im_psi) rows, time after time:
-    a table that builds each ``[s:e]`` block, which may span times, from the
-    fields (16 B per point) when sliced, so no times x N x 5 array exists."""
-
-    def __init__(self, fields: list[FieldGrid], x: np.ndarray):
-        self.fields, self.x, self.shape = fields, x, (len(fields) * len(x), 5)
-
-    def __len__(self) -> int:
-        return self.shape[0]
-
-    def __getitem__(self, rows: slice) -> np.ndarray:
-        s, e, _ = rows.indices(len(self))
-        n = len(self.x)
-        block = np.empty((max(e - s, 0), 5))
-        for j in range(s // n, -(-e // n)):
-            lo, hi = max(s - j * n, 0), min(e - j * n, n)
-            v, part = self.fields[j].values[lo:hi], block[j * n + lo - s:j * n + hi - s]
-            part[:, 0], part[:, 1] = self.fields[j].t, self.x[lo:hi]
-            part[:, 2], part[:, 3], part[:, 4] = np.abs(v) ** 2, v.real, v.imag  # as .density()
-        return block
-
-
 def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     """Long-format (t, x, density, re_psi, im_psi) rows for each requested
     time, with per-time norm, node count, maxima count, and center in the
@@ -317,7 +293,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
         meta.append((f"snapshot.{j}.xc",
                      f"{center_orbit(ptraj, spec, field.t):.17g}"))
     columns = ["t", "x", "density", "re_psi", "im_psi"]
-    return _render(cfg, columns, _SnapshotRows(fields, x), meta)
+    return _render(cfg, columns, FieldRows(fields, x), meta)
 
 
 def run_series(cfg: RunConfig) -> Iterable[str]:

@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import (
     BranchJump,
+    ConfigError,
     NonFiniteValue,
     NonZeroStart,
     OriginCrossing,
@@ -165,6 +166,14 @@ def require_picard_budget(iterations: int, count: int):
             f"{iterations * count:.4g} iteration-samples, more than the budget of "
             f"{MAX_ITERATION_SAMPLES:.4g}"
         )
+
+
+def require_rk4_step(params: TrapParameters, step: float):
+    """Raise ConfigError when ``step`` passes RK4's stability limit on the
+    imaginary axis, h sqrt(u2 + |v|) > 2 sqrt(2): the orbit would blow up."""
+    if step * math.sqrt(params.u2 + abs(params.v)) > 2.0 * math.sqrt(2.0):
+        raise ConfigError(f"the RK4 step {step:.4g} is past the stability limit "
+                          "h sqrt(u2 + |v|) = 2 sqrt(2); take a smaller step")
 
 
 def picard_iterate(params: TrapParameters, init: ClassicalInit,

@@ -118,6 +118,29 @@ class FieldGrid:
         return np.abs(self.values) ** 2
 
 
+class FieldRows:
+    """Long-format (t, x, density, re_psi, im_psi) rows of fields on one grid
+    of points ``x``, time after time: each ``[s:e]`` slice builds its block,
+    which may span times, from the fields, so no times x N x 5 array exists."""
+
+    def __init__(self, fields: list[FieldGrid], x: np.ndarray):
+        self.fields, self.x, self.shape = fields, x, (len(fields) * len(x), 5)
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __getitem__(self, rows: slice) -> np.ndarray:
+        s, e, _ = rows.indices(len(self))
+        n = len(self.x)
+        block = np.empty((max(e - s, 0), 5))
+        for j in range(s // n, -(-e // n)):
+            lo, hi = max(s - j * n, 0), min(e - j * n, n)
+            v, part = self.fields[j].values[lo:hi], block[j * n + lo - s:j * n + hi - s]
+            part[:, 0], part[:, 1] = self.fields[j].t, self.x[lo:hi]
+            part[:, 2], part[:, 3], part[:, 4] = np.abs(v) ** 2, v.real, v.imag  # as .density()
+        return block
+
+
 def _hermite_rows(nmax: int, xi: np.ndarray, row) -> np.ndarray:
     """Write h_0 .. h_nmax into ``row(0)`` .. ``row(nmax)``, buffers of
     ``xi``'s shape, by the numerically stable scaled three-term recurrence
