@@ -9,15 +9,19 @@ steps are 2x2 matrices (the equation is linear) built at once in closed
 form and composed by a blocked prefix product.  The polar decomposition
 phi = rho * exp(i*theta) and the first integral c0 = rho^2 * dtheta =
 phi1*dphi2 - phi2*dphi1 feed the quantum construction in ``trains``.
-Both trajectory records hold whole arrays on one uniform time grid;
-``every`` slices either to every m-th sample.
+The RK4 solve runs in windows of WINDOW steps with the state carried
+across (``rk4_windows``), and the polar form continues theta across them
+(``polar_windows``).  The trajectory records hold whole arrays on one
+uniform time grid: the windows laid end to end.  A caller that needs only
+a sweep over the trajectory, such as verify's refined residuals, takes the
+windows and never holds it whole.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,13 +35,18 @@ from .errors import (
     TooManySamples,
 )
 from .numerics import UniformGrid, central_diff, cumulative_simpson, residual_maxima
-from .numerics import SampledFunction, require_samples
+from .numerics import SampledFunction, halo_windows, require_samples
 
 # Budget on iterations x samples of one Picard solve, about 5 minutes at
 # the 60-100 ns per iteration-sample measured on 8193 to 65537 samples
 # (2-vCPU Xeon).  On verify's 8193-sample grid it allows 524,224
 # iterations; the Picard check converges in a handful.
 MAX_ITERATION_SAMPLES = 2**32
+
+# Steps per window of the RK4 solve (``rk4_windows``): a solve holds the
+# step matrices of one window at a time, and a streamed one (verify's
+# refined residual trajectory) one window of the trajectory too.
+WINDOW = 2**15
 
 
 @dataclass(frozen=True)
@@ -239,11 +248,11 @@ def _mul2(a, b):
             a10 * b00 + a11 * b10, a10 * b01 + a11 * b11)
 
 
-def _rk4_propagators(params: TrapParameters, h: float, n_steps: int,
+def _rk4_propagators(params: TrapParameters, h: float, first: int, count: int,
                      block: int) -> np.ndarray:
-    """Entries (00, 01, 10, 11) of the RK4 step matrices, shape
-    (4, block, blocks): position i = b block + j sits at [:, j, b], so
-    position j of every block is one contiguous row.
+    """Entries (00, 01, 10, 11) of the RK4 step matrices M_first ..
+    M_(first + count - 1), shape (4, block, blocks): position i = b block + j
+    sits at [:, j, b], so position j of every block is one contiguous row.
 
     RK4 applied to y' = [[0, 1], [-k, 0]] y is linear in y, so the step
     t_(i-1) -> t_i is a matrix M_i.  With a, b, c the values of h^2 k at
@@ -252,13 +261,14 @@ def _rk4_propagators(params: TrapParameters, h: float, n_steps: int,
         M_i = [[1 - b/3 + a (b - 4)/24,          h (1 - b/6)           ],
                [((a + c)(b - 2)/12 - 2b/3) / h,  1 - b/3 + c (b - 4)/24]].
 
-    Position i (1 <= i <= n_steps) holds M_i; position 0 and the padding
-    up to whole blocks hold identities, so the product up to position i
-    maps sample 0 to sample i and the padding adds no step that could
+    Position i holds M_(first + i); M_0 (position 0 when ``first`` is 0)
+    and the padding up to whole blocks hold identities, so the product up
+    to position i maps sample first - 1 (sample 0 itself when ``first`` is
+    0) to sample first + i, and the padding adds no step that could
     overflow where h sqrt(k) lies beyond RK4's stability limit.
     """
-    blocks = -(-(n_steps + 1) // block)
-    t = np.arange(-1, blocks * block) * h  # t[i] = t_(i-1), in position order
+    blocks = -(-count // block)
+    t = np.arange(first - 1, first + blocks * block) * h  # t[i] = t_(first+i-1)
     hk = h * h * params.k(t)
     b = (h * h * params.k(t[:-1] + 0.5 * h)).reshape(blocks, block)
     a, c = hk[:-1].reshape(blocks, block), hk[1:].reshape(blocks, block)
@@ -269,54 +279,45 @@ def _rk4_propagators(params: TrapParameters, h: float, n_steps: int,
     steps[2] = ((a + c) * (b - 2.0) / 12.0 - 2.0 * b / 3.0) / h
     steps[3] = 1.0 - b / 3.0 + c * (b - 4.0) / 24.0
     identity = np.array([[1.0], [0.0], [0.0], [1.0]])
-    steps[:, 0, :1] = identity
-    steps[:, -1, n_steps + 1 - (blocks - 1) * block:] = identity
+    if first == 0:
+        steps[:, 0, :1] = identity
+    steps[:, -1, count - (blocks - 1) * block:] = identity
     return m
 
 
-def _rk4_scan(params: TrapParameters, grid: UniformGrid, y0):
-    """States Y_i = M_i ... M_1 Y_0 at every grid point by a blocked prefix
-    product (Blelloch 1990) over blocks of ceil(sqrt(N)) steps: inclusive
+def _rk4_scan(params: TrapParameters, h: float, first: int, count: int, y):
+    """States Y_first .. Y_(first + count - 1), Y_i = M_i ... M_1 Y_0, from
+    ``y``, the entry tuple of Y_(first - 1) (of Y_0 itself when ``first`` is
+    0), Y = [[phi1, phi2], [dphi1, dphi2]], by a blocked prefix product
+    (Blelloch 1990) over blocks of ceil(sqrt(count - 1)) steps: inclusive
     prefixes inside all blocks at once, one contiguous row per position,
     then the state carried across block ends, then every prefix applied to
-    its block's starting state.  About 2 sqrt(N) Python iterations instead
-    of N.
+    its block's starting state.  About 2 sqrt(count) Python iterations
+    instead of count.
 
-    ``y0`` is the entry tuple of Y_0 = [[phi1, phi2], [dphi1, dphi2]];
-    returns (phi1, phi2, dphi1, dphi2) arrays.  Raises NonFiniteValue at
-    the first non-finite sample.
+    Returns the (phi1, phi2, dphi1, dphi2) arrays and the entry tuple of
+    the last state, to carry into the next window.
     """
-    n_steps = grid.count - 1
-    block = math.isqrt(n_steps - 1) + 1  # ceil(sqrt(n_steps))
+    block = math.isqrt(max(count - 2, 0)) + 1
     with np.errstate(over="ignore", invalid="ignore"):
-        p = _rk4_propagators(params, grid.step, n_steps, block)
+        p = _rk4_propagators(params, h, first, count, block)
         for j in range(1, block):
             p[:, j] = _mul2(p[:, j], p[:, j - 1])
         starts = []
-        y = y0
         for end in p[:, -1].T.tolist():
             starts.append(y)
             y = _mul2(end, y)
         blocked = list(_mul2(p, np.array(starts).T[:, None, :]))
         del p  # freed before each state is copied into time order
-        states = [blocked.pop(0).T.reshape(-1)[:grid.count] for _ in range(4)]
-    finite = np.logical_and.reduce([np.isfinite(s) for s in states])
-    if not finite.all():
-        i = int(np.argmin(finite))
-        raise NonFiniteValue(f"RK4 state became non-finite at t = {i * grid.step}")
-    return states
+        states = [blocked.pop(0).T.reshape(-1)[:count] for _ in range(4)]
+    return states, y
 
 
-def solve_classical(params: TrapParameters, init: ClassicalInit,
-                    t_span: tuple[float, float], step: float) -> Trajectory:
-    """Integrate phi'' = -(U^2 + V cos 2t) phi componentwise with fixed-step
-    RK4, as a product of per-step matrices shared by phi1 and phi2.
-
-    Initial conditions are taken from ``unperturbed_solution`` at t = 0 so
-    the Picard and RK4 routes share initial data exactly.  The step is
+def time_grid(t_span: tuple[float, float], step: float) -> UniformGrid:
+    """The time grid of a solve over ``t_span`` from t = 0: the step is
     shrunk (never grown) to divide the span evenly, so the final sample
-    lands exactly on t_span[1].
-    """
+    lands exactly on t_span[1].  A count past the cap is refused
+    (TooManySamples) before anything is allocated."""
     t0, t1 = t_span
     if t0 != 0.0:
         raise NonZeroStart(f"runs must start at t = 0, got {t0}")
@@ -324,12 +325,79 @@ def solve_classical(params: TrapParameters, init: ClassicalInit,
         raise ValueError("need t_span[1] > 0 and step > 0")
     require_samples(t1 / step + 1.0, "the classical solve")
     n_steps = max(1, math.ceil(t1 / step - 1e-12))
-    grid = UniformGrid(start=0.0, step=t1 / n_steps, count=n_steps + 1)
+    return UniformGrid(start=0.0, step=t1 / n_steps, count=n_steps + 1)
 
-    phi1, phi2, dphi1, dphi2 = _rk4_scan(params, grid,
-                                         unperturbed_solution(init, params, 0.0))
+
+def rk4_windows(params: TrapParameters, init: ClassicalInit, grid: UniformGrid):
+    """The RK4 solve on ``grid`` (which starts at t = 0) window by window:
+    yields (first, [phi1, phi2, dphi1, dphi2]) for samples first, first + 1,
+    ..., WINDOW steps at a time, the state carried from one window to the
+    next.  Initial conditions are ``unperturbed_solution`` at t = 0, so the
+    Picard and RK4 routes share initial data exactly.  Raises NonFiniteValue
+    at the first non-finite sample."""
+    y = unperturbed_solution(init, params, 0.0)
+    first = 0
+    while first < grid.count:
+        count = min(WINDOW + (first == 0), grid.count - first)
+        states, y = _rk4_scan(params, grid.step, first, count, y)
+        finite = np.logical_and.reduce([np.isfinite(s) for s in states])
+        if not finite.all():
+            i = first + int(np.argmin(finite))
+            raise NonFiniteValue(f"RK4 state became non-finite at t = {i * grid.step}")
+        yield first, states
+        first += count
+
+
+def solve_classical(params: TrapParameters, init: ClassicalInit,
+                    t_span: tuple[float, float], step: float) -> Trajectory:
+    """Integrate phi'' = -(U^2 + V cos 2t) phi componentwise with fixed-step
+    RK4, as a product of per-step matrices shared by phi1 and phi2, on the
+    ``time_grid`` of ``t_span`` and ``step``: the windows of ``rk4_windows``
+    laid end to end."""
+    grid = time_grid(t_span, step)
+    states = np.empty((4, grid.count))
+    for first, window in rk4_windows(params, init, grid):
+        states[:, first:first + len(window[0])] = window
+    phi1, phi2, dphi1, dphi2 = states
     return Trajectory(params=params, init=init, grid=grid,
                       phi1=phi1, phi2=phi2, dphi1=dphi1, dphi2=dphi2)
+
+
+def _unwrap(p: np.ndarray, carry=None):
+    """``np.unwrap(p)`` (period 2 pi), written out so that it can continue
+    across windows: ``carry`` is (last raw angle, running correction) of the
+    samples before ``p``, or None when ``p`` starts the run.  The running
+    sum of the corrections is seeded with the carried one before it is
+    accumulated, so windows reproduce the whole array's sum bit for bit.
+    Returns the unwrapped angles and the carry past ``p``."""
+    dd = np.diff(p) if carry is None else np.diff(p, prepend=carry[0])
+    ph = np.mod(dd + np.pi, 2.0 * np.pi) - np.pi
+    ph[(ph == -np.pi) & (dd > 0)] = np.pi
+    ph -= dd
+    ph[np.abs(dd) < np.pi] = 0.0
+    if carry is not None:
+        ph[0] += carry[1]
+    np.add.accumulate(ph, out=ph)
+    theta = p.copy()
+    theta[len(p) - len(ph):] += ph
+    return theta, (p[-1], ph[-1] if len(ph) else 0.0)
+
+
+def _polar(grid: UniformGrid, first: int, phi1, phi2, dphi1, dphi2, carry=None):
+    """rho, theta, drho, dtheta of the samples first, first + 1, ... of
+    ``grid`` and the ``_unwrap`` carry past them (see ``polar_decompose``)."""
+    rho = np.hypot(phi1, phi2)
+    if np.any(rho == 0.0):
+        i = first + int(np.argmin(rho))
+        raise OriginCrossing(f"rho = 0 at sample {i} (t = {grid.start + i * grid.step})")
+    dtheta = first_integral(phi1, phi2, dphi1, dphi2) / rho**2
+    if np.max(np.abs(dtheta)) * grid.step >= np.pi:
+        raise BranchJump(
+            "adjacent samples advance the phase by >= pi; refine the time grid"
+        )
+    drho = (phi1 * dphi1 + phi2 * dphi2) / rho
+    theta, carry = _unwrap(np.arctan2(phi2, phi1), carry)
+    return rho, theta, drho, dtheta, carry
 
 
 def polar_decompose(traj: Trajectory) -> PolarTrajectory:
@@ -342,28 +410,38 @@ def polar_decompose(traj: Trajectory) -> PolarTrajectory:
     phase by >= pi between adjacent samples (the grid cannot represent
     the branch; silent unwrapping would alias it).
     """
-    rho = np.hypot(traj.phi1, traj.phi2)
-    if np.any(rho == 0.0):
-        i = int(np.argmin(rho))
-        raise OriginCrossing(f"rho = 0 at sample {i} (t = {traj.grid.start + i * traj.grid.step})")
-    dtheta = first_integral(traj.phi1, traj.phi2, traj.dphi1, traj.dphi2) / rho**2
-    if np.max(np.abs(dtheta)) * traj.grid.step >= np.pi:
-        raise BranchJump(
-            "adjacent samples advance the phase by >= pi; refine the time grid"
-        )
-    drho = (traj.phi1 * traj.dphi1 + traj.phi2 * traj.dphi2) / rho
-    theta = np.unwrap(np.arctan2(traj.phi2, traj.phi1))
+    rho, theta, drho, dtheta, _ = _polar(traj.grid, 0, traj.phi1, traj.phi2,
+                                         traj.dphi1, traj.dphi2)
     return PolarTrajectory(params=traj.params, grid=traj.grid, rho=rho,
                            theta=theta, drho=drho, dtheta=dtheta,
                            c0=traj.c0, max_c0_drift=traj.max_c0_drift)
 
 
-def every(traj, m: int):
-    """``traj``, a Trajectory or PolarTrajectory, on every ``m``-th sample
-    from the first; its arrays are views of the original's."""
-    grid = UniformGrid(traj.grid.start, m * traj.grid.step, (traj.grid.count - 1) // m + 1)
-    arrays = {k: v[::m] for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
-    return replace(traj, grid=grid, **arrays)
+def polar_windows(params: TrapParameters, init: ClassicalInit, grid: UniformGrid):
+    """The windows of ``rk4_windows`` in polar form, as (first, [phi1, phi2,
+    rho, theta, drho, dtheta]), theta unwrapped across windows: laid end to
+    end, they are ``solve_classical`` and ``polar_decompose`` on ``grid``,
+    bit for bit, without the whole trajectory ever existing."""
+    carry = None
+    for first, (phi1, phi2, dphi1, dphi2) in rk4_windows(params, init, grid):
+        rho, theta, drho, dtheta, carry = _polar(grid, first, phi1, phi2, dphi1, dphi2,
+                                                 carry)
+        yield first, [phi1, phi2, rho, theta, drho, dtheta]
+
+
+def polar_equations(params: TrapParameters, t, sub: UniformGrid, rho, theta, drho, dtheta):
+    """The polar equations of motion on samples at times ``t`` (grid
+    ``sub``), as ``residual_maxima`` takes them: (name, (residual, *terms))."""
+    theta_dd = central_diff(SampledFunction(sub, theta), order=2).values
+    rho_dd = central_diff(SampledFunction(sub, rho), order=2).values
+    coupling = 2.0 * dtheta * drho / rho
+    drive = dtheta**2 * rho
+    restore = params.k(t) * rho
+    # dtheta^2 (of theta'' dimension) floors the theta scale: the other
+    # two terms cancel identically in the static limit, where dividing
+    # by them alone would compare noise to noise
+    yield "theta", (theta_dd + coupling, theta_dd, coupling, dtheta**2)
+    yield "rho", (rho_dd - drive + restore, drive, restore)
 
 
 def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[str, float]:
@@ -380,21 +458,23 @@ def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
     measures cancellation quality across regimes of any stiffness.
-    Swept by ``residual_maxima``, so memory stays bounded.
+    Swept over ``halo_windows`` by ``residual_maxima``, so memory stays
+    bounded.
     """
-    def window(rows, t, sub):
-        rho, dtheta = ptraj.rho[rows], ptraj.dtheta[rows]
-        theta_dd = central_diff(SampledFunction(sub, ptraj.theta[rows]), order=2).values
-        rho_dd = central_diff(SampledFunction(sub, rho), order=2).values
-        coupling = 2.0 * dtheta * ptraj.drho[rows] / rho
-        drive = dtheta**2 * rho
-        restore = ptraj.params.k(t) * rho
-        # dtheta^2 (of theta'' dimension) floors the theta scale: the other
-        # two terms cancel identically in the static limit, where dividing
-        # by them alone would compare noise to noise
-        yield "theta", (theta_dd + coupling, theta_dd, coupling, dtheta**2)
-        yield "rho", (rho_dd - drive + restore, drive, restore)
-    return residual_maxima(ptraj.grid, window, relative)
+    windows = ((keep, polar_equations(ptraj.params, t, sub, ptraj.rho[rows],
+                                      ptraj.theta[rows], ptraj.drho[rows],
+                                      ptraj.dtheta[rows]))
+               for rows, keep, t, sub in halo_windows(ptraj.grid))
+    return residual_maxima(windows, relative)
+
+
+def mathieu_equations(params: TrapParameters, t, sub: UniformGrid, phi1, phi2):
+    """phi'' + k(t) phi = 0 for each component, on samples at times ``t``
+    (grid ``sub``), as ``residual_maxima`` takes them."""
+    k = params.k(t)
+    for name, comp in (("phi1", phi1), ("phi2", phi2)):
+        kc = k * comp
+        yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
 
 
 def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
@@ -403,10 +483,8 @@ def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
     differencing error for a k-th Picard iterate.  With ``relative=True``
     each component's residual is divided by its own max |k(t) phi| before
     the larger is taken.
-    Swept by ``residual_maxima``, so memory stays bounded."""
-    def window(rows, t, sub):
-        k = traj.params.k(t)
-        for name, comp in (("phi1", traj.phi1[rows]), ("phi2", traj.phi2[rows])):
-            kc = k * comp
-            yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
-    return max(residual_maxima(traj.grid, window, relative).values())
+    Swept over ``halo_windows`` by ``residual_maxima``, so memory stays bounded."""
+    windows = ((keep, mathieu_equations(traj.params, t, sub, traj.phi1[rows],
+                                        traj.phi2[rows]))
+               for rows, keep, t, sub in halo_windows(traj.grid))
+    return max(residual_maxima(windows, relative).values())

@@ -5,7 +5,7 @@ integrals, and the rectangle rule ``field_integral`` for every spatial
 integral of a decaying field (norms, overlaps, distances).  Also
 fourth-order central differences, uniform-grid construction with its
 sample cap ``MAX_SAMPLES``, even sub-sampling (``sample_indices``), and
-``residual_maxima``, the one halo-windowed sweep of all residual checks
+``residual_maxima``, the one windowed reduction of all residual checks
 (RK4 step matrices live in ``mathieu``).
 Everything here is a pure function of its inputs; the record types are frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
@@ -217,16 +217,20 @@ def halo_windows(grid: UniformGrid):
                UniformGrid(float(t[0]), grid.step, hi - lo))
 
 
-def residual_maxima(grid: UniformGrid, window, relative: bool) -> dict[str, float]:
-    """Max |residual| of each equation over ``grid``, swept over ``halo_windows``.
-    ``window(rows, t, sub)`` yields ``(name, (residual, *terms))`` one equation
-    at a time, so memory is bounded by one window's temporaries of one equation;
-    ``relative`` divides each residual by its equation's largest |term| (or tiny).
-    A sweep of every m-th sample is one of a trajectory sliced by ``mathieu.every``."""
+def residual_maxima(windows, relative: bool) -> dict[str, float]:
+    """Max |residual| of each equation over ``windows``, pairs ``(keep,
+    equations)``: ``equations`` yields ``(name, (residual, *terms))`` on one
+    window of samples one equation at a time, and ``keep`` slices the rows
+    that window owns, so memory is bounded by one window's temporaries of one
+    equation.  Raw maxima are merged across windows; ``relative`` then
+    divides each residual by its equation's largest |term| (or tiny).
+    The windows are those of ``halo_windows`` for a whole array, or those of
+    a trajectory streamed as it is solved (``verify``)."""
     worst = {}
-    for rows, keep, t, sub in halo_windows(grid):
-        for name, arrays in window(rows, t, sub):
+    for keep, equations in windows:
+        for name, arrays in equations:
             maxima = [np.max(np.abs(x[keep])) for x in arrays]
+            del arrays  # freed before the next equation is built
             worst[name] = np.maximum(worst.get(name, 0.0), maxima)
     out = {}
     for name, (resid, *terms) in worst.items():

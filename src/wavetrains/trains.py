@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
-from .numerics import SampledFunction, residual_maxima
+from .numerics import SampledFunction, halo_windows, residual_maxima
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 XI_UNDERFLOW = 38.7  # exp(-xi^2/2), so every Hermite row, is 0.0 from |xi| = 38.61
@@ -391,6 +391,24 @@ def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndar
     return -(quad * x2 - lin * xc + const)
 
 
+def coefficient_equations(params, spec: TrainSpec, t, sub: UniformGrid,
+                          rho, theta, drho, dtheta):
+    """The coefficient ODEs of ``verify_eq4`` on polar samples at times
+    ``t`` (grid ``sub``), as ``residual_maxima`` takes them."""
+    def rate(x):  # each derivative is taken as its equation needs it
+        return central_diff(SampledFunction(sub, x), order=1).values
+
+    k = params.k(t)
+    b, c, e, f, a = coefficients(spec, rho, theta, drho, dtheta)
+    yield "c", (1j * rate(c) - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k)
+    yield "b", (1j * rate(b) - 2.0 * b * c, 2.0 * b * c)
+    yield "e", (1j * rate(e) - 2.0 * c * e + e**3, 2.0 * c * e, e**3)
+    df = rate(f)
+    yield "f", (1j * df - b * e + e * e * f, b * e, e * e * f)
+    yield "a", (1j * rate(a) / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
+                f * df, 0.5 * b * b, c, spec.n * e * e)
+
+
 def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
                relative: bool = False) -> dict[str, float]:
     """Max residual of each coefficient ODE of the ansatz,
@@ -403,22 +421,14 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
     on the ``coefficients`` at the sampled times.  Residuals converge to
     zero at fourth order as the time grid refines.  With ``relative=True``
     each residual is divided by the largest term magnitude in its equation
-    (scale-free cancellation quality).  Swept by ``residual_maxima``, so
-    memory stays bounded.
+    (scale-free cancellation quality).  Swept over ``halo_windows`` by
+    ``residual_maxima``, so memory stays bounded.
     """
-    def window(rows, t, sub):
-        k = ptraj.params.k(t)
-        b, c, e, f, a = coefficients(spec, ptraj.rho[rows], ptraj.theta[rows],
-                                     ptraj.drho[rows], ptraj.dtheta[rows])
-        dc, db, de, df, da = (central_diff(SampledFunction(sub, x), order=1).values
-                              for x in (c, b, e, f, a))
-        yield "c", (1j * dc - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k)
-        yield "b", (1j * db - 2.0 * b * c, 2.0 * b * c)
-        yield "e", (1j * de - 2.0 * c * e + e**3, 2.0 * c * e, e**3)
-        yield "f", (1j * df - b * e + e * e * f, b * e, e * e * f)
-        yield "a", (1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
-                    f * df, 0.5 * b * b, c, spec.n * e * e)
-    return residual_maxima(ptraj.grid, window, relative)
+    windows = ((keep, coefficient_equations(ptraj.params, spec, t, sub, ptraj.rho[rows],
+                                            ptraj.theta[rows], ptraj.drho[rows],
+                                            ptraj.dtheta[rows]))
+               for rows, keep, t, sub in halo_windows(ptraj.grid))
+    return residual_maxima(windows, relative)
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
@@ -447,15 +457,45 @@ def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,
     return build_space_grid(center, half, count)
 
 
+class NodeCount:
+    """``count_nodes`` of a row fed block by block (``add``), holding only
+    the row's runs of one sign bit, each as its largest |h|.  A run whose
+    largest |h| is at most 1e-12 of the running peak holds no sample the
+    final threshold (1e-12 of the row's peak, never lower) keeps, so it is
+    dropped, and the runs of equal sign it separated merge: what remains
+    alternates in sign, so the count is its length less one."""
+
+    def __init__(self):
+        self.signs, self.peaks, self.peak = np.zeros(0, bool), np.zeros(0), 0.0
+
+    def add(self, h: np.ndarray) -> "NodeCount":
+        if len(h):
+            sign = np.signbit(h)
+            starts = np.flatnonzero(np.r_[True, sign[1:] != sign[:-1]])
+            peaks = np.maximum.reduceat(np.abs(h), starts)
+            self.peak = max(self.peak, float(np.max(peaks)))
+            signs = np.concatenate([self.signs, sign[starts]])
+            peaks = np.concatenate([self.peaks, peaks])
+            live = peaks > 1e-12 * self.peak
+            signs, peaks = signs[live], peaks[live]
+            if len(signs):
+                starts = np.flatnonzero(np.r_[True, signs[1:] != signs[:-1]])
+                signs, peaks = signs[starts], np.maximum.reduceat(peaks, starts)
+            self.signs, self.peaks = signs, peaks
+        return self
+
+    def count(self) -> int:
+        return max(len(self.signs) - 1, 0)
+
+
 def count_nodes(h: np.ndarray) -> int:
     """Interior zeros of a sampled signed amplitude such as h_n(xi(x)) on a
-    spatial grid: sign changes between adjacent samples, values below
+    spatial grid: sign changes between adjacent samples, values at or below
     1e-12 of the peak ignored.  R_n is h_n(xi) up to a positive factor, so
     this is n exactly when the grid resolves the state, and fewer when it
-    is too coarse for the packet."""
-    thr = 1e-12 * float(np.max(np.abs(h), initial=0.0))
-    live = h[np.abs(h) > thr]
-    return int(np.count_nonzero(np.signbit(live[1:]) != np.signbit(live[:-1])))
+    is too coarse for the packet.  One block of ``NodeCount``, which
+    counts a row given in blocks the same way."""
+    return NodeCount().add(h).count()
 
 
 def count_density_maxima(field: FieldGrid) -> int:

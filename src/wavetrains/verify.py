@@ -8,24 +8,26 @@ from __future__ import annotations
 
 import math
 import threading
+from itertools import chain
 
 import numpy as np
 
 from . import numerics
 from .mathieu import (
-    every,
-    mathieu_residual,
+    mathieu_equations,
     picard_iterate,
-    polar_decompose,
-    polar_ode_residuals,
+    polar_equations,
+    polar_windows,
     require_picard_budget,
     solve_classical,
+    time_grid,
 )
-from .numerics import UniformGrid, require_samples, require_step, sample_indices
+from .numerics import UniformGrid, require_step, residual_maxima, sample_indices
 from .splitstep import PropagatorConfig, l2_density_distance, renormalized, split_step_evolve
 from .trains import (
+    NodeCount,
     TrainSpec,
-    count_nodes,
+    coefficient_equations,
     gram_matrix,
     hermite_scaled,
     hermite_table,
@@ -34,7 +36,6 @@ from .trains import (
     overlap,
     psi_on_grid,
     train_frame,
-    verify_eq4,
     xi_of,
 )
 
@@ -63,26 +64,86 @@ def oracle_rows(ptraj, spec: TrainSpec, grid: UniformGrid, dt: float,
     return rows
 
 
-def _residual_checks(traj, ptraj, spec: TrainSpec, t_final: float,
-                     step_a: float, step_c: float) -> list[dict]:
-    """The classical, polar and coefficient-ODE residual checks on one
-    trajectory, refined to ``step_a`` if that is finer: the coefficient ODEs
-    on every sample, the classical and polar equations on every m-th, m the
-    number of samples within ``step_c`` (at least 1, and at most what leaves
-    6 samples).  The refined one lives only inside this call, so it is freed
-    before the battery's spatial stages."""
-    if step_a < traj.grid.step:
-        traj = solve_classical(traj.params, traj.init, (0.0, t_final), step_a)
-        ptraj = polar_decompose(traj)
-    grid = traj.grid
-    m = max(1, min(math.floor(step_c / grid.step), (grid.count - 1) // 5))
-    coarse, pcoarse = (traj, ptraj) if m == 1 else (every(traj, m), every(ptraj, m))
-    checks = [_check("mathieu-residual", mathieu_residual(coarse, relative=True), 1e-4)]
-    polar_res = polar_ode_residuals(pcoarse, relative=True)
-    checks.append(_check("polar-theta-residual", polar_res["theta"], 1e-4))
-    checks.append(_check("polar-rho-residual", polar_res["rho"], 1e-4))
-    eq4 = verify_eq4(ptraj, spec, relative=True)
-    return checks + [_check(f"coeff-{key}-residual", eq4[key], 1e-4) for key in "cbefa"]
+def _residual_grid(traj, ptraj, spec: TrainSpec, t_final: float,
+                   rk4_step: float) -> tuple[UniformGrid, float]:
+    """The grid of the residual checks' trajectory and the step of the
+    classical and polar ones (see ``_stride``).  The trajectory is refined
+    until the fastest coefficient phase (a_n's, at up to max|dtheta|
+    (1/2 + n + b0^2/(2 c0))) advances at most 0.06 rad per step, well
+    resolved by fourth-order differences; the factor is floored at its n = 4
+    value, since the c, b, e, f residuals do not depend on n and a low n
+    must not coarsen their step.
+    The classical and polar residuals take the step of the floor alone:
+    neither n nor b0 enters their equations, and a finer step only lifts
+    their rounding floor, about eps/h^2 for a second difference.  A refined
+    grid past the sample cap is refused here."""
+    rate = float(np.max(np.abs(ptraj.dtheta)))
+    step_a = min(rk4_step,
+                 0.06 / (rate * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)))
+    step_c = min(rk4_step, 0.06 / (rate * 4.5))
+    grid = time_grid((0.0, t_final), step_a) if step_a < traj.grid.step else traj.grid
+    return grid, step_c
+
+
+def _stride(grid: UniformGrid, step_c: float) -> int:
+    """m, the number of steps of ``grid`` within ``step_c``: at least 1, and
+    at most what leaves 6 samples."""
+    return max(1, min(math.floor(step_c / grid.step), (grid.count - 1) // 5))
+
+
+def _residual_windows(params, init, spec: TrainSpec, grid: UniformGrid, m: int):
+    """``residual_maxima`` windows of the three residual sweeps over the RK4
+    solve on ``grid``, solved and polar-decomposed one window at a time
+    (``mathieu.polar_windows``): the coefficient ODEs on every sample, the
+    classical and polar equations on the samples whose index is a multiple
+    of m, at the times of the grid of every m-th sample.  Each window is
+    swept with the samples of the windows before it that its rows' stencils
+    still need: the two left neighbours of each row not yet swept, and at
+    the grid's end the five of the one-sided stencils.  Rows whose right
+    neighbours lie in the next window wait for it, so every row is swept
+    once, as in a whole-array sweep, and gives the same value bit for bit."""
+    coarse = UniformGrid(grid.start, m * grid.step, (grid.count - 1) // m + 1)
+    cols, lo = None, 0  # phi1, phi2, rho, theta, drho, dtheta from sample lo on
+    done, done_c = 0, 0  # the first row not yet swept, on grid and on coarse
+    for first, window in polar_windows(params, init, grid):
+        if cols is not None:
+            keep = max(min(done - 2, (done_c - 5) * m) - lo, 0)
+            cols = [np.concatenate([c[keep:], w]) for c, w in zip(cols, window)]
+            lo += keep
+        else:
+            cols = window
+        hi = first + len(window[0])
+        last = hi == grid.count
+        stop = hi if last else hi - 2
+        t = grid.start + np.arange(lo, hi) * grid.step  # as grid.points() has it
+        sub = UniformGrid(float(t[0]), grid.step, hi - lo)
+        yield (slice(done - lo, stop - lo),
+               coefficient_equations(params, spec, t, sub, *cols[2:]))
+        done = stop
+        c_lo, c_hi = -(-lo // m), (hi - 1) // m + 1
+        stop_c = c_hi if last else c_hi - 2
+        if stop_c > done_c and (last or c_hi - c_lo >= 6):
+            tc = coarse.start + np.arange(c_lo, c_hi) * coarse.step
+            sub = UniformGrid(float(tc[0]), coarse.step, c_hi - c_lo)
+            phi1, phi2, *polar = (c[c_lo * m - lo::m] for c in cols)
+            yield (slice(done_c - c_lo, stop_c - c_lo),
+                   chain(mathieu_equations(params, tc, sub, phi1, phi2),
+                         polar_equations(params, tc, sub, *polar)))
+            done_c = stop_c
+
+
+def _residual_checks(traj, spec: TrainSpec, grid: UniformGrid, step_c: float) -> list[dict]:
+    """The classical, polar and coefficient-ODE residual checks on the RK4
+    trajectory on ``grid`` (``_residual_grid``), the classical and polar ones
+    on every m-th sample (``_stride``), swept as it is solved
+    (``_residual_windows``), so it is never held whole: memory is bounded by
+    one window however far b0 and n refine it."""
+    windows = _residual_windows(traj.params, traj.init, spec, grid, _stride(grid, step_c))
+    worst = residual_maxima(windows, relative=True)
+    checks = [_check("mathieu-residual", max(worst["phi1"], worst["phi2"]), 1e-4),
+              _check("polar-theta-residual", worst["theta"], 1e-4),
+              _check("polar-rho-residual", worst["rho"], 1e-4)]
+    return checks + [_check(f"coeff-{key}-residual", worst[key], 1e-4) for key in "cbefa"]
 
 
 def _state_checks(ptraj, spec: TrainSpec, grid: UniformGrid) -> list[dict]:
@@ -90,8 +151,8 @@ def _state_checks(ptraj, spec: TrainSpec, grid: UniformGrid) -> list[dict]:
     h_0..h_8 of xi(x) on the live window of the check ``grid`` (exact zeros
     outside), walked in blocks of ``numerics.RESIDUAL_BLOCK`` columns: the
     blocks' Gram matrices add up to the window's, which gives the norm and
-    the overlaps, and so do their energies E_0..E_7 from rows 0..7.  Only
-    the window's h_n row is kept whole, for the node count."""
+    the overlaps, and so do their energies E_0..E_7 from rows 0..7, and the
+    node count of the h_n row (``NodeCount``)."""
     block = numerics.RESIDUAL_BLOCK
     buf = np.empty((9, min(block, grid.count)))
     worst_norm = worst_cross = worst_aff = 0.0
@@ -99,11 +160,10 @@ def _state_checks(ptraj, spec: TrainSpec, grid: UniformGrid) -> list[dict]:
     for tv in ptraj.t[sample_indices(ptraj.grid.count, 11)]:
         frame = train_frame(ptraj, spec, float(tv))
         live = live_window(frame, grid)
-        h_n = np.empty(live.stop - live.start)
+        nodes = NodeCount()
         gram, energies, norm = np.zeros((9, 9)), np.zeros(8), 0.0
         for a in range(live.start, live.stop, block):
             b = min(a + block, live.stop)
-            cols = slice(a - live.start, b - live.start)
             x = grid.start + np.arange(a, b) * grid.step  # as grid.points() has it
             xi = xi_of(frame, x)
             table = hermite_table(8, xi, out=buf[:, :len(x)])
@@ -111,16 +171,16 @@ def _state_checks(ptraj, spec: TrainSpec, grid: UniformGrid) -> list[dict]:
             gram += block_gram
             energies += level_energies(ptraj, frame, table[:8], x, grid.step, block_gram)
             if spec.n <= 8:
-                h_n[cols] = table[spec.n]
+                nodes.add(table[spec.n])
             else:
-                h_n[cols] = h = hermite_scaled(spec.n, xi)
+                nodes.add(h := hermite_scaled(spec.n, xi))
                 norm += gram_matrix(frame, h[np.newaxis], grid.step)[0, 0]
         if spec.n <= 8:
             norm = gram[spec.n, spec.n]
         worst_norm = max(worst_norm, abs(float(norm) - 1.0))
         # nodes of h_n(xi(x)) on the checked grid: fewer than n when the
         # grid does not resolve the packet
-        worst_nodes = max(worst_nodes, abs(count_nodes(h_n) - spec.n))
+        worst_nodes = max(worst_nodes, abs(nodes.count() - spec.n))
         cross = np.abs(gram[np.triu_indices(len(gram), 1)])
         worst_cross = max(worst_cross, float(np.max(cross)))
         # energy affinity: differences E_{m+1} - E_m are m-independent; a
@@ -141,21 +201,9 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
     order: the state checks on ``grid``, the PDE comparison on ``pgrid`` at
     step ``dt`` to ``horizon``.  Residual checks are scale-relative so one
     tolerance covers both the weakly driven and the strongly squeezed regimes."""
-    # the residual checks' trajectory is refined until the fastest coefficient
-    # phase (a_n's, at up to max|dtheta| (1/2 + n + b0^2/(2 c0))) advances at
-    # most 0.06 rad per step, well resolved by fourth-order differences; the
-    # factor is floored at its n = 4 value, since the c, b, e, f residuals do
-    # not depend on n and a low n must not coarsen their step.  The classical
-    # and polar residuals take the step of the floor alone: neither n nor b0
-    # enters their equations, and a finer step only lifts their rounding
-    # floor, about eps/h^2 for a second difference.
-    rate = float(np.max(np.abs(ptraj.dtheta)))
-    step_a = min(rk4_step,
-                 0.06 / (rate * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)))
-    step_c = min(rk4_step, 0.06 / (rate * 4.5))
     # the refined residual solve's size and the Picard budget are refused
     # here, before the PDE worker starts
-    require_samples(t_final / step_a + 1.0, "the classical solve")
+    res_grid, step_c = _residual_grid(traj, ptraj, spec, t_final, rk4_step)
     pic_grid = UniformGrid(0.0, require_step(t_final / 8192, "the Picard grid"), 8193)
     require_picard_budget(iterations, pic_grid.count)
 
@@ -177,7 +225,7 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
     try:
         # classical conservation
         checks = [_check("first-integral-drift", ptraj.max_c0_drift, 1e-8)]
-        checks += _residual_checks(traj, ptraj, spec, t_final, step_a, step_c)
+        checks += _residual_checks(traj, spec, res_grid, step_c)
         # Picard vs RK4 on a shared grid
         pic = picard_iterate(traj.params, traj.init, iterations, pic_grid)
         rk = solve_classical(traj.params, traj.init, (0.0, t_final), pic_grid.step)

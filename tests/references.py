@@ -1,5 +1,6 @@
-"""Test-only references: plain composite Simpson, the TDSE residual and a
-split-step propagation with the kick on every grid point.
+"""Test-only references: plain composite Simpson, the TDSE residual, a
+split-step propagation with the kick on every grid point, and ``every``,
+a trajectory on every m-th sample.
 
 The package integrates fields by the rectangle rule and time integrals by
 ``cumulative_simpson``; no command needs the first two functions below.
@@ -7,11 +8,14 @@ They stay here as independent checks: ``simpson`` of the Hermite norms and
 of ``cumulative_simpson``'s endpoint, ``tdse_residual`` of split-step frames
 (acceptance criterion 9).  ``full_kick_evolve`` is the check of the
 factored kick (row, column and Toeplitz factors of ``kick_phases``) that
-``split_step_evolve`` takes on every grid.
+``split_step_evolve`` takes on every grid.  ``every`` gives the classical
+and polar residual functions the trajectory that verify's streamed sweep
+takes every m-th sample of, so the whole-array route stays its check.
 """
 
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 
@@ -21,6 +25,7 @@ from wavetrains import (
     SampledFunction,
     TooFewPoints,
     TrapParameters,
+    UniformGrid,
     field_integral,
 )
 
@@ -105,3 +110,11 @@ def full_kick_evolve(field: FieldGrid, params: TrapParameters, dt: float,
         psi = np.fft.fft(psi * kick)
         psi *= half_kin if m + 1 == n_steps else full_kin
     return np.fft.ifft(psi)
+
+
+def every(traj, m: int):
+    """``traj``, a Trajectory or PolarTrajectory, on every ``m``-th sample
+    from the first; its arrays are views of the original's."""
+    grid = UniformGrid(traj.grid.start, m * traj.grid.step, (traj.grid.count - 1) // m + 1)
+    arrays = {k: v[::m] for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
+    return replace(traj, grid=grid, **arrays)

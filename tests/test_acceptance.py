@@ -34,7 +34,6 @@ from wavetrains import (
     verify_eq4,
 )
 from wavetrains.cli import main
-from wavetrains.mathieu import every
 from wavetrains.trains import amplitude
 
 import conftest
@@ -49,7 +48,7 @@ from conftest import (
     TWO_PI,
     eq14_reference,
 )
-from references import tdse_residual
+from references import every, tdse_residual
 
 
 def _record(num, name, ok, detail):

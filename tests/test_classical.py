@@ -44,6 +44,7 @@ from conftest import (
     STATIC_PARAMS,
     eq14_reference,
 )
+from references import every
 from rk4_reference import loop_classical
 
 HALF_PI = 0.5 * math.pi
@@ -243,6 +244,56 @@ def test_solve_classical_peak_memory_per_step():
     assert peak <= 128 * n_steps
 
 
+# 64-step windows: one and two windows on either side of the window size, a
+# last window of 1 to 5 steps, and many windows
+WINDOW_COUNTS = [1, 63, 64, 65, 66, 67, 68, 69, 128, 129, 130, 64 * 7 + 3]
+
+
+@DATA
+@pytest.mark.parametrize("n_steps", WINDOW_COUNTS)
+def test_solve_classical_is_its_windows_laid_end_to_end(monkeypatch, params, init, n_steps):
+    # the windows verify streams are the whole solve bit for bit, and the
+    # state carried across them keeps the solve on the loop reference
+    monkeypatch.setattr(mathieu, "WINDOW", 64)
+    traj = solve_classical(params, init, (0.0, HALF_PI), HALF_PI / n_steps)
+    windows = list(mathieu.rk4_windows(params, init, traj.grid))
+    assert [first for first, _ in windows] == [0] + list(range(65, n_steps + 1, 64))
+    whole = np.concatenate([np.array(w) for _, w in windows], axis=1)
+    assert np.array_equal(whole, np.array([traj.phi1, traj.phi2, traj.dphi1, traj.dphi2]))
+    assert _loop_gap(params, init, HALF_PI, n_steps) <= LOOP_TOL
+
+
+def test_nonfinite_state_is_flagged_at_its_global_time(monkeypatch):
+    # as in test_solve_classical_flags_nonfinite_states, in 64-step windows:
+    # the message names the time on the whole grid, not in the window
+    monkeypatch.setattr(mathieu, "WINDOW", 64)
+    params = TrapParameters(u2=100.0, v=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteValue, match=r"t = (\d+\.\d+)") as info:
+            solve_classical(params, SOLITON_INIT, (0.0, 400.0), 0.5)
+    t = float(info.value.args[0].split("t = ")[1])
+    assert t > 64 * 0.5 and (t / 0.5).is_integer()
+
+
+def test_streamed_theta_equals_unwrap_of_the_whole():
+    # the collapse orbit turns through many branches; theta continued over
+    # 4000-sample windows is np.unwrap of the whole array bit for bit
+    traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 8 * FOUR_PI),
+                           8 * FOUR_PI / 19999)
+    raw = np.arctan2(traj.phi2, traj.phi1)
+    assert np.count_nonzero(np.abs(np.diff(raw)) > np.pi) >= 3
+    parts, carry = [], None
+    for a in range(0, traj.grid.count, 4000):
+        rows = slice(a, a + 4000)
+        *_, theta, _, _, carry = mathieu._polar(traj.grid, a, traj.phi1[rows], traj.phi2[rows],
+                                                traj.dphi1[rows], traj.dphi2[rows], carry)
+        parts.append(theta)
+    assert len(parts) >= 3
+    assert np.array_equal(np.concatenate(parts), np.unwrap(raw))
+    assert np.array_equal(polar_decompose(traj).theta, np.unwrap(raw))
+
+
 # ---------------------------------------------------- polar decomposition
 
 def _circle_trajectory(omega: float, step: float, count: int) -> Trajectory:
@@ -366,7 +417,7 @@ def _residual_sweep(traj):
     spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
     out = []
     for relative in (False, True):
-        for t, p in ((traj, ptraj), (mathieu.every(traj, 3), mathieu.every(ptraj, 3))):
+        for t, p in ((traj, ptraj), (every(traj, 3), every(ptraj, 3))):
             out.append(mathieu_residual(t, relative=relative))
             out.append(polar_ode_residuals(p, relative=relative))
             out.append(verify_eq4(p, spec, relative=relative))

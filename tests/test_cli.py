@@ -20,7 +20,7 @@ import pytest
 import wavetrains
 from wavetrains import (TrainSpec, auto_space_grid, mean_energy_levels,
                         propagation_grid)
-from wavetrains import cli, numerics, verify
+from wavetrains import cli, mathieu, numerics, verify
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
 from wavetrains.config import (
@@ -38,9 +38,12 @@ from wavetrains.config import (
     to_dict,
 )
 from wavetrains.errors import ConfigError, NormDeficitWarning, NormDrift, UnknownPreset
-from wavetrains.trains import level_energies
+from wavetrains.mathieu import (mathieu_residual, polar_decompose, polar_ode_residuals,
+                                solve_classical)
+from wavetrains.trains import level_energies, verify_eq4
 
 from conftest import COLLAPSE_PARAMS
+from references import every
 
 
 def run_cli(capsys, argv):
@@ -828,6 +831,78 @@ def test_state_checks_peak_memory_is_flat_in_grid_count():
         assert values["normalization"] < 1e-12
         peaks.append(peak)
     assert peaks[1] <= 1.25 * peaks[0]
+
+
+def test_state_checks_peak_memory_is_flat_in_live_window():
+    # the node count takes the h_n row block by block: at a fixed half-width,
+    # 2^19 points put 4x the columns of 2^17 into each live window, which
+    # must not raise the traced peak
+    peaks = []
+    for count in (2**17, 2**19):
+        argv = ["--preset", "fig2-soliton", "--grid-points", str(count), "--half-width", "40"]
+        tracemalloc.start()
+        try:
+            values = _state_check_values(argv)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert values["node-count"] == 0
+        peaks.append(peak)
+    assert peaks[1] <= 1.25 * peaks[0]
+
+
+def _residual_run(argv):
+    """(traj, spec, grid, step_c) of verify's residual checks for ``verify ARGV``."""
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["verify", *argv]))
+    t_final = cfg.time.t_final
+    traj, ptraj = cli._solve_polar(cfg, t_final, times=(min(0.5 * math.pi, t_final),))
+    spec = cli._effective_spec(cfg, ptraj.c0)
+    grid, step_c = verify._residual_grid(traj, ptraj, spec, t_final, cfg.solver.rk4_step)
+    return traj, spec, grid, step_c
+
+
+@pytest.mark.parametrize("window", [7, 1000, 2**15])
+@pytest.mark.parametrize("argv", [
+    ["--preset", "fig3-collapse", "--b0", "1", "--t-final", "0.05pi"],
+    ["--preset", "fig3-collapse", "--n", "8", "--t-final", "0.02pi"],
+    ["--preset", "fig2-soliton", "--b0", "-40", "--t-final", "0.1pi"]],
+                         ids=["collapse-b0-1", "collapse-n8", "soliton-b0-40"])
+def test_streamed_residuals_equal_whole_array_sweeps(monkeypatch, window, argv):
+    # the refined trajectory, streamed in windows of 7 steps (its halo then
+    # spans several windows), 1000 steps or one window, must give every
+    # residual value of the whole-array functions on the whole solve bit for bit
+    monkeypatch.setattr(mathieu, "WINDOW", window)
+    traj, spec, grid, step_c = _residual_run(argv)
+    m = verify._stride(grid, step_c)
+    assert grid.count > 2000 and (m > 1 or "--n" in argv)
+    got = {c["name"]: c["value"] for c in verify._residual_checks(traj, spec, grid, step_c)}
+    whole = solve_classical(traj.params, traj.init, (0.0, grid.stop), grid.step)
+    assert whole.grid == grid
+    pwhole = polar_decompose(whole)
+    polar = polar_ode_residuals(every(pwhole, m), relative=True)
+    eq4 = verify_eq4(pwhole, spec, relative=True)
+    assert got == {"mathieu-residual": mathieu_residual(every(whole, m), relative=True),
+                   "polar-theta-residual": polar["theta"],
+                   "polar-rho-residual": polar["rho"],
+                   **{f"coeff-{key}-residual": eq4[key] for key in "cbefa"}}
+
+
+def test_residual_checks_peak_memory_is_flat_in_refinement():
+    # b0 = 3 refines the residual trajectory about 11x against b0 = 0.02;
+    # streamed window by window, its traced peak must not follow
+    peaks = []
+    for b0 in ("0.02", "3"):
+        traj, spec, grid, step_c = _residual_run(["--preset", "fig3-collapse",
+                                                  "--t-final", "1pi", "--b0", b0])
+        tracemalloc.start()
+        try:
+            verify._residual_checks(traj, spec, grid, step_c)
+            peaks.append((grid.count, tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+    (small_count, small), (large_count, large) = peaks
+    assert large_count > 8 * small_count
+    assert large <= 1.25 * small
 
 
 def test_verify_report_does_not_depend_on_blas_threads(tmp_path):

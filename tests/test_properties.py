@@ -29,6 +29,7 @@ from wavetrains.config import (
     to_dict,
 )
 from wavetrains.splitstep import lattice_steps
+from wavetrains.trains import NodeCount, count_nodes
 
 finite = st.floats(allow_nan=False, allow_infinity=False)
 
@@ -165,6 +166,37 @@ def test_non_finite_config_values_are_refused_with_exit_2(key, value):
             rc = main(["classical", "--config", fh.name])
     assert rc == 2 and out.getvalue() == ""
     assert err.getvalue().startswith(f"error: {group}.{name} must be finite")
+
+
+def _sign_changes_above_threshold(h: np.ndarray) -> int:
+    """count_nodes written out on the whole row: sign-bit changes between
+    adjacent samples whose |h| exceeds 1e-12 of the row's peak."""
+    thr = 1e-12 * float(np.max(np.abs(h), initial=0.0))
+    live = h[np.abs(h) > thr]
+    return int(np.count_nonzero(np.signbit(live[1:]) != np.signbit(live[:-1])))
+
+
+# magnitudes around the 1e-12 threshold of a unit peak, zeros of both signs
+node_values = st.one_of(
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-12, -1e-12, 1.0000000000000002e-12,
+                     -1.0000000000000002e-12, 9.999999999999999e-13, 2e-12, 5e-13]),
+    st.floats(-2.0, 2.0), st.floats(-1e-11, 1e-11))
+
+
+@given(st.lists(st.lists(node_values, max_size=8), max_size=40),
+       st.lists(st.integers(0, 400), max_size=6))
+@example([[0.5, 0.0, 0.0, -0.0, 0.5], [1.0]], [2])
+@example([[1e-13, -1e-13, 1e-13], [1.0]], [1])
+def test_count_nodes_in_blocks_equals_the_whole_row(runs, cuts):
+    # runs of repeated values make long runs of one sign and of zeros
+    h = np.array([v for run in runs for v in run for _ in range(3)], dtype=float)
+    whole = count_nodes(h)
+    assert whole == _sign_changes_above_threshold(h)
+    counter = NodeCount()
+    edges = sorted({min(c, len(h)) for c in cuts} | {0, len(h)})
+    for a, b in zip(edges[:-1], edges[1:]):
+        counter.add(h[a:b])
+    assert counter.count() == whole
 
 
 def _g17_strings(values) -> list[str]:

@@ -34,7 +34,6 @@ from wavetrains import (
     xi_of,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.mathieu import every
 from wavetrains.numerics import SampledFunction, field_integral
 from wavetrains.trains import (
     TrainFrame,
@@ -47,7 +46,7 @@ from wavetrains.trains import (
 )
 
 from conftest import FOUR_PI
-from references import simpson
+from references import every, simpson
 
 
 def _sample_times(ptraj, count):
