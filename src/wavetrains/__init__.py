@@ -27,7 +27,6 @@ from .errors import (
     WavetrainError,
 )
 from .numerics import (
-    SampledFunction,
     UniformGrid,
     build_space_grid,
     central_diff,
@@ -93,7 +92,7 @@ __all__ = [
     "NonZeroStart", "NormDeficitWarning", "NormDrift", "OriginCrossing",
     "StabilityRegionWarning", "TooFewPoints", "TooManySamples",
     "UnknownPreset", "WavetrainError",
-    "SampledFunction", "UniformGrid", "build_space_grid", "central_diff",
+    "UniformGrid", "build_space_grid", "central_diff",
     "cumulative_simpson", "field_integral", "is_power_of_two",
     "ClassicalInit", "PolarTrajectory", "Trajectory", "TrapParameters",
     "first_integral", "mathieu_residual", "picard_iterate",

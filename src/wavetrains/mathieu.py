@@ -34,8 +34,8 @@ from .errors import (
     StabilityRegionWarning,
     TooManySamples,
 )
-from .numerics import UniformGrid, central_diff, cumulative_simpson, residual_maxima
-from .numerics import SampledFunction, halo_windows, require_samples
+from .numerics import UniformGrid, central_diff, cumulative_simpson, halo_windows
+from .numerics import require_samples, residual_maxima
 
 # Budget on iterations x samples of one Picard solve, about 5 minutes at
 # the 60-100 ns per iteration-sample measured on 8193 to 65537 samples
@@ -429,11 +429,11 @@ def polar_windows(params: TrapParameters, init: ClassicalInit, grid: UniformGrid
         yield first, [phi1, phi2, rho, theta, drho, dtheta]
 
 
-def polar_equations(params: TrapParameters, t, sub: UniformGrid, rho, theta, drho, dtheta):
-    """The polar equations of motion on samples at times ``t`` (grid
-    ``sub``), as ``residual_maxima`` takes them: (name, (residual, *terms))."""
-    theta_dd = central_diff(SampledFunction(sub, theta), order=2).values
-    rho_dd = central_diff(SampledFunction(sub, rho), order=2).values
+def polar_equations(params: TrapParameters, t, step: float, rho, theta, drho, dtheta):
+    """The polar equations of motion on samples at times ``t``, ``step``
+    apart, as ``residual_maxima`` takes them: (name, (residual, *terms))."""
+    theta_dd = central_diff(theta, step, order=2)
+    rho_dd = central_diff(rho, step, order=2)
     coupling = 2.0 * dtheta * drho / rho
     drive = dtheta**2 * rho
     restore = params.k(t) * rho
@@ -461,20 +461,20 @@ def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[
     Swept over ``halo_windows`` by ``residual_maxima``, so memory stays
     bounded.
     """
-    windows = ((keep, polar_equations(ptraj.params, t, sub, ptraj.rho[rows],
+    windows = ((keep, polar_equations(ptraj.params, t, ptraj.grid.step, ptraj.rho[rows],
                                       ptraj.theta[rows], ptraj.drho[rows],
                                       ptraj.dtheta[rows]))
-               for rows, keep, t, sub in halo_windows(ptraj.grid))
+               for rows, keep, t in halo_windows(ptraj.grid))
     return residual_maxima(windows, relative)
 
 
-def mathieu_equations(params: TrapParameters, t, sub: UniformGrid, phi1, phi2):
-    """phi'' + k(t) phi = 0 for each component, on samples at times ``t``
-    (grid ``sub``), as ``residual_maxima`` takes them."""
+def mathieu_equations(params: TrapParameters, t, step: float, phi1, phi2):
+    """phi'' + k(t) phi = 0 for each component, on samples at times ``t``,
+    ``step`` apart, as ``residual_maxima`` takes them."""
     k = params.k(t)
     for name, comp in (("phi1", phi1), ("phi2", phi2)):
         kc = k * comp
-        yield name, (central_diff(SampledFunction(sub, comp), order=2).values + kc, kc)
+        yield name, (central_diff(comp, step, order=2) + kc, kc)
 
 
 def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
@@ -484,7 +484,7 @@ def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
     each component's residual is divided by its own max |k(t) phi| before
     the larger is taken.
     Swept over ``halo_windows`` by ``residual_maxima``, so memory stays bounded."""
-    windows = ((keep, mathieu_equations(traj.params, t, sub, traj.phi1[rows],
+    windows = ((keep, mathieu_equations(traj.params, t, traj.grid.step, traj.phi1[rows],
                                         traj.phi2[rows]))
-               for rows, keep, t, sub in halo_windows(traj.grid))
+               for rows, keep, t in halo_windows(traj.grid))
     return max(residual_maxima(windows, relative).values())

@@ -6,8 +6,9 @@ integral of a decaying field (norms, overlaps, distances).  Also
 fourth-order central differences, uniform-grid construction with its
 sample cap ``MAX_SAMPLES``, even sub-sampling (``sample_indices``), and
 ``residual_maxima``, the one windowed reduction of all residual checks
-(RK4 step matrices live in ``mathieu``).
-Everything here is a pure function of its inputs; the record types are frozen.
+(RK4 step matrices live in ``mathieu``).  The kernels take plain arrays
+and their ``step``; ``UniformGrid`` describes an axis and holds no values.
+Everything here is a pure function of its inputs; the grid record is frozen.
 Quadrature sums use numpy's pairwise summation, so results do not depend
 on any parallel reduction order.
 """
@@ -94,24 +95,6 @@ class UniformGrid:
         return i
 
 
-@dataclass(frozen=True)
-class SampledFunction:
-    """Values of a function on a UniformGrid."""
-
-    grid: UniformGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.values)
-        object.__setattr__(self, "values", vals)
-        if vals.shape != (self.grid.count,):
-            raise GridMismatch(
-                f"values shape {vals.shape} does not match grid count {self.grid.count}"
-            )
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue("sampled values contain NaN or infinity")
-
-
 def field_integral(y: np.ndarray, step: float):
     """Rectangle-rule integral sum(y) * step over the last axis.
 
@@ -157,9 +140,9 @@ def cumulative_simpson(y: np.ndarray, step: float) -> np.ndarray:
     return out
 
 
-def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
-    """Fourth-order finite-difference derivative of sampled values
-    (Fornberg, Math. Comp. 51, 699 (1988)).
+def central_diff(y: np.ndarray, step: float, order: int = 1) -> np.ndarray:
+    """Fourth-order finite-difference derivative of samples ``y`` spaced
+    ``step`` apart (Fornberg, Math. Comp. 51, 699 (1988)).
 
     order=1: first derivative, 5-point central interior; the two rows at
     each end take 5-point one-sided stencils.
@@ -167,8 +150,6 @@ def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
     each end take 6-point one-sided stencils.
     Every row, end rows included, is fourth-order accurate.
     """
-    y = samples.values
-    h = samples.grid.step
     n = y.shape[-1]
     if order not in (1, 2):
         raise ValueError(f"order must be 1 or 2, got {order}")
@@ -176,34 +157,33 @@ def central_diff(samples: SampledFunction, order: int = 1) -> SampledFunction:
         raise TooFewPoints(f"derivative of order {order} needs >= {order + 4} samples")
     d = np.empty_like(y, dtype=np.result_type(y, float))
     if order == 1:
-        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * h)
+        d[2:-2] = (y[:-4] - 8.0 * y[1:-3] + 8.0 * y[3:-1] - y[4:]) / (12.0 * step)
     else:
         d[2:-2] = (-y[:-4] + 16.0 * y[1:-3] - 30.0 * y[2:-2]
-                   + 16.0 * y[3:-1] - y[4:]) / (12.0 * h * h)
+                   + 16.0 * y[3:-1] - y[4:]) / (12.0 * step * step)
     for end, s in ((0, 1), (-1, -1)):  # each end, its samples counted inwards
         u = [y[end + s * j] for j in range(order + 4)]
         if order == 1:  # mirrored at the right end, so the sign flips
             d[end] = s * (-25.0 * u[0] + 48.0 * u[1] - 36.0 * u[2]
-                          + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * h)
+                          + 16.0 * u[3] - 3.0 * u[4]) / (12.0 * step)
             d[end + s] = s * (-3.0 * u[0] - 10.0 * u[1] + 18.0 * u[2]
-                              - 6.0 * u[3] + u[4]) / (12.0 * h)
+                              - 6.0 * u[3] + u[4]) / (12.0 * step)
         else:
             d[end] = (45.0 * u[0] - 154.0 * u[1] + 214.0 * u[2]
-                      - 156.0 * u[3] + 61.0 * u[4] - 10.0 * u[5]) / (12.0 * h * h)
+                      - 156.0 * u[3] + 61.0 * u[4] - 10.0 * u[5]) / (12.0 * step * step)
             d[end + s] = (10.0 * u[0] - 15.0 * u[1] - 4.0 * u[2]
-                          + 14.0 * u[3] - 6.0 * u[4] + u[5]) / (12.0 * h * h)
-    return SampledFunction(samples.grid, d)
+                          + 14.0 * u[3] - 6.0 * u[4] + u[5]) / (12.0 * step * step)
+    return d
 
 
 def halo_windows(grid: UniformGrid):
     """Windows of about RESIDUAL_BLOCK samples over ``grid`` for stencils
-    five points wide, as (rows, keep, t, sub): ``rows`` slices the window
-    from the full arrays, ``keep`` its owned rows from the window (the rest
-    is a two-sample halo on each inner side), ``t`` its time points computed
-    as ``grid.points()`` does, ``sub`` its grid for ``central_diff``.  A
-    remainder under 6 samples joins the last window, so one-sided end
-    stencils land on halo rows except at the grid's true ends: kept rows
-    equal a whole-grid evaluation bit for bit.
+    five points wide, as (rows, keep, t): ``rows`` slices the window from
+    the full arrays, ``keep`` its owned rows from the window (the rest is a
+    two-sample halo on each inner side), ``t`` its time points computed as
+    ``grid.points()`` does.  A remainder under 6 samples joins the last
+    window, so one-sided end stencils land on halo rows except at the
+    grid's true ends: kept rows equal a whole-grid evaluation bit for bit.
     """
     count = grid.count
     starts = list(range(0, count, RESIDUAL_BLOCK))
@@ -213,8 +193,7 @@ def halo_windows(grid: UniformGrid):
     for a, b in zip(starts, ends):
         lo, hi = max(a - 2, 0), min(b + 2, count)
         t = grid.start + np.arange(lo, hi) * grid.step
-        yield (slice(lo, hi), slice(a - lo, b - lo), t,
-               UniformGrid(float(t[0]), grid.step, hi - lo))
+        yield slice(lo, hi), slice(a - lo, b - lo), t
 
 
 def residual_maxima(windows, relative: bool) -> dict[str, float]:
@@ -224,6 +203,8 @@ def residual_maxima(windows, relative: bool) -> dict[str, float]:
     that window owns, so memory is bounded by one window's temporaries of one
     equation.  Raw maxima are merged across windows; ``relative`` then
     divides each residual by its equation's largest |term| (or tiny).
+    NonFiniteValue when a residual or term holds NaN or infinity: NaN
+    survives ``np.maximum``, so the merged maxima see every row.
     The windows are those of ``halo_windows`` for a whole array, or those of
     a trajectory streamed as it is solved (``verify``)."""
     worst = {}
@@ -233,7 +214,10 @@ def residual_maxima(windows, relative: bool) -> dict[str, float]:
             del arrays  # freed before the next equation is built
             worst[name] = np.maximum(worst.get(name, 0.0), maxima)
     out = {}
-    for name, (resid, *terms) in worst.items():
+    for name, maxima in worst.items():
+        if not np.all(np.isfinite(maxima)):
+            raise NonFiniteValue(f"the {name} residual or its terms hold NaN or infinity")
+        resid, *terms = maxima
         out[name] = float(resid)
         if relative:
             out[name] /= max(float(max(terms)), np.finfo(float).tiny)

@@ -37,7 +37,7 @@ from .errors import (
 )
 from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
-from .numerics import SampledFunction, halo_windows, residual_maxima
+from .numerics import halo_windows, residual_maxima
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 XI_UNDERFLOW = 38.7  # exp(-xi^2/2), so every Hermite row, is 0.0 from |xi| = 38.61
@@ -391,12 +391,12 @@ def mean_energy_moments(ptraj: PolarTrajectory, spec: TrainSpec, idx) -> np.ndar
     return -(quad * x2 - lin * xc + const)
 
 
-def coefficient_equations(params, spec: TrainSpec, t, sub: UniformGrid,
+def coefficient_equations(params, spec: TrainSpec, t, step: float,
                           rho, theta, drho, dtheta):
     """The coefficient ODEs of ``verify_eq4`` on polar samples at times
-    ``t`` (grid ``sub``), as ``residual_maxima`` takes them."""
+    ``t``, ``step`` apart, as ``residual_maxima`` takes them."""
     def rate(x):  # each derivative is taken as its equation needs it
-        return central_diff(SampledFunction(sub, x), order=1).values
+        return central_diff(x, step, order=1)
 
     k = params.k(t)
     b, c, e, f, a = coefficients(spec, rho, theta, drho, dtheta)
@@ -424,10 +424,10 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
     (scale-free cancellation quality).  Swept over ``halo_windows`` by
     ``residual_maxima``, so memory stays bounded.
     """
-    windows = ((keep, coefficient_equations(ptraj.params, spec, t, sub, ptraj.rho[rows],
-                                            ptraj.theta[rows], ptraj.drho[rows],
-                                            ptraj.dtheta[rows]))
-               for rows, keep, t, sub in halo_windows(ptraj.grid))
+    windows = ((keep, coefficient_equations(ptraj.params, spec, t, ptraj.grid.step,
+                                            ptraj.rho[rows], ptraj.theta[rows],
+                                            ptraj.drho[rows], ptraj.dtheta[rows]))
+               for rows, keep, t in halo_windows(ptraj.grid))
     return residual_maxima(windows, relative)
 
 

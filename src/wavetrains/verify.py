@@ -102,9 +102,9 @@ def _residual_windows(params, init, spec: TrainSpec, grid: UniformGrid, m: int):
     the grid's end the five of the one-sided stencils.  Rows whose right
     neighbours lie in the next window wait for it, so every row is swept
     once, as in a whole-array sweep, and gives the same value bit for bit."""
-    coarse = UniformGrid(grid.start, m * grid.step, (grid.count - 1) // m + 1)
+    step_m = m * grid.step  # the step of every m-th sample
     cols, lo = None, 0  # phi1, phi2, rho, theta, drho, dtheta from sample lo on
-    done, done_c = 0, 0  # the first row not yet swept, on grid and on coarse
+    done, done_c = 0, 0  # the first row not yet swept, of all and of every m-th sample
     for first, window in polar_windows(params, init, grid):
         if cols is not None:
             keep = max(min(done - 2, (done_c - 5) * m) - lo, 0)
@@ -116,19 +116,17 @@ def _residual_windows(params, init, spec: TrainSpec, grid: UniformGrid, m: int):
         last = hi == grid.count
         stop = hi if last else hi - 2
         t = grid.start + np.arange(lo, hi) * grid.step  # as grid.points() has it
-        sub = UniformGrid(float(t[0]), grid.step, hi - lo)
         yield (slice(done - lo, stop - lo),
-               coefficient_equations(params, spec, t, sub, *cols[2:]))
+               coefficient_equations(params, spec, t, grid.step, *cols[2:]))
         done = stop
         c_lo, c_hi = -(-lo // m), (hi - 1) // m + 1
         stop_c = c_hi if last else c_hi - 2
         if stop_c > done_c and (last or c_hi - c_lo >= 6):
-            tc = coarse.start + np.arange(c_lo, c_hi) * coarse.step
-            sub = UniformGrid(float(tc[0]), coarse.step, c_hi - c_lo)
+            tc = grid.start + np.arange(c_lo, c_hi) * step_m
             phi1, phi2, *polar = (c[c_lo * m - lo::m] for c in cols)
             yield (slice(done_c - c_lo, stop_c - c_lo),
-                   chain(mathieu_equations(params, tc, sub, phi1, phi2),
-                         polar_equations(params, tc, sub, *polar)))
+                   chain(mathieu_equations(params, tc, step_m, phi1, phi2),
+                         polar_equations(params, tc, step_m, *polar)))
             done_c = stop_c
 
 

@@ -22,7 +22,6 @@ import numpy as np
 from wavetrains import (
     FieldGrid,
     GridMismatch,
-    SampledFunction,
     TooFewPoints,
     TrapParameters,
     UniformGrid,
@@ -35,15 +34,13 @@ class QuadratureOrderWarning(UserWarning):
     used the trapezoid rule and the composite order is degraded."""
 
 
-def simpson(samples: SampledFunction):
-    """Composite Simpson integral of a SampledFunction; O(step^4) for
-    smooth integrands.
+def simpson(y: np.ndarray, step: float):
+    """Composite Simpson integral of samples ``y`` spaced ``step`` apart;
+    O(step^4) for smooth integrands.
 
     An even sample count (odd interval count) degrades the final interval
     to the trapezoid rule and emits QuadratureOrderWarning.
     """
-    y = samples.values
-    step = samples.grid.step
     n = y.shape[-1]
     if n < 3:
         raise TooFewPoints(f"Simpson needs >= 3 samples, got {n}")

@@ -998,6 +998,28 @@ def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, va
     assert calls == []
 
 
+def test_verify_passes_on_a_check_grid_clamped_below_its_wavelength_rule(monkeypatch,
+                                                                           capsys):
+    # n = 60 to 0.3pi, the cheapest run found with the clamp binding: the rule
+    # asks for 2^20.09 points, the grid keeps 2^20 and fewer than 16 samples
+    # per narrowest local wavelength, and every check still passes (as at
+    # n = 25 to 140 over the whole run; n = 200 fails normalization)
+    grids = []
+
+    def recorded(ptraj, spec, count=None):
+        grids.append((ptraj, spec, auto_space_grid(ptraj, spec, count)))
+        return grids[-1][2]
+
+    monkeypatch.setattr(cli, "auto_space_grid", recorded)
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "fig3-collapse", "--n", "60",
+                                    "--t-final", "0.3pi"])
+    [(ptraj, spec, grid)] = grids
+    wavelength = 2.0 * math.pi * float(np.min(ptraj.rho)) / math.sqrt(spec.c0)
+    assert grid.count == 2**20
+    assert grid.step > wavelength / (16.0 * math.sqrt(2.0 * spec.n + 1.0))
+    assert (rc, err) == (0, "") and json.loads(out)["passed"]
+
+
 def test_picard_iterations_past_the_budget_are_usage_error(monkeypatch, capsys):
     # 2^40 Picard passes over verify's 8193 samples would run for years:
     # refused before any pass and before the PDE stage starts

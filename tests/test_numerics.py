@@ -8,7 +8,6 @@ import pytest
 from wavetrains import (
     InvalidCount,
     NonFiniteValue,
-    SampledFunction,
     TooFewPoints,
     TooManySamples,
     UniformGrid,
@@ -19,7 +18,7 @@ from wavetrains import (
 )
 from wavetrains import numerics
 from wavetrains.errors import GridMismatch
-from wavetrains.numerics import halo_windows
+from wavetrains.numerics import halo_windows, residual_maxima
 
 from references import QuadratureOrderWarning, simpson
 from rk4_reference import rk4_integrate
@@ -51,14 +50,6 @@ def test_index_of_hits_and_misses():
         grid.index_of(0.30)
     with pytest.raises(GridMismatch):
         grid.index_of(2.25)  # past the last point
-
-
-def test_sampled_function_validates():
-    grid = UniformGrid(start=0.0, step=1.0, count=4)
-    with pytest.raises(GridMismatch):
-        SampledFunction(grid, np.zeros(5))
-    with pytest.raises(NonFiniteValue):
-        SampledFunction(grid, np.array([0.0, 1.0, np.nan, 2.0]))
 
 
 # ---------------------------------------------------------------- RK4
@@ -113,34 +104,33 @@ def test_rk4_flags_nonfinite_states():
 
 def test_simpson_constant_is_exact():
     grid = UniformGrid(start=0.0, step=0.01, count=101)
-    assert abs(simpson(SampledFunction(grid, np.ones(101))) - 1.0) < 1e-14
+    assert abs(simpson(np.ones(101), grid.step) - 1.0) < 1e-14
 
 
 def test_simpson_exact_through_cubics():
     grid = UniformGrid(start=0.0, step=0.01, count=101)
     x = grid.points()
-    assert abs(simpson(SampledFunction(grid, x * x)) - 1.0 / 3.0) < 1e-12
-    assert abs(simpson(SampledFunction(grid, x ** 3)) - 0.25) < 1e-12
+    assert abs(simpson(x * x, grid.step) - 1.0 / 3.0) < 1e-12
+    assert abs(simpson(x ** 3, grid.step) - 0.25) < 1e-12
 
 
 def test_simpson_gaussian_reference():
     grid = UniformGrid(start=-8.0, step=16.0 / 2000, count=2001)
     x = grid.points()
-    val = simpson(SampledFunction(grid, np.exp(-x * x)))
+    val = simpson(np.exp(-x * x), grid.step)
     assert abs(val - math.sqrt(math.pi)) < 1e-10
 
 
 def test_simpson_too_few_points():
-    grid = UniformGrid(start=0.0, step=1.0, count=2)
     with pytest.raises(TooFewPoints):
-        simpson(SampledFunction(grid, np.ones(2)))
+        simpson(np.ones(2), 1.0)
 
 
 def test_simpson_even_count_warns_and_still_integrates():
     grid = UniformGrid(start=0.0, step=1.0 / 99, count=100)
     x = grid.points()
     with pytest.warns(QuadratureOrderWarning):
-        val = simpson(SampledFunction(grid, x * x))
+        val = simpson(x * x, grid.step)
     assert abs(val - (1.0 / 3.0)) < 1e-4  # trapezoid tail degrades, not breaks
 
 
@@ -165,7 +155,7 @@ def test_cumulative_simpson_consistent_with_simpson(rng):
     y = (coeffs[0] + coeffs[1] * np.sin(t) + coeffs[2] * np.cos(2 * t)
          + coeffs[3] * t)
     running = cumulative_simpson(y, step)
-    total = simpson(SampledFunction(grid, y))
+    total = simpson(y, step)
     assert abs(running[-1] - total) < 1e-12
 
 
@@ -173,15 +163,16 @@ def test_cumulative_simpson_consistent_with_simpson(rng):
 
 def test_central_diff_linear_exact():
     grid = UniformGrid(start=0.0, step=0.1, count=21)
-    d = central_diff(SampledFunction(grid, grid.points()), order=1)
-    assert np.allclose(d.values, 1.0, atol=1e-12)
+    d = central_diff(grid.points(), grid.step, order=1)
+    assert type(d) is np.ndarray
+    assert np.allclose(d, 1.0, atol=1e-12)
 
 
 def test_central_diff_second_derivative_quadratic_exact():
     grid = UniformGrid(start=-1.0, step=0.1, count=21)
     x = grid.points()
-    d2 = central_diff(SampledFunction(grid, x * x), order=2)
-    assert np.allclose(d2.values, 2.0, atol=1e-9)
+    d2 = central_diff(x * x, grid.step, order=2)
+    assert np.allclose(d2, 2.0, atol=1e-9)
 
 
 def test_central_diff_fourth_order_convergence():
@@ -189,24 +180,23 @@ def test_central_diff_fourth_order_convergence():
     def error(n, order):
         grid = UniformGrid(start=0.0, step=3.0 / n, count=n + 1)
         x = grid.points()
-        d = central_diff(SampledFunction(grid, np.sin(x)), order=order)
+        d = central_diff(np.sin(x), grid.step, order=order)
         exact = np.cos(x) if order == 1 else -np.sin(x)
-        return float(np.max(np.abs(d.values - exact)))
+        return float(np.max(np.abs(d - exact)))
 
     for order in (1, 2):
         assert error(150, order) / error(300, order) > 12.0  # order >= 3.58
 
 
 def test_central_diff_guard_rails():
-    grid2 = UniformGrid(start=0.0, step=1.0, count=2)
     with pytest.raises(TooFewPoints):
-        central_diff(SampledFunction(grid2, np.zeros(2)), order=1)
-    grid4 = UniformGrid(start=0.0, step=1.0, count=4)
+        central_diff(np.zeros(4), 1.0, order=1)
     with pytest.raises(TooFewPoints):
-        central_diff(SampledFunction(grid4, np.zeros(4)), order=2)
-    grid8 = UniformGrid(start=0.0, step=1.0, count=8)
+        central_diff(np.zeros(5), 1.0, order=2)
     with pytest.raises(ValueError):
-        central_diff(SampledFunction(grid8, np.zeros(8)), order=3)
+        central_diff(np.zeros(8), 1.0, order=3)
+    assert central_diff(np.zeros(5), 1.0, order=1).shape == (5,)
+    assert central_diff(np.zeros(6), 1.0, order=2).shape == (6,)
 
 
 # ------------------------------------------------------------ space grids
@@ -242,15 +232,32 @@ def test_halo_windows_partition_the_grid(monkeypatch, count):
     monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
     grid = UniformGrid(0.25, 0.1, count)
     owned = []
-    for rows, keep, t, sub in halo_windows(grid):
+    for rows, keep, t in halo_windows(grid):
         assert np.array_equal(t, grid.points()[rows])
-        assert sub.count == t.size and sub.step == grid.step
         assert t.size >= 5
         # the halo is two samples on each inner side, none at the true ends
         assert keep.start == (0 if rows.start == 0 else 2)
         assert rows.stop - keep.stop - rows.start == (0 if rows.stop == count else 2)
         owned.extend(range(rows.start + keep.start, rows.start + keep.stop))
     assert owned == list(range(count))
+
+
+@pytest.mark.parametrize("column", [0, 1], ids=["residual", "term"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_residual_maxima_refuses_non_finite_values(column, bad):
+    # the bad value sits in one owned row of the second of three windows;
+    # the other windows' maxima are finite, so the merge must carry it
+    def windows(poisoned):
+        for w in range(3):
+            arrays = [np.linspace(-1.0, 1.0, 8) * (w + 1), np.full(8, 2.0)]
+            if poisoned and w == 1:
+                arrays[column][5] = bad
+            yield slice(2, 6), iter([("x", tuple(arrays))])
+
+    for relative in (False, True):
+        assert math.isfinite(residual_maxima(windows(False), relative)["x"])
+        with pytest.raises(NonFiniteValue, match="the x residual"):
+            residual_maxima(windows(True), relative)
 
 
 def test_is_power_of_two():

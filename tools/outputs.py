@@ -61,6 +61,8 @@ COMMANDS = [
     ["series", "--preset", "fig2-soliton", "--t-final", "1.7e308"],
     ["series", "--preset", "static", "--rk4-step", "5e-324"],
     ["verify", "--preset", "fig3-collapse", "--n", "200"],
+    # a check grid clamped at 2^20 points below its wavelength rule
+    ["verify", "--preset", "fig3-collapse", "--n", "40"],
     ["verify", "--preset", "fig3-collapse", "--b0", "1"],
     ["verify", "--preset", "fig3-collapse", "--b0", "3"],
     # steps that round to 0.0
