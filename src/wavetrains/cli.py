@@ -257,6 +257,11 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     time, with per-time norm, node count, maxima count, and center in the
     header metadata.
 
+    Each time's field is evaluated on the grid for its header entries and
+    dropped before the next; the rows are a ``FieldRows`` table of the
+    frames, which evaluates psi again a block at a time as the writer
+    formats it, so the peak holds one field, not one per time.
+
     Under the auto grid policy a field whose norm misses 1 by more than
     NORM_TOL is refused (ConfigError, exit 2): the grid the program chose
     cannot hold the state.  An explicit grid keeps the NormDeficitWarning."""
@@ -273,7 +278,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
     meta.append(("grid.start", f"{grid.start:.17g}"))
     meta.append(("grid.step", f"{grid.step:.17g}"))
     meta.append(("grid.count", str(grid.count)))
-    fields = []
+    frames = []
     for j, t_req in enumerate(times):
         i = int(round(t_req / traj.grid.step))
         i = min(max(i, 0), traj.grid.count - 1)
@@ -284,7 +289,7 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
                 f"the auto grid of {grid.count} points cannot hold the state at "
                 f"t = {field.t:.6g}: its norm there is {field.norm:.6g}, not 1 within "
                 f"{NORM_TOL:g}; set the grid with --half-width and --grid-points")
-        fields.append(field)
+        frames.append(frame)
         meta.append((f"snapshot.{j}.t", f"{field.t:.17g}"))
         meta.append((f"snapshot.{j}.norm", f"{field.norm:.17g}"))
         nodes = count_nodes(hermite_scaled(spec.n, xi_of(frame, x)))
@@ -292,8 +297,9 @@ def run_snapshot(cfg: RunConfig) -> Iterable[str]:
         meta.append((f"snapshot.{j}.maxima", str(count_density_maxima(field))))
         meta.append((f"snapshot.{j}.xc",
                      f"{center_orbit(ptraj, spec, field.t):.17g}"))
+        del field  # before the next time's field is built
     columns = ["t", "x", "density", "re_psi", "im_psi"]
-    return _render(cfg, columns, FieldRows(fields, x), meta)
+    return _render(cfg, columns, FieldRows(frames, x), meta)
 
 
 def run_series(cfg: RunConfig) -> Iterable[str]:

@@ -327,17 +327,11 @@ def flat_items(cfg: RunConfig) -> list[tuple[str, str]]:
                   for group, sub in to_dict(cfg).items() for name, value in sub.items())
 
 
-def _column_keys(block: np.ndarray) -> list[int | None]:
-    """Per column of ``block``: None when all its values share one bit
-    pattern (so -0.0 and 0.0, or two NaN payloads, differ), else the hash
-    of its bytes."""
-    return [None if np.all(bits == bits[0]) else hash(col.tobytes())
-            for col, bits in zip(block.T, block.T.view(np.int64))]
-
-
 def _table(rows):
     """``rows`` as a 2-D float array, or as given when it is a row table: an
-    object with ``shape``, ``len()`` and ``[s:e]`` slices that build blocks."""
+    object with ``shape``, ``len()`` and ``[s:e]`` slices that build blocks,
+    and ``keyed``, the count of leading columns that may recur in it, which
+    its ``[s:e, :keyed]`` slices give without building the rest."""
     return np.asarray(rows, dtype=float) if isinstance(rows, (list, tuple, np.ndarray)) else rows
 
 
@@ -347,17 +341,21 @@ def _csv_blocks(data):
 
     A block is laid out as the ``g17.text`` words of its values, row by
     row, with each separator in the free first byte of the next value's
-    sign word and a last word for the final newline; one compaction drops
-    the absent (0) bytes.  A constant column is formatted once per
-    distinct value and broadcast, and a column whose bytes recur elsewhere
-    in the table (counted by hash in a pre-pass) is formatted once and held
-    in a memo keyed by its full bytes until its last use; each pass slices
-    the blocks anew."""
+    sign word and a last word for the final newline; one ``translate``
+    drops the absent (0) bytes.  A column whose values share one bit
+    pattern (so -0.0 and 0.0, or two NaN payloads, differ) is formatted
+    once per distinct value and broadcast.  A keyed column (every column
+    of an array, the leading ``keyed`` of a row table) whose bytes recur
+    elsewhere in the table, counted by hash in a pre-pass that reads the
+    keyed columns alone, is formatted once and held in a memo keyed by
+    its full bytes until its last use; so each block is built only once."""
     from . import g17  # here, not at the top: only a CSV needs it
 
     starts = range(0, len(data), _CSV_BLOCK)
-    keys = [_column_keys(data[s:s + _CSV_BLOCK]) for s in starts]
-    uses = Counter(h for row in keys for h in row if h is not None)
+    keyed = getattr(data, "keyed", data.shape[1])
+    keys = [[hash(col.tobytes()) for col in data[s:s + _CSV_BLOCK, :keyed].T]
+            for s in starts]
+    uses = Counter(h for row in keys for h in row)
     left = uses.copy()
     memo: dict[bytes, np.ndarray] = {}
     constants: dict[bytes, np.ndarray] = {}
@@ -373,10 +371,11 @@ def _csv_blocks(data):
         block = data[s:s + _CSV_BLOCK]
         words = np.empty(block.size * 4 + 1, dtype=np.uint64)
         table = words[:-1].reshape(block.shape + (4,))
-        for j, (col, h) in enumerate(zip(block.T, row)):
-            if h is None:
+        for j, (col, bits) in enumerate(zip(block.T, block.T.view(np.int64))):
+            h = row[j] if j < keyed else None
+            if np.all(bits == bits[0]):
                 table[:, j] = formatted(col[:1], constants, col[:1].tobytes())
-            elif uses[h] == 1:
+            elif h is None or uses[h] == 1:
                 g17.text(col, table[:, j])
             else:
                 key = col.tobytes()
@@ -389,7 +388,7 @@ def _csv_blocks(data):
         seps = text[:-8].reshape(block.shape + (32,))[:, :, 0]
         seps[:, 1:] = ord(",")
         seps[1:, 0] = ord("\n")
-        yield text[text != 0].tobytes().decode("ascii")
+        yield text.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def csv_pieces(cfg: RunConfig, columns: list[str], rows,

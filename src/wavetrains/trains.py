@@ -119,26 +119,36 @@ class FieldGrid:
 
 
 class FieldRows:
-    """Long-format (t, x, density, re_psi, im_psi) rows of fields on one grid
-    of points ``x``, time after time: each ``[s:e]`` slice builds its block,
-    which may span times, from the fields, so no times x N x 5 array exists."""
+    """Long-format (t, x, density, re_psi, im_psi) rows of frames on one grid
+    of points ``x``, time after time.  Each ``[s:e]`` slice builds its block,
+    which may span times, from ``psi(frame, x[lo:hi])`` of each frame it
+    covers, so at most one block of psi exists and no times x N x 5 array;
+    psi is elementwise, so the values are bit for bit those of
+    ``psi_on_grid``.  A ``[s:e, cols]`` slice of the leading ``keyed``
+    columns, t and x (the only ones that recur in the table), evaluates
+    no psi."""
 
-    def __init__(self, fields: list[FieldGrid], x: np.ndarray):
-        self.fields, self.x, self.shape = fields, x, (len(fields) * len(x), 5)
+    keyed = 2
+
+    def __init__(self, frames: list[TrainFrame], x: np.ndarray):
+        self.frames, self.x, self.shape = frames, x, (len(frames) * len(x), 5)
 
     def __len__(self) -> int:
         return self.shape[0]
 
-    def __getitem__(self, rows: slice) -> np.ndarray:
+    def __getitem__(self, index) -> np.ndarray:
+        rows, cols = index if isinstance(index, tuple) else (index, slice(None))
         s, e, _ = rows.indices(len(self))
-        n = len(self.x)
+        n, evaluate = len(self.x), max(range(5)[cols], default=0) >= self.keyed
         block = np.empty((max(e - s, 0), 5))
         for j in range(s // n, -(-e // n)):
             lo, hi = max(s - j * n, 0), min(e - j * n, n)
-            v, part = self.fields[j].values[lo:hi], block[j * n + lo - s:j * n + hi - s]
-            part[:, 0], part[:, 1] = self.fields[j].t, self.x[lo:hi]
-            part[:, 2], part[:, 3], part[:, 4] = np.abs(v) ** 2, v.real, v.imag  # as .density()
-        return block
+            part = block[j * n + lo - s:j * n + hi - s]
+            part[:, 0], part[:, 1] = self.frames[j].t, self.x[lo:hi]
+            if evaluate:
+                v = psi(self.frames[j], self.x[lo:hi])
+                part[:, 2], part[:, 3], part[:, 4] = np.abs(v) ** 2, v.real, v.imag  # as .density()
+        return block[:, cols]
 
 
 def _hermite_rows(nmax: int, xi: np.ndarray, row) -> np.ndarray:

@@ -20,7 +20,7 @@ import pytest
 import wavetrains
 from wavetrains import (TrainSpec, auto_space_grid, mean_energy_levels,
                         propagation_grid)
-from wavetrains import cli, mathieu, numerics, verify
+from wavetrains import cli, mathieu, numerics, trains, verify
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
 from wavetrains.config import (
@@ -513,25 +513,34 @@ def test_snapshot_csv_matches_per_value_format(monkeypatch, capsys):
                                                  rows.tolist(), seen["meta"]))
 
 
-def _snapshot_cfg(times, count):
+def _snapshot_cfg(times, count, *extra):
     return cli.resolve_config(cli.build_parser().parse_args(
         ["snapshot", "--preset", "static", "--times", times, "--grid-points", str(count),
-         "--half-width", "10"]))
+         "--half-width", "10", *extra]))
 
 
 @pytest.mark.parametrize("count", [1024, 8192])
 def test_snapshot_row_blocks_equal_the_whole_table(monkeypatch, count):
     # 1024-point times put several in one 4096-row block; every slice,
-    # aligned or not, is bit for bit the table laid out whole from the fields
-    seen = {}
+    # aligned or not, is bit for bit the table laid out from psi_on_grid
+    # of each frame on the grid the header used
+    seen, grids = {}, []
+
+    def spy(frame, grid):
+        grids.append(grid)
+        return trains.psi_on_grid(frame, grid)
+
+    monkeypatch.setattr(cli, "psi_on_grid", spy)
     monkeypatch.setattr(cli, "_render", lambda cfg, columns, rows, meta: seen.update(rows=rows))
     cli.run_snapshot(_snapshot_cfg("0,0.5pi,1pi,2pi", count))
-    table = seen["rows"]
+    table, grid = seen["rows"], grids[0]
+    assert len(table.frames) == len(grids) == 4 and set(grids) == {grid}
     whole = np.empty((4 * count, 5))
-    for j, field in enumerate(table.fields):
+    for j, frame in enumerate(table.frames):
+        field = trains.psi_on_grid(frame, grid)
         block = whole[j * count:(j + 1) * count]
         block[:, 0] = field.t
-        block[:, 1] = field.grid.points()
+        block[:, 1] = grid.points()
         block[:, 2] = field.density()
         block[:, 3] = field.values.real
         block[:, 4] = field.values.imag
@@ -539,14 +548,32 @@ def test_snapshot_row_blocks_equal_the_whole_table(monkeypatch, count):
     edges = [(s, s + _CSV_BLOCK) for s in range(0, len(whole), _CSV_BLOCK)]
     edges += [(0, len(whole)), (count - 3, 2 * count + 5), (7, 7), (len(whole) - 1, 10**9)]
     for s, e in edges:
-        got = table[s:e]
-        assert got.dtype == whole.dtype and got.shape == whole[s:e].shape
-        assert np.array_equal(got.view(np.int64), whole[s:e].view(np.int64)), (s, e)
+        for got, want in ((table[s:e], whole[s:e]),
+                          (table[s:e, :table.keyed], whole[s:e, :table.keyed])):
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), (s, e)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_snapshot_render_evaluates_psi_once_per_point(monkeypatch, fmt):
+    # the header evaluates each field once; the writer builds each block
+    # once more, and the CSV pre-pass reads the t and x columns alone
+    count, times = 1024, "0,0.5pi,1pi,2pi"
+    rendered = cli.run_snapshot(_snapshot_cfg(times, count, "--format", fmt))
+    points, psi = [], trains.psi
+
+    def counting(frame, x):
+        points.append(np.size(x))
+        return psi(frame, x)
+
+    monkeypatch.setattr(trains, "psi", counting)
+    assert "".join(rendered)
+    assert sum(points) == 4 * count
 
 
 def test_snapshot_peak_memory_per_time():
-    # each extra time keeps its complex field (16 B per point); a
-    # times x N x 5 float table would add 40 B per point on top
+    # each extra time keeps its frame, not its field (16 B per point); a
+    # times x N x 5 float table would add 40 B per point
     count = 65536
 
     def peak(times):
@@ -560,7 +587,7 @@ def test_snapshot_peak_memory_per_time():
             tracemalloc.stop()
 
     growth = (peak("0,0.5pi,1pi,1.5pi,2pi") - peak("0,2pi")) / 3
-    assert growth <= 20 * count
+    assert growth <= 4 * count
 
 
 @pytest.mark.parametrize("count", [0, 1, 4095, 4096, 4097])

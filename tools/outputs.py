@@ -79,6 +79,11 @@ COMMANDS = [
     ["snapshot", "--preset", "fig3-collapse", "--times", "0,1pi,2pi", "--out", OUT],
     ["snapshot", "--preset", "fig3-collapse", "--format", "json", "--times", "0,1pi,2pi",
      "--out", OUT],
+    ["snapshot", "--preset", "fig3-collapse", "--out", OUT, "--times",
+     "0,0.25pi,0.5pi,0.75pi,1pi,1.25pi,1.5pi,1.75pi,2pi,2.25pi"],
+    # four 1024-point times: one 4096-row block spans every time boundary
+    ["snapshot", "--preset", "fig2-soliton", "--grid-points", "1024",
+     "--times", "0,0.5pi,1pi,1.5pi"],
     # values down to the e-300s and 5e-324 in the tails of a wide box
     ["snapshot", "--preset", "static", "--times", "0,0.25pi", "--grid-points", "16384",
      "--half-width", "40", "--out", OUT],
