@@ -61,7 +61,6 @@ from .trains import (
     hermite_scaled,
     hermite_table,
     mean_energy,
-    mean_energy_levels,
     mean_energy_moments,
     overlap,
     phase,
@@ -101,7 +100,7 @@ __all__ = [
     "CoefficientSet", "FieldGrid", "TrainFrame", "TrainSpec", "amplitude",
     "auto_space_grid", "center_orbit", "coefficients",
     "count_density_maxima", "count_nodes", "hermite_scaled", "hermite_table",
-    "mean_energy", "mean_energy_levels", "mean_energy_moments", "overlap",
+    "mean_energy", "mean_energy_moments", "overlap",
     "phase", "psi", "psi_on_grid", "train_frame", "verify_eq4", "xi_of",
     "PropagatorConfig", "l2_density_distance", "propagation_grid",
     "renormalized", "split_step_evolve",

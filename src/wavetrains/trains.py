@@ -1,19 +1,20 @@
 """Exact wave-packet-train states built on a classical polar trajectory.
 
-The n-th state is  psi_n = R_n exp(i Theta_n)  with
+The n-th state is the test-function ansatz
 
-    R_n     = [sqrt(c0) / (sqrt(pi) 2^n n! rho)]^(1/2) H_n(xi) exp(-xi^2/2),
-    xi      = sqrt(c0) x / rho - (b0/sqrt(c0)) cos(theta),
-    Theta_n = drho x^2/(2 rho) - (b0 x/rho) sin(theta)
-              + (b0^2/(4 c0)) sin(2 theta) - (1/2 + n) theta,
+    psi_n = a_n H_n(e x - f) exp(-c x^2 + b x - f^2/2) = R_n exp(i Theta_n),
+    R_n     = sqrt(e) h_n(xi),   xi = e x - f,
+    Theta_n = Im b x - Im c x^2 + arg a_n,
 
-where (rho, theta) is the polar form of the classical solution and
-c0 = rho^2 dtheta its first integral.  The density has n+1 humps sharing
-one moving, breathing envelope; the hump pattern's center follows the
-classical orbit x_c = (b0/c0) phi1.
+whose coefficients b, c, e, f, a_n (``coefficients``) are written in the
+polar form (rho, theta) of the classical solution, c0 = rho^2 dtheta its
+first integral.  The density has n+1 humps sharing one moving, breathing
+envelope; the hump pattern's center follows the classical orbit
+x_c = (b0/c0) phi1.
 
 Each formula is written once and takes scalars or equal-shape arrays of
-the polar samples: ``coefficients`` (the ansatz b, c, e, f, a_n),
+the polar samples: ``coefficients`` (the ansatz b, c, e, f, a_n, which a
+``TrainFrame`` holds and every evaluation of the state reads),
 ``_phase_rate`` (dTheta_n/dt) and ``_hermite_rows`` (the Hermite
 recurrence).  Every spatial integral is the rectangle rule: a sum times
 the step, by ``numerics.field_integral`` or, for all overlaps of one
@@ -83,13 +84,22 @@ class CoefficientSet(NamedTuple):
 
 @dataclass(frozen=True)
 class TrainFrame:
-    """Everything needed to evaluate psi_n at one time."""
+    """Everything needed to evaluate psi_n at one time: the polar sample,
+    k(t), and the ansatz ``coefficients`` of the sample, computed once
+    here, that every evaluation of the state reads."""
 
     t: float
     rho: float
     theta: float
     drho: float
+    dtheta: float
+    k: float
     spec: TrainSpec
+    coeff: CoefficientSet = field(init=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "coeff", coefficients(self.spec, self.rho, self.theta,
+                                                       self.drho, self.dtheta))
 
 
 @dataclass(frozen=True)
@@ -203,10 +213,8 @@ def live_window(frame: TrainFrame, grid: UniformGrid) -> slice:
     """Index slice of ``grid`` outside which |xi(x)| >= XI_UNDERFLOW, so every
     h_m(xi(x)) there is exactly 0.0: from the affine xi(x) in closed form,
     widened by 2 samples, and empty when the state lies off the grid."""
-    sc = math.sqrt(frame.spec.c0)
-    f = (frame.spec.b0 / sc) * math.cos(frame.theta)
-    ends = ((f + np.array([-XI_UNDERFLOW, XI_UNDERFLOW])) * frame.rho / sc
-            - grid.start) / grid.step
+    _, _, e, f, _ = frame.coeff
+    ends = ((f + np.array([-XI_UNDERFLOW, XI_UNDERFLOW])) / e - grid.start) / grid.step
     lo, hi = np.clip([np.ceil(ends[0]) - 2, np.floor(ends[1]) + 3], 0, grid.count)
     return slice(int(lo), int(max(hi, lo)))
 
@@ -214,16 +222,16 @@ def live_window(frame: TrainFrame, grid: UniformGrid) -> slice:
 def train_frame(ptraj: PolarTrajectory, spec: TrainSpec, t: float) -> TrainFrame:
     """Frame at a sampled time of the polar trajectory."""
     i = ptraj.grid.index_of(t)
-    return TrainFrame(t=float(ptraj.grid.start + i * ptraj.grid.step),
-                      rho=float(ptraj.rho[i]), theta=float(ptraj.theta[i]),
-                      drho=float(ptraj.drho[i]), spec=spec)
+    t = float(ptraj.grid.start + i * ptraj.grid.step)
+    return TrainFrame(t=t, rho=float(ptraj.rho[i]), theta=float(ptraj.theta[i]),
+                      drho=float(ptraj.drho[i]), dtheta=float(ptraj.dtheta[i]),
+                      k=float(ptraj.params.k(t)), spec=spec)
 
 
 def xi_of(frame: TrainFrame, x):
-    """Dimensionless train coordinate xi = sqrt(c0) x / rho - (b0/sqrt(c0)) cos(theta)."""
-    s = frame.spec
-    sc = math.sqrt(s.c0)
-    return sc * np.asarray(x, dtype=float) / frame.rho - (s.b0 / sc) * math.cos(frame.theta)
+    """Dimensionless train coordinate xi = e x - f."""
+    _, _, e, f, _ = frame.coeff
+    return e * np.asarray(x, dtype=float) - f
 
 
 def coefficients(spec: TrainSpec, rho, theta, drho, dtheta) -> CoefficientSet:
@@ -243,19 +251,15 @@ def coefficients(spec: TrainSpec, rho, theta, drho, dtheta) -> CoefficientSet:
 
 
 def amplitude(frame: TrainFrame, x):
-    """Signed real amplitude R_n(x, t) = c0^(1/4) rho^(-1/2) h_n(xi)."""
-    s = frame.spec
-    return s.c0**0.25 / math.sqrt(frame.rho) * hermite_scaled(s.n, xi_of(frame, x))
+    """Signed real amplitude R_n(x, t) = sqrt(e) h_n(xi)."""
+    return math.sqrt(frame.coeff.e) * hermite_scaled(frame.spec.n, xi_of(frame, x))
 
 
 def phase(frame: TrainFrame, x):
-    """Phase Theta_n(x, t) of the state."""
-    s = frame.spec
+    """Phase Theta_n(x, t) = Im b x - Im c x^2 + arg a_n of the state."""
+    b, c, _, _, a_n = frame.coeff
     x = np.asarray(x, dtype=float)
-    return (frame.drho * x * x / (2.0 * frame.rho)
-            - (s.b0 * x / frame.rho) * math.sin(frame.theta)
-            + (s.b0**2 / (4.0 * s.c0)) * math.sin(2.0 * frame.theta)
-            - (0.5 + s.n) * frame.theta)
+    return b.imag * x - c.imag * x * x + np.angle(a_n)
 
 
 def psi(frame: TrainFrame, x):
@@ -284,10 +288,10 @@ def gram_matrix(frame: TrainFrame, table: np.ndarray, step: float) -> np.ndarray
     """G[m, n] = int R_m R_n dx by the rectangle rule for the rows
     h_m(xi(x)) of ``table``, as one matrix product.
 
-    R_m = c0^(1/4) rho^(-1/2) h_m(xi) and Theta_n - Theta_m = -(n - m) theta
-    is x-independent, so |<m|n>| = |G[m, n]|; and |psi_m|^2 = R_m^2, so
+    R_m = sqrt(e) h_m(xi) and Theta_n - Theta_m = arg a_n - arg a_m is
+    x-independent, so |<m|n>| = |G[m, n]|; and |psi_m|^2 = R_m^2, so
     G[m, m] is the norm int |psi_m|^2 dx."""
-    return (table @ table.T) * step * (math.sqrt(frame.spec.c0) / frame.rho)
+    return (table @ table.T) * step * frame.coeff.e
 
 
 def center_orbit(ptraj: PolarTrajectory, spec: TrainSpec, t):
@@ -332,54 +336,32 @@ def mean_energy(ptraj: PolarTrajectory, spec: TrainSpec,
     by rectangle-rule quadrature on the supplied grid.
 
     This is the independent check of ``mean_energy_moments``, which gives
-    the same value in closed form, and, through ``mean_energy_levels``, of
-    the verify battery's ``level_energies``.
+    the same value in closed form.
     """
-    return float(mean_energy_levels(ptraj, spec, t, grid)[-1])
-
-
-def _rate_args(ptraj: PolarTrajectory, frame: TrainFrame) -> tuple:
-    """(rho, theta, drho, dtheta, k) at ``frame``, a sample of ``ptraj``,
-    the arguments of ``_phase_rate`` after its spec."""
-    return (frame.rho, frame.theta, frame.drho,
-            float(ptraj.dtheta[ptraj.grid.index_of(frame.t)]),
-            float(ptraj.params.k(frame.t)))
-
-
-def mean_energy_levels(ptraj: PolarTrajectory, spec: TrainSpec,
-                       t: float, grid: UniformGrid) -> np.ndarray:
-    """``mean_energy`` of every level m = 0 .. n sharing ``spec``'s b0 and c0,
-    with all R_m^2 taken from one ``hermite_table`` pass and each level
-    integrated on its own, -int R_m^2 (quad x^2 - lin x + const_m) dx."""
     frame = train_frame(ptraj, spec, t)
     x = grid.points()
-    args = _rate_args(ptraj, frame)
-    quad, lin, _ = _phase_rate(spec, *args)
-    theta_x = quad * x * x - lin * x
-    scale = spec.c0**0.25 / math.sqrt(frame.rho)
-    table = hermite_table(spec.n, xi_of(frame, x))
-    consts = [_phase_rate(replace(spec, n=m), *args)[2] for m in range(len(table))]
-    return np.array([-field_integral((scale * h) ** 2 * (theta_x + const), grid.step)
-                     for h, const in zip(table, consts)])
+    quad, lin, const = _phase_rate(spec, frame.rho, frame.theta, frame.drho,
+                                   frame.dtheta, frame.k)
+    return float(-field_integral(amplitude(frame, x) ** 2 * (quad * x * x - lin * x + const),
+                                 grid.step))
 
 
-def level_energies(ptraj: PolarTrajectory, frame: TrainFrame, table: np.ndarray,
-                   x: np.ndarray, step: float, gram: np.ndarray) -> np.ndarray:
+def level_energies(frame: TrainFrame, table: np.ndarray, x: np.ndarray,
+                   step: float, gram: np.ndarray) -> np.ndarray:
     """E_m of each row h_m(xi(x)) of ``table`` (the levels sharing ``frame``'s
     b0 and c0) from its ``gram_matrix``, one weighted sum per row:
-    E_m = -(sqrt(c0)/rho) step sum h_m^2 (quad x^2 - lin x) - const_m G[m, m].
+    E_m = -e step sum h_m^2 (quad x^2 - lin x) - const_m G[m, m].
     Both terms are sums over the columns, so for a window taken in blocks of
     columns, the sum of each block's E_m (with that block's Gram matrix) is
-    the window's.  ``mean_energy_levels``, level by level, is the check of
-    this one."""
-    args = _rate_args(ptraj, frame)
-    quad, lin, const = _phase_rate(replace(frame.spec, n=0), *args)
+    the window's.  ``mean_energy`` of each level is the check of this one."""
+    quad, lin, const = _phase_rate(replace(frame.spec, n=0), frame.rho, frame.theta,
+                                   frame.drho, frame.dtheta, frame.k)
     theta_x = quad * x * x - lin * x
-    weight = step * math.sqrt(frame.spec.c0) / frame.rho
+    weight = step * frame.coeff.e
     # einsum, not np.dot: a threaded BLAS dot on these rows wakes a thread
     # pool that then spins beside the PDE worker of the verify battery
     sums = np.array([np.einsum("i,i->", h * theta_x, h) for h in table])
-    consts = const - np.arange(len(table)) * args[3]
+    consts = const - np.arange(len(table)) * frame.dtheta
     return -weight * sums - consts * np.diagonal(gram)[:len(table)]
 
 

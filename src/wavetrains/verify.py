@@ -167,7 +167,7 @@ def _state_checks(ptraj, spec: TrainSpec, grid: UniformGrid) -> list[dict]:
             table = hermite_table(8, xi, out=buf[:, :len(x)])
             block_gram = gram_matrix(frame, table, grid.step)
             gram += block_gram
-            energies += level_energies(ptraj, frame, table[:8], x, grid.step, block_gram)
+            energies += level_energies(frame, table[:8], x, grid.step, block_gram)
             if spec.n <= 8:
                 nodes.add(table[spec.n])
             else:

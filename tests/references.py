@@ -1,6 +1,7 @@
 """Test-only references: plain composite Simpson, the TDSE residual, a
-split-step propagation with the kick on every grid point, and ``every``,
-a trajectory on every m-th sample.
+split-step propagation with the kick on every grid point, ``every``, a
+trajectory on every m-th sample, the paper's ansatz written out, and the
+energies of every level from one Hermite table.
 
 The package integrates fields by the rectangle rule and time integrals by
 ``cumulative_simpson``; no command needs the first two functions below.
@@ -11,6 +12,8 @@ factored kick (row, column and Toeplitz factors of ``kick_phases``) that
 ``split_step_evolve`` takes on every grid.  ``every`` gives the classical
 and polar residual functions the trajectory that verify's streamed sweep
 takes every m-th sample of, so the whole-array route stays its check.
+``ansatz_psi`` is the check of ``trains.psi`` and its phase, and
+``mean_energy_levels`` of the verify battery's ``level_energies``.
 """
 
 import math
@@ -18,6 +21,7 @@ import warnings
 from dataclasses import replace
 
 import numpy as np
+from numpy.polynomial.hermite import hermval
 
 from wavetrains import (
     FieldGrid,
@@ -26,7 +30,11 @@ from wavetrains import (
     TrapParameters,
     UniformGrid,
     field_integral,
+    hermite_table,
+    train_frame,
+    xi_of,
 )
+from wavetrains.trains import _phase_rate
 
 
 class QuadratureOrderWarning(UserWarning):
@@ -115,3 +123,35 @@ def every(traj, m: int):
     grid = UniformGrid(traj.grid.start, m * traj.grid.step, (traj.grid.count - 1) // m + 1)
     arrays = {k: v[::m] for k, v in vars(traj).items() if isinstance(v, np.ndarray)}
     return replace(traj, grid=grid, **arrays)
+
+
+def ansatz_psi(n: int, b0: float, c0: float, rho: float, theta: float, drho: float,
+               x: np.ndarray) -> np.ndarray:
+    """The paper's ansatz psi_n = a_n H_n(e x - f) exp(-c x^2 + b x - f^2/2)
+    at one polar sample, with dtheta = c0/rho^2 and H_n by ``hermval``:
+    b = b0 e^(-i theta)/rho, c = dtheta/2 - i drho/(2 rho), e = sqrt(c0)/rho,
+    f = (b0/sqrt(c0)) cos theta and
+    a_n = [sqrt(c0)/(sqrt(pi) 2^n n! rho)]^(1/2) exp{-i[(1/2+n) theta - (b0^2/(4 c0)) sin 2 theta]}."""
+    b = b0 * np.exp(-1j * theta) / rho
+    c = 0.5 * c0 / rho**2 - 0.5j * drho / rho
+    e = math.sqrt(c0) / rho
+    f = b0 / math.sqrt(c0) * math.cos(theta)
+    a_n = math.sqrt(math.sqrt(c0) / (math.sqrt(math.pi) * 2**n * math.factorial(n) * rho)) \
+        * np.exp(-1j * ((0.5 + n) * theta - b0**2 / (4.0 * c0) * math.sin(2.0 * theta)))
+    return a_n * hermval(e * x - f, [0] * n + [1]) * np.exp(-c * x * x + b * x - 0.5 * f * f)
+
+
+def mean_energy_levels(ptraj, spec, t: float, grid: UniformGrid) -> np.ndarray:
+    """``trains.mean_energy`` of every level m = 0 .. n sharing ``spec``'s b0
+    and c0, with all R_m^2 taken from one ``hermite_table`` pass and each
+    level integrated on its own, -int R_m^2 (quad x^2 - lin x + const_m) dx."""
+    frame = train_frame(ptraj, spec, t)
+    x = grid.points()
+    args = (frame.rho, frame.theta, frame.drho, frame.dtheta, frame.k)
+    quad, lin, _ = _phase_rate(spec, *args)
+    theta_x = quad * x * x - lin * x
+    scale = math.sqrt(frame.coeff.e)
+    table = hermite_table(spec.n, xi_of(frame, x))
+    consts = [_phase_rate(replace(spec, n=m), *args)[2] for m in range(len(table))]
+    return np.array([-field_integral((scale * h) ** 2 * (theta_x + const), grid.step)
+                     for h, const in zip(table, consts)])

@@ -12,7 +12,8 @@ smallest decade of its size that fails them (the battery's resolution).
 * The 00 entry of the RK4 step matrices x (1 + delta), in every window of
   the scan.
 * The b0^2/(4 c0) sin 2 theta term of the a_n phase x (1 + delta), where
-  delta = -2 flips its sign; and the same term of ``trains.phase``.
+  delta = -2 flips its sign: psi_n takes its x-independent phase from a_n,
+  so the flip moves psi_n as well.
 * The rho' term of the Riccati variable c = theta'/2 - i rho'/(2 rho)
   x (1 + delta).
 * The coefficient sqrt(k/(k+1)) of h_{k-1} in the Hermite recurrence
@@ -118,33 +119,44 @@ def test_verify_fails_an_rk4_step_matrix_defect(monkeypatch, capsys):
     assert _failed_checks(capsys, COLLAPSE) == (1, ["mathieu-residual"])
 
 
+def _sin_2theta_defect(delta):
+    """The edit that scales the a_n phase's sin 2 theta term by 1 + delta."""
+    def edit(spec, out, rho, theta, drho):
+        s = spec.b0**2 / (4.0 * spec.c0)
+        return out._replace(a_n=out.a_n * np.exp(1j * delta * s * np.sin(2.0 * theta)))
+
+    return edit
+
+
 @pytest.mark.parametrize("delta, failed", [(-2.0, ["coeff-a-residual"]),
                                            (-1.0, ["coeff-a-residual"]), (-0.1, [])])
 def test_verify_fails_a_sin_2theta_defect_of_the_a_n_phase(monkeypatch, capsys, delta, failed):
     # b0^2/(4 c0) is about 5e-4 on fig3-collapse: the flipped sign reads
     # 1.0e-3, the dropped term (delta = -1) 5.0e-4, and delta = -0.1 passes
-    def edit(spec, out, rho, theta, drho):
-        s = spec.b0**2 / (4.0 * spec.c0)
-        return out._replace(a_n=out.a_n * np.exp(1j * delta * s * np.sin(2.0 * theta)))
-
-    _seed_coefficients(monkeypatch, edit)
+    _seed_coefficients(monkeypatch, _sin_2theta_defect(delta))
     assert _failed_checks(capsys, COLLAPSE) == (1 if failed else 0, failed)
 
 
-@pytest.mark.xfail(strict=True, reason="trains.phase writes its x-independent part apart "
-                                       "from the a_n phase that coeff-a-residual checks, and "
-                                       "the PDE check compares |psi|^2 and |overlap| only")
 def test_verify_fails_a_flipped_sin_2theta_sign_of_the_state_phase(monkeypatch, capsys):
-    # the term is a time-dependent global phase of psi_n; a flipped sign
-    # breaks the Schroedinger equation, but verify exits 0
-    phase = trains.phase
+    # the term is a time-dependent global phase of psi_n, which the PDE
+    # check (|psi|^2 and |overlap|) cannot see: psi_n must take it from the
+    # a_n that coeff-a-residual checks, so the flip that fails that check
+    # moves the snapshot's psi_n by 2 (b0^2/(4 c0)) |sin 2 theta| of it:
+    # 1.9e-3 at 2pi, where sin 2 theta reads 0.96 (at 0 and 1pi it is near 0)
+    cfg = cli.resolve_config(cli.build_parser().parse_args(["snapshot", *COLLAPSE]))
+    times = cfg.time.times
+    _, ptraj = cli._solve_polar(cfg, max(times), times)
+    spec = cli._effective_spec(cfg, ptraj.c0)
+    x = cli._space_grid(cfg, ptraj, spec).points()
+    t = times[2]
 
-    def with_defect(frame, x):
-        s = frame.spec
-        return phase(frame, x) - 2.0 * (s.b0**2 / (4.0 * s.c0)) * math.sin(2.0 * frame.theta)
+    def snapshot_psi():
+        return trains.psi(trains.train_frame(ptraj, spec, t), x)
 
-    monkeypatch.setattr(trains, "phase", with_defect)
-    assert _failed_checks(capsys, COLLAPSE)[0] == 1
+    before = snapshot_psi()
+    _seed_coefficients(monkeypatch, _sin_2theta_defect(-2.0))
+    assert np.max(np.abs(snapshot_psi() - before)) > 1e-3 * np.max(np.abs(before))
+    assert _failed_checks(capsys, COLLAPSE) == (1, ["coeff-a-residual"])
 
 
 @pytest.mark.parametrize("delta, failed", [(1e-4, ["coeff-c-residual"]), (1e-5, [])])

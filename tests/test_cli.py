@@ -18,8 +18,7 @@ import numpy as np
 import pytest
 
 import wavetrains
-from wavetrains import (TrainSpec, auto_space_grid, mean_energy_levels,
-                        propagation_grid)
+from wavetrains import TrainSpec, auto_space_grid, propagation_grid
 from wavetrains import cli, mathieu, numerics, trains, verify
 from wavetrains.cli import _auto_dt, main
 from wavetrains.splitstep import aliasing_dt_bound, split_step_evolve
@@ -43,7 +42,7 @@ from wavetrains.mathieu import (mathieu_residual, polar_decompose, polar_ode_res
 from wavetrains.trains import level_energies, verify_eq4
 
 from conftest import COLLAPSE_PARAMS
-from references import every
+from references import every, mean_energy_levels
 
 
 def run_cli(capsys, argv):
@@ -775,18 +774,25 @@ def test_battery_energies_equal_mean_energy_levels(monkeypatch, capsys):
     # the battery's E_0..E_7 at each of its 11 check times, on the live
     # window of its check grid, within 1e-13 relative of those of
     # mean_energy_levels on the same trajectory, time and whole grid
-    seen = []
+    seen, trajectories = [], []
+    state_checks = verify._state_checks
 
-    def spy(ptraj, frame, table, x, step, gram):
-        energies = level_energies(ptraj, frame, table, x, step, gram)
-        seen.append((ptraj, frame, x, step, energies))
+    def keep_trajectory(ptraj, *args):
+        trajectories.append(ptraj)
+        return state_checks(ptraj, *args)
+
+    def spy(frame, table, x, step, gram):
+        energies = level_energies(frame, table, x, step, gram)
+        seen.append((frame, x, step, energies))
         return energies
 
+    monkeypatch.setattr(verify, "_state_checks", keep_trajectory)
     monkeypatch.setattr(verify, "level_energies", spy)
     rc, _, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
-    assert len({frame.t for _, frame, *_ in seen}) == len(seen) == 11
-    for ptraj, frame, x, step, energies in seen:
+    assert len({frame.t for frame, *_ in seen}) == len(seen) == 11
+    [ptraj] = trajectories
+    for frame, x, step, energies in seen:
         grid = auto_space_grid(ptraj, TrainSpec(n=8, b0=frame.spec.b0, c0=frame.spec.c0))
         lo = grid.index_of(float(x[0]))
         assert step == grid.step and np.array_equal(grid.points()[lo:lo + len(x)], x)

@@ -23,7 +23,6 @@ from wavetrains import (
     hermite_scaled,
     hermite_table,
     mean_energy,
-    mean_energy_levels,
     mean_energy_moments,
     overlap,
     propagation_grid,
@@ -37,7 +36,6 @@ from wavetrains.errors import GridMismatch
 from wavetrains.numerics import field_integral
 from wavetrains.trains import (
     TrainFrame,
-    _phase_rate,
     amplitude,
     coefficients,
     gram_matrix,
@@ -46,7 +44,7 @@ from wavetrains.trains import (
 )
 
 from conftest import FOUR_PI
-from references import every, simpson
+from references import ansatz_psi, every, mean_energy_levels, simpson
 
 
 def _sample_times(ptraj, count):
@@ -253,6 +251,21 @@ def test_centered_states_have_even_density(static_polar):
         assert np.allclose(d, d[::-1], atol=1e-15)
 
 
+@given(n=st.integers(0, 10), b0=st.floats(-3.0, 3.0), c0=st.floats(0.5, 2.0),
+       rho=st.floats(0.5, 2.0), theta=st.floats(-20.0, 20.0), drho=st.floats(-1.0, 1.0))
+def test_psi_matches_the_ansatz(n, b0, c0, rho, theta, drho):
+    # psi_n, amplitude and phase, on |xi| <= 8 against the paper's ansatz
+    # written out from the polar sample (references.ansatz_psi); the ranges
+    # keep every phase term below about 10^3 rad, where the two roundings
+    # stay far inside 1e-12 of max |psi|
+    frame = TrainFrame(t=0.0, rho=rho, theta=theta, drho=drho, dtheta=c0 / rho**2, k=0.0,
+                       spec=TrainSpec(n=n, b0=b0, c0=c0))
+    e, f = math.sqrt(c0) / rho, b0 / math.sqrt(c0) * math.cos(theta)
+    x = (f + np.linspace(-8.0, 8.0, 401)) / e
+    reference = ansatz_psi(n, b0, c0, rho, theta, drho, x)
+    assert np.max(np.abs(psi(frame, x) - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
 def test_node_count_tracks_quantum_number(soliton_polar):
     t = float(_sample_times(soliton_polar, 7)[3])
     for n in range(11):
@@ -381,23 +394,15 @@ def test_energy_ladder_is_affine(soliton_polar, soliton_spec):
 
 def test_energy_levels_match_per_level_quadrature(collapse_polar):
     # one Hermite table per time gives each level bit for bit what the
-    # per-level quadrature -int R_m^2 dTheta_m/dt dx gives
+    # per-level quadrature -int R_m^2 dTheta_m/dt dx of mean_energy gives
     grid = auto_space_grid(collapse_polar, TrainSpec(n=8, b0=0.02, c0=collapse_polar.c0))
-    x = grid.points()
     for t in _sample_times(collapse_polar, 3):
-        i = collapse_polar.grid.index_of(float(t))
-        k = float(collapse_polar.params.k(float(t)))
         levels = mean_energy_levels(collapse_polar,
                                     TrainSpec(n=7, b0=0.02, c0=collapse_polar.c0),
                                     float(t), grid)
         for m in range(8):
             spec = TrainSpec(n=m, b0=0.02, c0=collapse_polar.c0)
-            frame = train_frame(collapse_polar, spec, float(t))
-            quad, lin, const = _phase_rate(spec, frame.rho, frame.theta, frame.drho,
-                                           float(collapse_polar.dtheta[i]), k)
-            reference = -field_integral(amplitude(frame, x) ** 2
-                                        * (quad * x * x - lin * x + const), grid.step)
-            assert levels[m] == reference
+            assert levels[m] == mean_energy(collapse_polar, spec, float(t), grid)
 
 
 def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_polar):
@@ -415,7 +420,7 @@ def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_pola
         levels = mean_energy_levels(collapse_polar,
                                     TrainSpec(n=7, b0=0.02, c0=collapse_polar.c0),
                                     float(t), grid)
-        energies = level_energies(collapse_polar, frame, table[:8], xw, grid.step, gram)
+        energies = level_energies(frame, table[:8], xw, grid.step, gram)
         assert np.all(np.abs(energies - levels) <= 1e-13 * np.abs(levels))
 
 
@@ -431,9 +436,9 @@ def test_level_energies_do_not_call_blas_dot(collapse_polar, monkeypatch):
     xw = grid.points()[live_window(frame, grid)]
     table = hermite_table(8, xi_of(frame, xw))
     gram = gram_matrix(frame, table, grid.step)
-    expected = level_energies(collapse_polar, frame, table, xw, grid.step, gram)
+    expected = level_energies(frame, table, xw, grid.step, gram)
     monkeypatch.setattr(np, "dot", refuse)
-    got = level_energies(collapse_polar, frame, table, xw, grid.step, gram)
+    got = level_energies(frame, table, xw, grid.step, gram)
     assert np.array_equal(got, expected)
 
 
@@ -470,7 +475,7 @@ def test_live_window_holds_every_nonzero_column(request, fixture):
        half_width=st.floats(1e-2, 1e3), power=st.integers(1, 12))
 def test_live_window_of_drawn_frames(rho, theta, b0, c0, center, half_width, power):
     # any frame on any explicit grid, the state on, partly on or off it
-    frame = TrainFrame(t=0.0, rho=rho, theta=theta, drho=0.0,
+    frame = TrainFrame(t=0.0, rho=rho, theta=theta, drho=0.0, dtheta=c0 / rho**2, k=0.0,
                        spec=TrainSpec(n=4, b0=b0, c0=c0))
     _assert_live_window(frame, build_space_grid(center, half_width, 2**power))
 

@@ -13,15 +13,17 @@ so a warning whose source line moved compares equal; where the messages
 differ, the first differing pair of raw lines is printed, with each
 tree's own path replaced by ``TREE``.  Where stdout differs, every numeric report or
 metadata field that differs is printed with its largest absolute
-deviation: verify checks by name, CSV ``# key = value`` header lines and
-JSON keys by name, and table rows per column.  Exits 1 when any command
-differs, else 0.
+deviation and that deviation relative to the field's largest |value|
+(so a rounding-level move reads as such): verify checks by name, CSV
+``# key = value`` header lines and JSON keys by name, and table rows per
+column.  Exits 1 when any command differs, else 0.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -165,7 +167,9 @@ def deviations(a: bytes, b: bytes) -> list[str]:
             lines.append(f"    {key}: present or sized differently")
         elif va != vb:
             worst = max(abs(x - y) for x, y in zip(va, vb))
-            lines.append(f"    {key}: max |diff| {worst:.3g}")
+            scale = max(abs(v) for v in va + vb)  # 0.0 only beside a NaN
+            relative = worst / scale if scale else math.nan
+            lines.append(f"    {key}: max |diff| {worst:.3g}, {relative:.3g} of max |value|")
     return lines
 
 
