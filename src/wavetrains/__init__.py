@@ -40,10 +40,8 @@ from .mathieu import (
     Trajectory,
     TrapParameters,
     first_integral,
-    mathieu_residual,
     picard_iterate,
     polar_decompose,
-    polar_ode_residuals,
     solve_classical,
     unperturbed_solution,
 )
@@ -60,14 +58,12 @@ from .trains import (
     count_nodes,
     hermite_scaled,
     hermite_table,
-    mean_energy,
     mean_energy_moments,
     overlap,
     phase,
     psi,
     psi_on_grid,
     train_frame,
-    verify_eq4,
     xi_of,
 )
 from .splitstep import (
@@ -94,14 +90,13 @@ __all__ = [
     "UniformGrid", "build_space_grid", "central_diff",
     "cumulative_simpson", "field_integral", "is_power_of_two",
     "ClassicalInit", "PolarTrajectory", "Trajectory", "TrapParameters",
-    "first_integral", "mathieu_residual", "picard_iterate",
-    "polar_decompose", "polar_ode_residuals", "solve_classical",
+    "first_integral", "picard_iterate", "polar_decompose", "solve_classical",
     "unperturbed_solution",
     "CoefficientSet", "FieldGrid", "TrainFrame", "TrainSpec", "amplitude",
     "auto_space_grid", "center_orbit", "coefficients",
     "count_density_maxima", "count_nodes", "hermite_scaled", "hermite_table",
-    "mean_energy", "mean_energy_moments", "overlap",
-    "phase", "psi", "psi_on_grid", "train_frame", "verify_eq4", "xi_of",
+    "mean_energy_moments", "overlap", "phase", "psi", "psi_on_grid",
+    "train_frame", "xi_of",
     "PropagatorConfig", "l2_density_distance", "propagation_grid",
     "renormalized", "split_step_evolve",
     "RunConfig", "parse_pi_times", "preset",

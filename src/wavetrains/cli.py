@@ -22,7 +22,6 @@ import math
 import os
 import sys
 from collections.abc import Iterable
-from fractions import Fraction
 
 import numpy as np
 
@@ -49,7 +48,8 @@ from .mathieu import (
     require_rk4_step,
     solve_classical,
 )
-from .numerics import UniformGrid, build_space_grid, require_samples, sample_indices
+from .numerics import UniformGrid, build_space_grid, commensurate_count, sample_indices
+from .numerics import time_lattice
 from .splitstep import aliasing_dt_bound, lattice_steps, propagation_grid
 from .trains import (
     NORM_TOL,
@@ -174,31 +174,12 @@ def _effective_spec(cfg: RunConfig, c0: float) -> TrainSpec:
     return spec
 
 
-def _commensurate_count(t_final: float, times, step: float,
-                        what: str = "the classical solve") -> int:
-    """Step count n so the grid t_final/n hits every requested time exactly
-    whenever times/t_final are small rationals (they are for pi-unit
-    inputs); otherwise the plain ceiling count.  A count past the cap, or a
-    step of 0.0, is refused (TooManySamples, naming ``what``) before it is rounded."""
-    require_samples(t_final / step + 1.0 if step else math.inf, what)
-    n = max(1, math.ceil(t_final / step - 1e-12))
-    denom = 1
-    for t in times:
-        if t == 0.0 or t == t_final:
-            continue
-        frac = Fraction(t / t_final).limit_denominator(4096)
-        if abs(float(frac) - t / t_final) > 1e-12:
-            return n
-        denom = math.lcm(denom, frac.denominator)
-    return denom * math.ceil(n / denom)
-
-
 def _solve_polar(cfg: RunConfig, t_final: float, times=()):
     params = TrapParameters(cfg.params.u2, cfg.params.v)
     init = ClassicalInit(cfg.init.a, cfg.init.b, cfg.init.alpha, cfg.init.beta)
-    h = t_final / _commensurate_count(t_final, times, cfg.solver.rk4_step)
-    require_rk4_step(params, h)
-    traj = solve_classical(params, init, (0.0, t_final), h)
+    grid = time_lattice(t_final, commensurate_count(t_final, times, cfg.solver.rk4_step))
+    require_rk4_step(params, grid.step)
+    traj = solve_classical(params, init, grid)
     return traj, polar_decompose(traj)
 
 
@@ -324,7 +305,7 @@ def _auto_dt(params: TrapParameters, grid: UniformGrid, t_final: float,
     ``aliasing_dt_bound`` is smaller, rounded down so every requested time
     is a step multiple; accuracy is certified by closed-form distances."""
     target = min(math.pi / 2048.0, 0.9 * aliasing_dt_bound(params, grid))
-    count = _commensurate_count(t_final, times, target, "the split-step propagation")
+    count = commensurate_count(t_final, times, target, "the split-step propagation")
     return t_final / count
 
 

@@ -12,9 +12,9 @@ phi1*dphi2 - phi2*dphi1 feed the quantum construction in ``trains``.
 The RK4 solve runs in windows of WINDOW steps with the state carried
 across (``rk4_windows``), and the polar form continues theta across them
 (``polar_windows``).  The trajectory records hold whole arrays on one
-uniform time grid: the windows laid end to end.  A caller that needs only
-a sweep over the trajectory, such as verify's refined residuals, takes the
-windows and never holds it whole.
+uniform time grid from t = 0 (``numerics.time_lattice``): the windows laid
+end to end.  A caller that needs only a sweep over the trajectory, such as
+verify's refined residuals, takes the windows and never holds it whole.
 """
 
 from __future__ import annotations
@@ -34,8 +34,7 @@ from .errors import (
     StabilityRegionWarning,
     TooManySamples,
 )
-from .numerics import UniformGrid, central_diff, cumulative_simpson, halo_windows
-from .numerics import require_samples, residual_maxima
+from .numerics import UniformGrid, central_diff, cumulative_simpson, residual_maxima
 
 # Budget on iterations x samples of one Picard solve, about 5 minutes at
 # the 60-100 ns per iteration-sample measured on 8193 to 65537 samples
@@ -313,28 +312,16 @@ def _rk4_scan(params: TrapParameters, h: float, first: int, count: int, y):
     return states, y
 
 
-def time_grid(t_span: tuple[float, float], step: float) -> UniformGrid:
-    """The time grid of a solve over ``t_span`` from t = 0: the step is
-    shrunk (never grown) to divide the span evenly, so the final sample
-    lands exactly on t_span[1].  A count past the cap is refused
-    (TooManySamples) before anything is allocated."""
-    t0, t1 = t_span
-    if t0 != 0.0:
-        raise NonZeroStart(f"runs must start at t = 0, got {t0}")
-    if not (t1 > 0 and step > 0):
-        raise ValueError("need t_span[1] > 0 and step > 0")
-    require_samples(t1 / step + 1.0, "the classical solve")
-    n_steps = max(1, math.ceil(t1 / step - 1e-12))
-    return UniformGrid(start=0.0, step=t1 / n_steps, count=n_steps + 1)
-
-
 def rk4_windows(params: TrapParameters, init: ClassicalInit, grid: UniformGrid):
     """The RK4 solve on ``grid`` (which starts at t = 0) window by window:
     yields (first, [phi1, phi2, dphi1, dphi2]) for samples first, first + 1,
     ..., WINDOW steps at a time, the state carried from one window to the
     next.  Initial conditions are ``unperturbed_solution`` at t = 0, so the
     Picard and RK4 routes share initial data exactly.  Raises NonFiniteValue
-    at the first non-finite sample."""
+    at the first non-finite sample, NonZeroStart before the first window
+    for a grid that does not start at t = 0."""
+    if grid.start != 0.0:
+        raise NonZeroStart(f"runs must start at t = 0, got {grid.start}")
     y = unperturbed_solution(init, params, 0.0)
     first = 0
     while first < grid.count:
@@ -349,12 +336,11 @@ def rk4_windows(params: TrapParameters, init: ClassicalInit, grid: UniformGrid):
 
 
 def solve_classical(params: TrapParameters, init: ClassicalInit,
-                    t_span: tuple[float, float], step: float) -> Trajectory:
+                    grid: UniformGrid) -> Trajectory:
     """Integrate phi'' = -(U^2 + V cos 2t) phi componentwise with fixed-step
-    RK4, as a product of per-step matrices shared by phi1 and phi2, on the
-    ``time_grid`` of ``t_span`` and ``step``: the windows of ``rk4_windows``
-    laid end to end."""
-    grid = time_grid(t_span, step)
+    RK4, as a product of per-step matrices shared by phi1 and phi2, on
+    ``grid`` (``numerics.time_lattice``; NonZeroStart unless it starts at
+    t = 0): the windows of ``rk4_windows`` laid end to end."""
     states = np.empty((4, grid.count))
     for first, window in rk4_windows(params, init, grid):
         states[:, first:first + len(window[0])] = window
@@ -458,14 +444,12 @@ def polar_ode_residuals(ptraj: PolarTrajectory, relative: bool = False) -> dict[
     With ``relative=True`` each residual is divided by the largest term
     magnitude appearing in its equation, giving a scale-free number that
     measures cancellation quality across regimes of any stiffness.
-    Swept over ``halo_windows`` by ``residual_maxima``, so memory stays
-    bounded.
+    Whole arrays, one ``residual_maxima`` window: the reference of verify's
+    streamed sweep.
     """
-    windows = ((keep, polar_equations(ptraj.params, t, ptraj.grid.step, ptraj.rho[rows],
-                                      ptraj.theta[rows], ptraj.drho[rows],
-                                      ptraj.dtheta[rows]))
-               for rows, keep, t in halo_windows(ptraj.grid))
-    return residual_maxima(windows, relative)
+    equations = polar_equations(ptraj.params, ptraj.t, ptraj.grid.step, ptraj.rho,
+                                ptraj.theta, ptraj.drho, ptraj.dtheta)
+    return residual_maxima([(slice(None), equations)], relative)
 
 
 def mathieu_equations(params: TrapParameters, t, step: float, phi1, phi2):
@@ -482,9 +466,6 @@ def mathieu_residual(traj: Trajectory, relative: bool = False) -> float:
     phi'' by fourth-order central differences: O(V^(k+1)) plus quadrature and
     differencing error for a k-th Picard iterate.  With ``relative=True``
     each component's residual is divided by its own max |k(t) phi| before
-    the larger is taken.
-    Swept over ``halo_windows`` by ``residual_maxima``, so memory stays bounded."""
-    windows = ((keep, mathieu_equations(traj.params, t, traj.grid.step, traj.phi1[rows],
-                                        traj.phi2[rows]))
-               for rows, keep, t in halo_windows(traj.grid))
-    return max(residual_maxima(windows, relative).values())
+    the larger is taken.  Whole arrays, one ``residual_maxima`` window."""
+    equations = mathieu_equations(traj.params, traj.t, traj.grid.step, traj.phi1, traj.phi2)
+    return max(residual_maxima([(slice(None), equations)], relative).values())

@@ -4,7 +4,8 @@ Two quadratures with separate jobs: cumulative Simpson for time
 integrals, and the rectangle rule ``field_integral`` for every spatial
 integral of a decaying field (norms, overlaps, distances).  Also
 fourth-order central differences, uniform-grid construction with its
-sample cap ``MAX_SAMPLES``, even sub-sampling (``sample_indices``), and
+sample cap ``MAX_SAMPLES``, the time lattice of a run (``commensurate_count``
+and ``time_lattice``), even sub-sampling (``sample_indices``), and
 ``residual_maxima``, the one windowed reduction of all residual checks
 (RK4 step matrices live in ``mathieu``).  The kernels take plain arrays
 and their ``step``; ``UniformGrid`` describes an axis and holds no values.
@@ -15,7 +16,9 @@ on any parallel reduction order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -32,8 +35,7 @@ from .errors import (
 # 2 GB at the classical solver's 128 B per step.
 MAX_SAMPLES = 2**24
 
-# Samples per window of a residual sweep (``halo_windows``), and columns
-# per block of the verify battery's state checks.
+# Columns per block of the verify battery's state checks.
 RESIDUAL_BLOCK = 2**16
 
 
@@ -93,6 +95,34 @@ class UniformGrid:
         if i < 0 or i >= self.count or abs(self.start + i * self.step - value) > 1e-9:
             raise GridMismatch(f"{value} is not a point of this grid")
         return i
+
+
+def commensurate_count(t_final: float, times, step: float,
+                       what: str = "the classical solve") -> int:
+    """Step count n so the grid t_final/n hits every requested time exactly
+    whenever times/t_final are small rationals (they are for pi-unit
+    inputs); otherwise the plain ceiling count.  A count past the cap, or a
+    step of 0.0, is refused (TooManySamples, naming ``what``) before it is rounded."""
+    require_samples(t_final / step + 1.0 if step else math.inf, what)
+    n = max(1, math.ceil(t_final / step - 1e-12))
+    denom = 1
+    for t in times:
+        if t == 0.0 or t == t_final:
+            continue
+        frac = Fraction(t / t_final).limit_denominator(4096)
+        if abs(float(frac) - t / t_final) > 1e-12:
+            return n
+        denom = math.lcm(denom, frac.denominator)
+    return denom * math.ceil(n / denom)
+
+
+def time_lattice(t_final: float, count: int,
+                 what: str = "the classical solve") -> UniformGrid:
+    """The grid of ``count`` steps of t_final/count from t = 0, on which
+    every time that ``commensurate_count`` gave ``count`` for is a sample.
+    A count past the cap is refused here, before anything is allocated."""
+    require_samples(count + 1, what)
+    return UniformGrid(0.0, require_step(t_final / count, what), count + 1)
 
 
 def field_integral(y: np.ndarray, step: float):
@@ -176,26 +206,6 @@ def central_diff(y: np.ndarray, step: float, order: int = 1) -> np.ndarray:
     return d
 
 
-def halo_windows(grid: UniformGrid):
-    """Windows of about RESIDUAL_BLOCK samples over ``grid`` for stencils
-    five points wide, as (rows, keep, t): ``rows`` slices the window from
-    the full arrays, ``keep`` its owned rows from the window (the rest is a
-    two-sample halo on each inner side), ``t`` its time points computed as
-    ``grid.points()`` does.  A remainder under 6 samples joins the last
-    window, so one-sided end stencils land on halo rows except at the
-    grid's true ends: kept rows equal a whole-grid evaluation bit for bit.
-    """
-    count = grid.count
-    starts = list(range(0, count, RESIDUAL_BLOCK))
-    if len(starts) > 1 and count - starts[-1] < 6:
-        starts.pop()
-    ends = starts[1:] + [count]
-    for a, b in zip(starts, ends):
-        lo, hi = max(a - 2, 0), min(b + 2, count)
-        t = grid.start + np.arange(lo, hi) * grid.step
-        yield slice(lo, hi), slice(a - lo, b - lo), t
-
-
 def residual_maxima(windows, relative: bool) -> dict[str, float]:
     """Max |residual| of each equation over ``windows``, pairs ``(keep,
     equations)``: ``equations`` yields ``(name, (residual, *terms))`` on one
@@ -205,8 +215,8 @@ def residual_maxima(windows, relative: bool) -> dict[str, float]:
     divides each residual by its equation's largest |term| (or tiny).
     NonFiniteValue when a residual or term holds NaN or infinity: NaN
     survives ``np.maximum``, so the merged maxima see every row.
-    The windows are those of ``halo_windows`` for a whole array, or those of
-    a trajectory streamed as it is solved (``verify``)."""
+    A whole array is one window, ``(slice(None), equations)``; verify streams
+    a trajectory's windows as it is solved."""
     worst = {}
     for keep, equations in windows:
         for name, arrays in equations:

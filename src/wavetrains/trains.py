@@ -38,7 +38,7 @@ from .errors import (
 )
 from .mathieu import PolarTrajectory
 from .numerics import UniformGrid, build_space_grid, central_diff, field_integral
-from .numerics import halo_windows, residual_maxima
+from .numerics import residual_maxima
 
 NORM_TOL = 1e-6  # |norm - 1| beyond which a field grid is flagged deficient
 XI_UNDERFLOW = 38.7  # exp(-xi^2/2), so every Hermite row, is 0.0 from |xi| = 38.61
@@ -413,14 +413,12 @@ def verify_eq4(ptraj: PolarTrajectory, spec: TrainSpec,
     on the ``coefficients`` at the sampled times.  Residuals converge to
     zero at fourth order as the time grid refines.  With ``relative=True``
     each residual is divided by the largest term magnitude in its equation
-    (scale-free cancellation quality).  Swept over ``halo_windows`` by
-    ``residual_maxima``, so memory stays bounded.
+    (scale-free cancellation quality).  Whole arrays, one ``residual_maxima``
+    window.
     """
-    windows = ((keep, coefficient_equations(ptraj.params, spec, t, ptraj.grid.step,
-                                            ptraj.rho[rows], ptraj.theta[rows],
-                                            ptraj.drho[rows], ptraj.dtheta[rows]))
-               for rows, keep, t in halo_windows(ptraj.grid))
-    return residual_maxima(windows, relative)
+    equations = coefficient_equations(ptraj.params, spec, ptraj.t, ptraj.grid.step,
+                                      ptraj.rho, ptraj.theta, ptraj.drho, ptraj.dtheta)
+    return residual_maxima([(slice(None), equations)], relative)
 
 
 def auto_space_grid(ptraj: PolarTrajectory, spec: TrainSpec,

@@ -20,9 +20,9 @@ from .mathieu import (
     polar_windows,
     require_picard_budget,
     solve_classical,
-    time_grid,
 )
-from .numerics import UniformGrid, require_step, residual_maxima, sample_indices
+from .numerics import UniformGrid, commensurate_count, residual_maxima, sample_indices
+from .numerics import time_lattice
 from .splitstep import PropagatorConfig, l2_density_distance, renormalized, split_step_evolve
 from .trains import (
     NodeCount,
@@ -81,8 +81,9 @@ def _residual_grid(traj, ptraj, spec: TrainSpec, t_final: float,
     step_a = min(rk4_step,
                  0.06 / (rate * max(0.5 + spec.n + spec.b0**2 / (2.0 * spec.c0), 4.5)))
     step_c = min(rk4_step, 0.06 / (rate * 4.5))
-    grid = time_grid((0.0, t_final), step_a) if step_a < traj.grid.step else traj.grid
-    return grid, step_c
+    if step_a < traj.grid.step:
+        return time_lattice(t_final, commensurate_count(t_final, (), step_a)), step_c
+    return traj.grid, step_c
 
 
 def _stride(grid: UniformGrid, step_c: float) -> int:
@@ -202,7 +203,7 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
     # the refined residual solve's size and the Picard budget are refused
     # here, before the PDE worker starts
     res_grid, step_c = _residual_grid(traj, ptraj, spec, t_final, rk4_step)
-    pic_grid = UniformGrid(0.0, require_step(t_final / 8192, "the Picard grid"), 8193)
+    pic_grid = time_lattice(t_final, 8192, "the Picard grid")
     require_picard_budget(iterations, pic_grid.count)
 
     # analytic states against the independent PDE propagator, on a worker
@@ -226,7 +227,7 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
         checks += _residual_checks(traj, spec, res_grid, step_c)
         # Picard vs RK4 on a shared grid
         pic = picard_iterate(traj.params, traj.init, iterations, pic_grid)
-        rk = solve_classical(traj.params, traj.init, (0.0, t_final), pic_grid.step)
+        rk = solve_classical(traj.params, traj.init, pic_grid)
         sup = max(float(np.max(np.abs(pic.phi1 - rk.phi1))),
                   float(np.max(np.abs(pic.phi2 - rk.phi2))))
         amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))

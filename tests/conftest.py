@@ -14,6 +14,7 @@ from wavetrains import (
     polar_decompose,
     solve_classical,
 )
+from wavetrains.numerics import time_lattice
 
 TWO_PI = 2.0 * math.pi
 FOUR_PI = 4.0 * math.pi
@@ -32,8 +33,7 @@ STATIC_INIT = ClassicalInit(a=1.0, b=1.0, alpha=0.0, beta=-0.5 * math.pi)
 def soliton_traj():
     # step 4pi/131072 = 9.587e-5 <= 1e-4, and a power-of-two count so the
     # samples line up with coarser comparison grids exactly
-    return solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, FOUR_PI),
-                           FOUR_PI / 131072)
+    return solve_classical(SOLITON_PARAMS, SOLITON_INIT, time_lattice(FOUR_PI, 131072))
 
 
 @pytest.fixture(scope="session")
@@ -49,16 +49,14 @@ def soliton_spec(soliton_polar):
 @pytest.fixture(scope="session")
 def soliton_polar_8pi():
     # two center-orbit periods, for period measurements
-    traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 8.0 * math.pi),
-                           8.0 * math.pi / 65536)
+    traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, time_lattice(8.0 * math.pi, 65536))
     return polar_decompose(traj)
 
 
 @pytest.fixture(scope="session")
 def collapse_traj():
     # one full envelope period [0, 2pi]
-    return solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, TWO_PI),
-                           TWO_PI / 65536)
+    return solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, time_lattice(TWO_PI, 65536))
 
 
 @pytest.fixture(scope="session")
@@ -73,8 +71,7 @@ def collapse_spec(collapse_polar):
 
 @pytest.fixture(scope="session")
 def static_traj():
-    return solve_classical(STATIC_PARAMS, STATIC_INIT, (0.0, FOUR_PI),
-                           FOUR_PI / 16384)
+    return solve_classical(STATIC_PARAMS, STATIC_INIT, time_lattice(FOUR_PI, 16384))
 
 
 @pytest.fixture(scope="session")

@@ -21,7 +21,6 @@ from wavetrains import (
     auto_space_grid,
     center_orbit,
     l2_density_distance,
-    mean_energy,
     overlap,
     picard_iterate,
     polar_decompose,
@@ -31,10 +30,10 @@ from wavetrains import (
     solve_classical,
     split_step_evolve,
     train_frame,
-    verify_eq4,
 )
 from wavetrains.cli import main
-from wavetrains.trains import amplitude
+from wavetrains.numerics import time_lattice
+from wavetrains.trains import amplitude, mean_energy, verify_eq4
 
 import conftest
 from conftest import (
@@ -105,7 +104,7 @@ def test_criterion_01_first_iterate_reproduction():
 def test_criterion_02_picard_vs_rk4():
     start = time.perf_counter()
     step = FOUR_PI / 131072          # 9.59e-5, under the 1e-4 budget
-    traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, FOUR_PI), step)
+    traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, time_lattice(FOUR_PI, 131072))
     grid = UniformGrid(0.0, FOUR_PI / 8192, 8193)
     iterate = picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 4, grid)
     stride = 131072 // 8192
@@ -276,7 +275,7 @@ def test_criterion_09_residual_convergence(soliton_polar, soliton_spec):
                   for k in ("c", "b", "e", "f", "a")]
 
     # static limit: absolute residual floors
-    traj = solve_classical(STATIC_PARAMS, STATIC_INIT, (0.0, 0.4), 2e-4)
+    traj = solve_classical(STATIC_PARAMS, STATIC_INIT, time_lattice(0.4, 2000))
     ptraj = polar_decompose(traj)
     spec0 = TrainSpec(n=0, b0=0.0, c0=ptraj.c0)
     fine = UniformGrid(-5.0, 2.5e-4, 40001)
@@ -286,7 +285,7 @@ def test_criterion_09_residual_convergence(soliton_polar, soliton_spec):
     tdse_static = tdse_residual(frames, STATIC_PARAMS)
     eq4_static = max(verify_eq4(
         polar_decompose(solve_classical(STATIC_PARAMS, STATIC_INIT,
-                                        (0.0, 0.2), 2e-4)), spec0).values())
+                                        time_lattice(0.2, 1000))), spec0).values())
 
     ok = min(tdse_orders) >= 1.9 and min(eq4_orders) >= 1.9 \
         and tdse_static < 1e-8 and eq4_static < 1e-8

@@ -22,16 +22,15 @@ from wavetrains import (
     UniformGrid,
     coefficients,
     first_integral,
-    mathieu_residual,
     picard_iterate,
     polar_decompose,
-    polar_ode_residuals,
     solve_classical,
     unperturbed_solution,
 )
 from wavetrains import mathieu, numerics
 from wavetrains.errors import ConfigError
-from wavetrains.numerics import central_diff
+from wavetrains.mathieu import mathieu_residual, polar_ode_residuals
+from wavetrains.numerics import central_diff, commensurate_count, time_lattice
 from wavetrains.trains import verify_eq4
 
 from conftest import (
@@ -44,7 +43,6 @@ from conftest import (
     STATIC_PARAMS,
     eq14_reference,
 )
-from references import every
 from rk4_reference import loop_classical
 
 HALF_PI = 0.5 * math.pi
@@ -92,7 +90,7 @@ def test_picard_converges_to_rk4():
     n = 16384
     grid = UniformGrid(0.0, FOUR_PI / n, n + 1)
     pic = picard_iterate(SOLITON_PARAMS, SOLITON_INIT, 4, grid)
-    rk = solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, FOUR_PI), grid.step)
+    rk = solve_classical(SOLITON_PARAMS, SOLITON_INIT, grid)
     assert float(np.max(np.abs(pic.phi1 - rk.phi1))) < 1e-6
     assert float(np.max(np.abs(pic.phi2 - rk.phi2))) < 1e-6
 
@@ -148,7 +146,7 @@ def test_reference_iterate_values():
 def test_solve_classical_static_is_cosine():
     params = TrapParameters(u2=1.0, v=0.0)
     init = ClassicalInit(a=1.0, b=1.0, alpha=0.0, beta=-HALF_PI)
-    traj = solve_classical(params, init, (0.0, 2.0 * math.pi), 1e-3)
+    traj = solve_classical(params, init, time_lattice(2.0 * math.pi, 6284))  # steps <= 1e-3
     assert float(np.max(np.abs(traj.phi1 - np.cos(traj.t)))) < 1e-10
 
 
@@ -167,21 +165,25 @@ def test_solve_classical_collapse_envelope_range(collapse_polar):
 
 def test_solve_classical_rejects_bad_span():
     with pytest.raises(NonZeroStart):
-        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (1.0, 2.0), 1e-2)
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, UniformGrid(1.0, 1e-2, 101))
     with pytest.raises(ValueError):
-        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0), 0.0)
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, UniformGrid(0.0, 0.0, 101))
 
 
 def test_solve_classical_refuses_oversized_runs(monkeypatch):
     # the cap is checked from span / step before any array exists
     monkeypatch.setattr(numerics, "MAX_SAMPLES", 1000)
-    assert solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0),
-                           1.0 / 999).grid.count == 1000
+
+    def lattice(t_final, step):
+        return time_lattice(t_final, commensurate_count(t_final, (), step))
+
+    assert solve_classical(SOLITON_PARAMS, SOLITON_INIT,
+                           lattice(1.0, 1.0 / 999)).grid.count == 1000
     with pytest.raises(TooManySamples) as info:
-        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1.0), 1.0 / 1000)
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, lattice(1.0, 1.0 / 1000))
     assert isinstance(info.value, ConfigError)
     with pytest.raises(TooManySamples):
-        solve_classical(SOLITON_PARAMS, SOLITON_INIT, (0.0, 1e3), 5e-324)
+        solve_classical(SOLITON_PARAMS, SOLITON_INIT, lattice(1e3, 5e-324))
 
 
 # the step-matrix product against the one-step-per-iteration loop: N eps
@@ -196,7 +198,7 @@ DATA = pytest.mark.parametrize(
 def _loop_gap(params, init, t_final, n_steps):
     """Largest |solve_classical - loop| over phi1, phi2 and their
     derivatives, relative to max(1, amplitude)."""
-    traj = solve_classical(params, init, (0.0, t_final), t_final / n_steps)
+    traj = solve_classical(params, init, time_lattice(t_final, n_steps))
     assert traj.grid.count == n_steps + 1
     ref = loop_classical(params, init, traj.grid)
     amp = max(float(np.max(np.abs(r))) for r in ref)
@@ -227,7 +229,7 @@ def test_solve_classical_flags_nonfinite_states():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue):
-            solve_classical(params, SOLITON_INIT, (0.0, 400.0), 0.5)
+            solve_classical(params, SOLITON_INIT, time_lattice(400.0, 800))
 
 
 def test_solve_classical_peak_memory_per_step():
@@ -236,8 +238,7 @@ def test_solve_classical_peak_memory_per_step():
     n_steps = 2**17
     tracemalloc.start()
     try:
-        solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, FOUR_PI),
-                        FOUR_PI / n_steps)
+        solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, time_lattice(FOUR_PI, n_steps))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -255,7 +256,7 @@ def test_solve_classical_is_its_windows_laid_end_to_end(monkeypatch, params, ini
     # the windows verify streams are the whole solve bit for bit, and the
     # state carried across them keeps the solve on the loop reference
     monkeypatch.setattr(mathieu, "WINDOW", 64)
-    traj = solve_classical(params, init, (0.0, HALF_PI), HALF_PI / n_steps)
+    traj = solve_classical(params, init, time_lattice(HALF_PI, n_steps))
     windows = list(mathieu.rk4_windows(params, init, traj.grid))
     assert [first for first, _ in windows] == [0] + list(range(65, n_steps + 1, 64))
     whole = np.concatenate([np.array(w) for _, w in windows], axis=1)
@@ -271,7 +272,7 @@ def test_nonfinite_state_is_flagged_at_its_global_time(monkeypatch):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteValue, match=r"t = (\d+\.\d+)") as info:
-            solve_classical(params, SOLITON_INIT, (0.0, 400.0), 0.5)
+            solve_classical(params, SOLITON_INIT, time_lattice(400.0, 800))
     t = float(info.value.args[0].split("t = ")[1])
     assert t > 64 * 0.5 and (t / 0.5).is_integer()
 
@@ -279,8 +280,7 @@ def test_nonfinite_state_is_flagged_at_its_global_time(monkeypatch):
 def test_streamed_theta_equals_unwrap_of_the_whole():
     # the collapse orbit turns through many branches; theta continued over
     # 4000-sample windows is np.unwrap of the whole array bit for bit
-    traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 8 * FOUR_PI),
-                           8 * FOUR_PI / 19999)
+    traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, time_lattice(8 * FOUR_PI, 19999))
     raw = np.arctan2(traj.phi2, traj.phi1)
     assert np.count_nonzero(np.abs(np.diff(raw)) > np.pi) >= 3
     parts, carry = [], None
@@ -385,8 +385,7 @@ def test_riccati_from_trajectory(soliton_polar, soliton_spec):
 
 def test_riccati_equation_residual_converges():
     def residual(n):
-        traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT,
-                               (0.0, FOUR_PI), FOUR_PI / n)
+        traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, time_lattice(FOUR_PI, n))
         p = polar_decompose(traj)
         spec = TrainSpec(n=0, b0=0.0, c0=p.c0)
         c = coefficients(spec, p.rho, p.theta, p.drho, p.dtheta).c
@@ -403,8 +402,7 @@ def test_polar_ode_residuals_fourth_order():
     # 512 -> 1024 steps: theta falls about 32x, rho about 16x; finer steps
     # reach the rounding floor of the second difference
     def residuals(n):
-        traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT,
-                               (0.0, FOUR_PI), FOUR_PI / n)
+        traj = solve_classical(SOLITON_PARAMS, SOLITON_INIT, time_lattice(FOUR_PI, n))
         return polar_ode_residuals(polar_decompose(traj))
 
     coarse, fine = residuals(512), residuals(1024)
@@ -412,43 +410,13 @@ def test_polar_ode_residuals_fourth_order():
     assert coarse["rho"] / fine["rho"] > 12.0
 
 
-def _residual_sweep(traj):
-    ptraj = polar_decompose(traj)
-    spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
-    out = []
-    for relative in (False, True):
-        for t, p in ((traj, ptraj), (every(traj, 3), every(ptraj, 3))):
-            out.append(mathieu_residual(t, relative=relative))
-            out.append(polar_ode_residuals(p, relative=relative))
-            out.append(verify_eq4(p, spec, relative=relative))
-    # plain Python floats, never numpy scalars
-    assert all(type(v) is float
-               for r in out for v in (r.values() if isinstance(r, dict) else (r,)))
-    return out
-
-
-@pytest.mark.parametrize("n_steps", [4002, 4003, 4049],
-                         ids=["tail-3-joins", "tail-4", "tail-50"])
-def test_residuals_blocked_equal_single_block(monkeypatch, n_steps):
-    # 1000-sample windows with two-sample halos: every residual, relative
-    # scale and every-third-sample slice must equal the one-window sweep
-    # bit for bit
-    traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, 0.5 * math.pi),
-                           0.5 * math.pi / n_steps)
-    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)
-    whole = _residual_sweep(traj)
-    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
-    assert _residual_sweep(traj) == whole
-
-
 @pytest.mark.parametrize("params, init", [(COLLAPSE_PARAMS, COLLAPSE_INIT),
                                            (STATIC_PARAMS, STATIC_INIT)],
                          ids=["collapse", "static"])
-def test_relative_residuals_match_whole_array_reference(monkeypatch, params, init):
-    # one window: each relative value must equal the reduction written out
-    # on whole arrays, bit for bit
-    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 2**30)
-    traj = solve_classical(params, init, (0.0, HALF_PI), HALF_PI / 4002)
+def test_relative_residuals_match_whole_array_reference(params, init):
+    # each relative value must equal the reduction written out on whole
+    # arrays, bit for bit, and be a plain Python float, never a numpy scalar
+    traj = solve_classical(params, init, time_lattice(HALF_PI, 4002))
     ptraj = polar_decompose(traj)
     spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
     k = params.k(traj.t)
@@ -461,49 +429,30 @@ def test_relative_residuals_match_whole_array_reference(monkeypatch, params, ini
         return np.max(np.abs(resid)) / max(max(np.max(np.abs(x)) for x in terms), tiny)
 
     # classical: each component against its own scale, then the larger
-    assert mathieu_residual(traj, relative=True) == max(
+    classical = mathieu_residual(traj, relative=True)
+    assert type(classical) is float
+    assert classical == max(
         rel(d(phi, 2) + k * phi, k * phi) for phi in (traj.phi1, traj.phi2))
     # polar: theta'^2 is a term of the theta scale, flooring it when the
     # other two cancel (the static limit)
     rho, dtheta = ptraj.rho, ptraj.dtheta
     coupling = 2.0 * dtheta * ptraj.drho / rho
-    assert polar_ode_residuals(ptraj, relative=True) == {
+    polar = polar_ode_residuals(ptraj, relative=True)
+    assert all(type(v) is float for v in polar.values())
+    assert polar == {
         "theta": rel(d(ptraj.theta, 2) + coupling, d(ptraj.theta, 2), coupling, dtheta**2),
         "rho": rel(d(rho, 2) - dtheta**2 * rho + k * rho, dtheta**2 * rho, k * rho)}
     b, c, e, f, a = coefficients(spec, rho, ptraj.theta, ptraj.drho, dtheta)
     dc, db, de, df, da = (d(x, 1) for x in (c, b, e, f, a))
-    assert verify_eq4(ptraj, spec, relative=True) == {
+    eq4 = verify_eq4(ptraj, spec, relative=True)
+    assert all(type(v) is float for v in eq4.values())
+    assert eq4 == {
         "c": rel(1j * dc - 2.0 * c * c + 0.5 * k, 2.0 * c * c, 0.5 * k),
         "b": rel(1j * db - 2.0 * b * c, 2.0 * b * c),
         "e": rel(1j * de - 2.0 * c * e + e**3, 2.0 * c * e, e**3),
         "f": rel(1j * df - b * e + e * e * f, b * e, e * e * f),
         "a": rel(1j * da / a - (1j * f * df - 0.5 * b * b + c + spec.n * e * e),
                  f * df, 0.5 * b * b, c, spec.n * e * e)}
-
-
-def test_residuals_peak_memory_is_flat_in_length():
-    # windows bound the temporaries, so quadrupling the trajectory must
-    # not raise the traced peak of any residual function
-    peaks = []
-    for n_steps in (2**17, 2**19):
-        traj = solve_classical(COLLAPSE_PARAMS, COLLAPSE_INIT, (0.0, FOUR_PI),
-                               FOUR_PI / n_steps)
-        ptraj = polar_decompose(traj)
-        spec = TrainSpec(n=4, b0=0.02, c0=ptraj.c0)
-        row = []
-        for run in (lambda: mathieu_residual(traj, relative=True),
-                    lambda: polar_ode_residuals(ptraj, relative=True),
-                    lambda: verify_eq4(ptraj, spec, relative=True)):
-            tracemalloc.start()
-            try:
-                run()
-                _, peak = tracemalloc.get_traced_memory()
-            finally:
-                tracemalloc.stop()
-            row.append(peak)
-        peaks.append(row)
-    for small, large in zip(*peaks):
-        assert large <= 1.25 * small
 
 
 def test_polar_ode_residuals_relative_static(static_polar):

@@ -909,7 +909,7 @@ def test_streamed_residuals_equal_whole_array_sweeps(monkeypatch, window, argv):
     m = verify._stride(grid, step_c)
     assert grid.count > 2000 and (m > 1 or "--n" in argv)
     got = {c["name"]: c["value"] for c in verify._residual_checks(traj, spec, grid, step_c)}
-    whole = solve_classical(traj.params, traj.init, (0.0, grid.stop), grid.step)
+    whole = solve_classical(traj.params, traj.init, grid)
     assert whole.grid == grid
     pwhole = polar_decompose(whole)
     polar = polar_ode_residuals(every(pwhole, m), relative=True)
@@ -1324,6 +1324,35 @@ def test_oracle_compare_fails_tight_tolerance(capsys):
                                   "--times", "0.5", "--grid-points", "512",
                                   "--tolerance", "1e-16"])
     assert rc == 1
+
+
+# ------------------------------------------------------------ time lattice
+
+# --rk4-step 1.25e-4 to 1pi takes 25,134 steps, so 0.5pi is sample 12,567;
+# counting the steps a second time from the float pi/25134 gave 25,135, on
+# whose grid 0.5pi lies half a step from any sample
+LATTICE = ["--preset", "fig2-soliton", "--rk4-step", "1.25e-4"]
+
+
+@pytest.mark.parametrize("argv", [["verify", *LATTICE, "--t-final", "1pi"],
+                                  ["oracle-compare", *LATTICE, "--times", "0.5pi,1pi"]],
+                         ids=["verify", "oracle-compare"])
+def test_requested_times_are_points_of_the_time_lattice(capsys, argv):
+    rc, _, err = run_cli(capsys, argv)
+    assert rc == 0, err
+
+
+def test_snapshot_takes_the_sample_of_each_requested_time(capsys):
+    # each time reports its sample i * step, here within an ulp of the
+    # requested time (1.5707963267948963 for 0.5pi), not half a step away
+    rc, out, err = run_cli(capsys, ["snapshot", *LATTICE, "--times", "0,0.5pi,1pi",
+                                    "--grid-points", "256"])
+    assert rc == 0, err
+    step = math.pi / 25134
+    for j, (i, t) in enumerate([(0, 0.0), (12567, 0.5 * math.pi), (25134, math.pi)]):
+        reported = float(meta_value(out, f"snapshot.{j}.t"))
+        assert reported == i * step
+        assert reported == pytest.approx(t, rel=4e-16, abs=0.0)
 
 
 # ----------------------------------------------------------- console script

@@ -18,7 +18,7 @@ from wavetrains import (
 )
 from wavetrains import numerics
 from wavetrains.errors import GridMismatch
-from wavetrains.numerics import halo_windows, residual_maxima
+from wavetrains.numerics import residual_maxima
 
 from references import QuadratureOrderWarning, simpson
 from rk4_reference import rk4_integrate
@@ -225,21 +225,6 @@ def test_build_space_grid_refuses_oversized_count(monkeypatch):
     assert build_space_grid(0.0, 1.0, 1024).count == 1024
     with pytest.raises(TooManySamples):
         build_space_grid(0.0, 1.0, 2048)
-
-
-@pytest.mark.parametrize("count", [5, 999, 1000, 1001, 3003, 3004, 3999])
-def test_halo_windows_partition_the_grid(monkeypatch, count):
-    monkeypatch.setattr(numerics, "RESIDUAL_BLOCK", 1000)
-    grid = UniformGrid(0.25, 0.1, count)
-    owned = []
-    for rows, keep, t in halo_windows(grid):
-        assert np.array_equal(t, grid.points()[rows])
-        assert t.size >= 5
-        # the halo is two samples on each inner side, none at the true ends
-        assert keep.start == (0 if rows.start == 0 else 2)
-        assert rows.stop - keep.stop - rows.start == (0 if rows.stop == count else 2)
-        owned.extend(range(rows.start + keep.start, rows.start + keep.stop))
-    assert owned == list(range(count))
 
 
 @pytest.mark.parametrize("column", [0, 1], ids=["residual", "term"])

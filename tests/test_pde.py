@@ -29,6 +29,7 @@ from wavetrains import (
     train_frame,
 )
 from wavetrains.errors import GridMismatch, InvalidCount
+from wavetrains.numerics import time_lattice
 from wavetrains.splitstep import FOUR_STEP_ABOVE, four_step_fft, kick_phases
 
 from conftest import COLLAPSE_PARAMS, SOLITON_PARAMS, STATIC_PARAMS
@@ -154,8 +155,7 @@ def test_evolve_refuses_kick_past_nyquist():
     # guard bypassed two steps of pi/4 miss the density by 0.8 (peak 1.7)
     half_pi = 0.5 * math.pi
     init = ClassicalInit(a=3.0, b=1.0 / 3.0, alpha=0.0, beta=-half_pi)
-    ptraj = polar_decompose(solve_classical(STATIC_PARAMS, init, (0.0, half_pi),
-                                            half_pi / 4096))
+    ptraj = polar_decompose(solve_classical(STATIC_PARAMS, init, time_lattice(half_pi, 4096)))
     spec = TrainSpec(n=0, b0=0.0, c0=ptraj.c0)
     dt = 0.25 * math.pi
     coarse = build_space_grid(0.0, 16.0, 32)

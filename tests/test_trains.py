@@ -22,18 +22,16 @@ from wavetrains import (
     count_nodes,
     hermite_scaled,
     hermite_table,
-    mean_energy,
     mean_energy_moments,
     overlap,
     propagation_grid,
     psi,
     psi_on_grid,
     train_frame,
-    verify_eq4,
     xi_of,
 )
 from wavetrains.errors import GridMismatch
-from wavetrains.numerics import field_integral
+from wavetrains.numerics import field_integral, time_lattice
 from wavetrains.trains import (
     TrainFrame,
     amplitude,
@@ -41,6 +39,8 @@ from wavetrains.trains import (
     gram_matrix,
     level_energies,
     live_window,
+    mean_energy,
+    verify_eq4,
 )
 
 from conftest import FOUR_PI
@@ -519,7 +519,7 @@ def test_coefficient_odes_static_limit():
     # every equation below 1e-8
     from wavetrains import solve_classical, polar_decompose
     from conftest import STATIC_PARAMS, STATIC_INIT
-    traj = solve_classical(STATIC_PARAMS, STATIC_INIT, (0.0, 0.2), 2e-4)
+    traj = solve_classical(STATIC_PARAMS, STATIC_INIT, time_lattice(0.2, 1000))
     spec = TrainSpec(n=0, b0=0.0, c0=traj.c0)
     res = verify_eq4(polar_decompose(traj), spec)
     for key in ("c", "b", "e", "f", "a"):

@@ -78,6 +78,12 @@ COMMANDS = [
     # one RK4 step past the method's stability limit
     ["classical", "--preset", "static", "--rk4-step", "8.98e64", "--t-final", "8.98e64"],
     ["snapshot", "--preset", "static", "--grid-points", "2", "--n", "200", "--times", "0"],
+    # pi-rational times on the lattice of 25,134 steps
+    ["verify", "--preset", "fig2-soliton", "--rk4-step", "1.25e-4", "--t-final", "1pi"],
+    ["oracle-compare", "--preset", "fig2-soliton", "--rk4-step", "1.25e-4",
+     "--times", "0.5pi,1pi"],
+    ["snapshot", "--preset", "fig2-soliton", "--rk4-step", "1.25e-4",
+     "--times", "0,0.5pi,1pi", "--grid-points", "256"],
     ["snapshot", "--preset", "fig3-collapse", "--times", "0,1pi,2pi", "--out", OUT],
     ["snapshot", "--preset", "fig3-collapse", "--format", "json", "--times", "0,1pi,2pi",
      "--out", OUT],
