@@ -9,7 +9,6 @@ certifies them against an independent split-step PDE propagator.
 from .errors import (
     AliasingRisk,
     BranchJump,
-    Cancelled,
     ConfigError,
     GridMismatch,
     InvalidCount,
@@ -82,7 +81,7 @@ from .config import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AliasingRisk", "BranchJump", "Cancelled", "ConfigError", "GridMismatch",
+    "AliasingRisk", "BranchJump", "ConfigError", "GridMismatch",
     "InvalidCount", "NegativeIndex", "NonFiniteValue", "NonPositiveC0",
     "NonZeroStart", "NormDeficitWarning", "NormDrift", "OriginCrossing",
     "StabilityRegionWarning", "TooFewPoints", "TooManySamples",

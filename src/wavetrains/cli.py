@@ -345,7 +345,7 @@ def run_oracle_compare(cfg: RunConfig, dt: float | None = None,
 
 def run_verify(cfg: RunConfig) -> tuple[Iterable[str], bool]:
     """JSON report of ``verify.battery``, as one piece; second element is
-    overall pass.  The run is resolved before the battery's PDE worker starts:
+    overall pass.  The run is resolved before the battery's PDE child starts:
     the PDE's grid is sized for propagation, the state checks' for h_0..h_8."""
     t_final = cfg.time.t_final
     horizon = min(0.5 * math.pi, t_final)

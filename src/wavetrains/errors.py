@@ -62,11 +62,6 @@ class NormDrift(WavetrainError):
     per step (indicates a broken configuration, not physics)."""
 
 
-class Cancelled(WavetrainError):
-    """A split-step propagation stopped early because its caller set the
-    ``cancel`` event: its result was no longer wanted."""
-
-
 class ConfigError(WavetrainError):
     """A run configuration (CLI flags or JSON file) is invalid."""
 

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .errors import (AliasingRisk, Cancelled, ConfigError, GridMismatch, InvalidCount,
-                     NormDrift, TooManySamples)
+from .errors import (AliasingRisk, ConfigError, GridMismatch, InvalidCount, NormDrift,
+                     TooManySamples)
 from .mathieu import PolarTrajectory, TrapParameters
 from .numerics import (UniformGrid, build_space_grid, field_integral, is_power_of_two,
                        require_samples)
@@ -153,11 +153,9 @@ def renormalized(field: FieldGrid) -> FieldGrid:
 
 def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
                       config: PropagatorConfig, t_final: float,
-                      record_times=None, cancel=None) -> list[FieldGrid]:
+                      record_times=None) -> list[FieldGrid]:
     """Propagate ``psi0`` to ``t_final``, returning fields at the requested
-    times (default: final time only).  ``cancel``, an optional
-    ``threading.Event``, stops the propagation with Cancelled at the next
-    step once it is set.
+    times (default: final time only).
 
     Preconditions and guards:
 
@@ -268,8 +266,6 @@ def split_step_evolve(psi0: FieldGrid, params: TrapParameters,
     view = psi.reshape(rows, cols)
     record_set = set(record_steps)
     for m in range(n_steps):
-        if cancel is not None and cancel.is_set():
-            raise Cancelled(f"propagation cancelled at step {m} of {n_steps}")
         inverse(psi)
         k_mid = params.u2 + params.v * math.cos(2.0 * (t0 + (m + 0.5) * dt))
         np.multiply(kick_base, k_mid, out=kick_arg)

@@ -359,7 +359,7 @@ def level_energies(frame: TrainFrame, table: np.ndarray, x: np.ndarray,
     theta_x = quad * x * x - lin * x
     weight = step * frame.coeff.e
     # einsum, not np.dot: a threaded BLAS dot on these rows wakes a thread
-    # pool that then spins beside the PDE worker of the verify battery
+    # pool that then spins beside the PDE child process of the verify battery
     sums = np.array([np.einsum("i,i->", h * theta_x, h) for h in table])
     consts = const - np.arange(len(table)) * frame.dtheta
     return -weight * sums - consts * np.diagonal(gram)[:len(table)]

@@ -1,13 +1,17 @@
 """The invariant battery of ``wavetrains verify``: ``battery`` runs the 15
 checks of a resolved run in report order.  It picks the residual steps and
 the Picard grid, and runs the PDE comparison (``oracle_rows``, which
-``oracle-compare`` also runs) on a worker thread beside the other checks.
-See the README for the tolerance rationale."""
+``oracle-compare`` also runs) in a forked child process beside the other
+checks.  See the README for the tolerance rationale."""
 
 from __future__ import annotations
 
 import math
-import threading
+import os
+import pickle
+import sys
+import warnings
+from contextlib import contextmanager
 from itertools import chain
 
 import numpy as np
@@ -21,6 +25,7 @@ from .mathieu import (
     require_picard_budget,
     solve_classical,
 )
+from .errors import WavetrainError
 from .numerics import UniformGrid, commensurate_count, residual_maxima, sample_indices
 from .numerics import time_lattice
 from .splitstep import PropagatorConfig, l2_density_distance, renormalized, split_step_evolve
@@ -39,6 +44,11 @@ from .trains import (
     xi_of,
 )
 
+# the battery forks on Linux only: macOS system libraries are not fork-safe
+# (multiprocessing spawns there by default)
+_FORK = sys.platform == "linux"
+_QUIET_FORK = ("ignore", None, DeprecationWarning, None, 0)  # a warnings.filters entry
+
 
 def _check(name: str, value: float, tolerance: float) -> dict:
     return {
@@ -50,18 +60,105 @@ def _check(name: str, value: float, tolerance: float) -> dict:
 
 
 def oracle_rows(ptraj, spec: TrainSpec, grid: UniformGrid, dt: float,
-                times, cancel=None) -> list[list[float]]:
+                times) -> list[list[float]]:
     """Propagate the renormalized closed-form state at t = 0 by split-step
     through the sorted ``times``; [t, L2 density distance, |overlap|]
     against the closed form at each."""
     psi0 = renormalized(psi_on_grid(train_frame(ptraj, spec, 0.0), grid))
     evolved = split_step_evolve(psi0, ptraj.params, PropagatorConfig(grid, dt),
-                                times[-1], record_times=list(times), cancel=cancel)
+                                times[-1], record_times=list(times))
     rows = []
     for t, field in zip(times, evolved):
         exact = psi_on_grid(train_frame(ptraj, spec, t), grid)
         rows.append([t, l2_density_distance(field, exact), abs(overlap(exact, field))])
     return rows
+
+
+@contextmanager
+def _forked(what: str, fn, *args):
+    """Run ``fn(*args)`` in a child process made by ``os.fork`` while the
+    body runs.  The body gets ``join``, which returns the child's result or
+    raises its error, after issuing the child's warnings here in order
+    (``_reissue``); a body that raises kills and reaps the child first.  The
+    child sends ((result, error), warnings) back as one pickle through a
+    pipe and always ends in ``os._exit``, so no atexit handler or buffer
+    flush runs twice.  A child that ends without a whole pickle (it exited,
+    was killed, or its error cannot be pickled) is a WavetrainError that
+    names ``what`` and the wait status.  Without ``_FORK`` the call runs at
+    ``join``, in a serial run's order."""
+    if not _FORK:
+        yield lambda: fn(*args)
+        return
+    read, write = os.pipe()
+    # Python 3.12+ warns on the fork of a process with threads, as OpenBLAS's
+    # pool is, and the child runs no BLAS call.  The filter goes into the
+    # list and out in place: catch_warnings would reset the once-per-location
+    # registry of every module
+    warnings.filters.insert(0, _QUIET_FORK)
+    try:
+        pid = os.fork()
+    finally:
+        warnings.filters.remove(_QUIET_FORK)
+    if pid == 0:
+        status = 1
+        try:
+            os.close(read)
+            with warnings.catch_warnings(record=True) as caught:
+                try:
+                    outcome = fn(*args), None
+                except BaseException as exc:
+                    outcome = None, exc
+            payload = pickle.dumps(
+                (outcome, [(w.message, w.category, w.filename, w.lineno) for w in caught]))
+            pickle.loads(payload)  # an error that cannot be rebuilt is not sent
+            with open(write, "wb") as sink:
+                sink.write(payload)
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    reaped = False
+
+    def join():
+        nonlocal reaped
+        payload = pipe.read()
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        try:
+            (result, error), caught = pickle.loads(payload)
+        except Exception:
+            code = os.waitstatus_to_exitcode(status)
+            how = f"exit status {code}" if code >= 0 else f"signal {-code}"
+            raise WavetrainError(f"{what} ended without a result ({how})") from None
+        _reissue(caught)
+        if error is not None:
+            raise error
+        return result
+
+    with open(read, "rb") as pipe:
+        try:
+            yield join
+        except BaseException:
+            if not reaped:
+                import signal  # only here: the CLI does not load it otherwise
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+            raise
+
+
+def _reissue(caught) -> None:
+    """Issue the (message, category, filename, lineno) warnings of a child
+    again, in order, through this process's filters and the once-per-location
+    registry of the module whose file raised each, as ``warnings.warn`` there
+    would have."""
+    if not caught:
+        return
+    modules = {getattr(m, "__file__", None): m for m in list(sys.modules.values())}
+    for message, category, filename, lineno in caught:
+        module = modules.get(filename)
+        registry = None if module is None else vars(module).setdefault("__warningregistry__", {})
+        warnings.warn_explicit(message, category, filename, lineno,
+                               getattr(module, "__name__", None), registry)
 
 
 def _residual_grid(traj, ptraj, spec: TrainSpec, t_final: float,
@@ -201,27 +298,16 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
     step ``dt`` to ``horizon``.  Residual checks are scale-relative so one
     tolerance covers both the weakly driven and the strongly squeezed regimes."""
     # the refined residual solve's size and the Picard budget are refused
-    # here, before the PDE worker starts
+    # here, before the PDE child starts
     res_grid, step_c = _residual_grid(traj, ptraj, spec, t_final, rk4_step)
     pic_grid = time_lattice(t_final, 8192, "the Picard grid")
     require_picard_budget(iterations, pic_grid.count)
 
-    # analytic states against the independent PDE propagator, on a worker
-    # thread that overlaps the other checks (numpy's FFT and cos/sin release
-    # the GIL); its result or error is taken up last, as in a serial run,
-    # and an error of the other checks cancels it
-    oracle: list = []
-    cancel = threading.Event()
-
-    def run_oracle():
-        try:
-            oracle.append(oracle_rows(ptraj, spec, pgrid, dt, [horizon], cancel))
-        except BaseException as exc:  # re-raised in the calling thread
-            oracle.append(exc)
-
-    worker = threading.Thread(target=run_oracle, name="pde-oracle")
-    worker.start()
-    try:
+    # analytic states against the independent PDE propagator, in a child
+    # process that has its own core and interpreter lock while the other
+    # checks run; its result or error is taken up last, as in a serial run,
+    # and an error of the other checks kills it
+    with _forked("the PDE stage", oracle_rows, ptraj, spec, pgrid, dt, [horizon]) as oracle:
         # classical conservation
         checks = [_check("first-integral-drift", ptraj.max_c0_drift, 1e-8)]
         checks += _residual_checks(traj, spec, res_grid, step_c)
@@ -233,13 +319,5 @@ def battery(traj, ptraj, spec: TrainSpec, grid: UniformGrid, pgrid: UniformGrid,
         amp = max(float(np.max(np.abs(rk.phi1))), float(np.max(np.abs(rk.phi2))))
         checks.append(_check("picard-vs-rk4", sup, 1e-6 * (1.0 + amp)))
         checks += _state_checks(ptraj, spec, grid)
-    except BaseException:
-        cancel.set()
-        raise
-    finally:
-        worker.join()
-    [result] = oracle
-    if isinstance(result, BaseException):
-        raise result
-    [(_, distance, _)] = result
+        [(_, distance, _)] = oracle()
     return checks + [_check("pde-density-distance", distance, 1e-3)]

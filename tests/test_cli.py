@@ -7,6 +7,7 @@ import json
 import math
 import os
 import shutil
+import signal
 import subprocess
 import sys
 import threading
@@ -36,7 +37,8 @@ from wavetrains.config import (
     render_json,
     to_dict,
 )
-from wavetrains.errors import ConfigError, NormDeficitWarning, NormDrift, UnknownPreset
+from wavetrains.errors import (ConfigError, NormDeficitWarning, NormDrift, UnknownPreset,
+                               WavetrainError)
 from wavetrains.mathieu import (mathieu_residual, polar_decompose, polar_ode_residuals,
                                 solve_classical)
 from wavetrains.trains import level_energies, verify_eq4
@@ -957,32 +959,116 @@ def test_verify_report_does_not_depend_on_blas_threads(tmp_path):
 
 
 def test_verify_pde_distance_is_the_serial_oracle_bit_for_bit(monkeypatch, capsys):
-    # the PDE stage runs on a worker thread; the same call made serially
-    # here gives the report's value exactly
+    # the PDE stage runs in a child process; its call, captured here in the
+    # caller, made serially gives the report's value exactly
     calls = []
-    oracle_rows = verify.oracle_rows
+    forked = verify._forked
 
-    def spy(*args):
-        rows = oracle_rows(*args)
-        calls.append((args, rows))
-        return rows
+    def spy(what, fn, *args):
+        calls.append((fn, args))
+        return forked(what, fn, *args)
 
-    monkeypatch.setattr(verify, "oracle_rows", spy)
+    monkeypatch.setattr(verify, "_forked", spy)
     rc, out, _ = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
     assert rc == 0
-    [(args, rows)] = calls
-    [(_, distance, _)] = oracle_rows(*args)
+    [(fn, args)] = calls
+    assert fn is verify.oracle_rows
+    [(_, distance, _)] = verify.oracle_rows(*args)
     checks = {ch["name"]: ch["value"] for ch in json.loads(out)["checks"]}
-    assert distance == rows[0][1] == checks["pde-density-distance"]
+    assert distance == checks["pde-density-distance"]
+
+
+def test_verify_report_is_the_same_without_the_fork(monkeypatch, capsys):
+    # where the battery does not fork, the oracle runs inline at the join
+    reports = []
+    for fork in (True, False):
+        monkeypatch.setattr(verify, "_FORK", fork)
+        rc, out, err = run_cli(capsys, ["verify", "--preset", "fig2-soliton"])
+        assert (rc, err) == (0, "")
+        reports.append(out)
+    assert reports[0] == reports[1]
+
+
+forks = pytest.mark.skipif(not verify._FORK, reason="the battery forks on Linux only")
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@forks
+def test_verify_runs_the_oracle_in_a_child_process(monkeypatch, capsys):
+    def report_pid(*args):
+        raise NormDrift(f"oracle pid {os.getpid()}")
+
+    monkeypatch.setattr(verify, "oracle_rows", report_pid)
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
+    assert rc == 1 and out == "" and err.startswith("error: oracle pid ")
+    assert int(err.removeprefix("error: oracle pid ")) != os.getpid()
+    assert_no_child_left()
+
+
+@forks
+def test_verify_fork_warning_never_reaches_the_user(monkeypatch, capsys):
+    # Python 3.12+ warns, from os.fork, when the process has threads
+    fork = os.fork
+
+    def warning_fork():
+        warnings.warn("This process is multi-threaded, use of fork() may lead to "
+                      "deadlocks in the child.", DeprecationWarning, stacklevel=2)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", warning_fork)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
+    assert (rc, err, caught) == (0, "", [])
+
+
+def test_verify_issues_the_oracle_warnings_once(monkeypatch, capsys):
+    # a warning of the oracle, raised in the child, is issued again in the
+    # caller at the join: pytest.warns sees it, the once-per-location
+    # registry of its module keeps a second battery from showing it again,
+    # and a CLI user sees it once on stderr
+    distance = verify.l2_density_distance
+
+    def warned(a, b):
+        warnings.warn("from the oracle", UserWarning, stacklevel=2)
+        return distance(a, b)
+
+    monkeypatch.setattr(verify, "l2_density_distance", warned)
+    with pytest.warns(UserWarning, match="from the oracle") as caught:
+        assert run_cli(capsys, ["verify", "--preset", "static"])[0] == 0
+    assert [w.filename for w in caught] == [verify.__file__]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("default")
+        for _ in range(2):
+            assert run_cli(capsys, ["verify", "--preset", "static"])[0] == 0
+    assert [str(w.message) for w in caught] == ["from the oracle"]
+    code = ("import sys, warnings\n"
+            "from wavetrains import cli, verify\n"
+            "distance = verify.l2_density_distance\n"
+            "def warned(a, b):\n"
+            "    warnings.warn('from the oracle', UserWarning, stacklevel=2)\n"
+            "    return distance(a, b)\n"
+            "verify.l2_density_distance = warned\n"
+            "sys.exit(cli.main(['verify', '--preset', 'static']))\n")
+    src = os.path.dirname(os.path.dirname(wavetrains.__file__))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=src), timeout=120)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith(f"{verify.__file__}:")
+    assert proc.stderr.count("UserWarning: from the oracle\n") == 1
 
 
 @pytest.mark.parametrize("failing", [
     ("split_step_evolve",), ("picard_iterate",), ("picard_iterate", "split_step_evolve"),
 ], ids=["oracle", "picard", "both"])
 def test_verify_stage_error_exits_1_and_leaves_no_thread(monkeypatch, capsys, failing):
-    # the oracle is slowed so that it still runs when the main thread fails;
+    # the oracle is slowed so that it still runs when the other checks fail;
     # a failing stage is reported as in a serial battery, where the Picard
-    # check comes first
+    # check comes first, and no thread or child process is left behind
     def slow_evolve(*args, **kwargs):
         time.sleep(0.3)
         return split_step_evolve(*args, **kwargs)
@@ -1000,6 +1086,50 @@ def test_verify_stage_error_exits_1_and_leaves_no_thread(monkeypatch, capsys, fa
     assert rc == 1 and out == ""
     assert err == f"error: {failing[0]} failed\n"
     assert threading.active_count() == before
+    if verify._FORK:
+        assert_no_child_left()
+
+
+class _Unpicklable(WavetrainError):
+    def __reduce__(self):
+        raise TypeError("not picklable")
+
+
+class _Unrebuildable(WavetrainError):
+    def __init__(self, stage, detail):  # pickled as its one message argument
+        super().__init__(f"{stage}: {detail}")
+
+
+def _exit_3(*args, **kwargs):
+    os._exit(3)
+
+
+def _killed(*args, **kwargs):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+def _raise_unpicklable(*args, **kwargs):
+    raise _Unpicklable("cannot come back")
+
+
+def _raise_unrebuildable(*args, **kwargs):
+    raise _Unrebuildable("oracle", "cannot be rebuilt")
+
+
+@forks
+@pytest.mark.parametrize("death, status", [(_exit_3, "exit status 3"),
+                                           (_killed, "signal 9"),
+                                           (_raise_unpicklable, "exit status 1"),
+                                           (_raise_unrebuildable, "exit status 1")],
+                         ids=["exit", "killed", "unpicklable", "unrebuildable"])
+def test_verify_child_without_a_result_exits_1(monkeypatch, capsys, death, status):
+    # a child that ends without sending its result back is an error of the
+    # PDE stage, not a hang or a traceback
+    monkeypatch.setattr(verify, "split_step_evolve", death)
+    rc, out, err = run_cli(capsys, ["verify", "--preset", "static"])
+    assert rc == 1 and out == ""
+    assert err == f"error: the PDE stage ended without a result ({status})\n"
+    assert_no_child_left()
 
 
 def test_verify_error_cancels_the_running_propagation(capsys):
@@ -1018,7 +1148,7 @@ def test_verify_error_cancels_the_running_propagation(capsys):
                                                   ("--b0", "40", "1.676e+09")])
 def test_refused_verify_never_starts_the_pde_stage(monkeypatch, capsys, flag, value,
                                                    samples):
-    # the refined residual solve is sized before the PDE worker starts, so
+    # the refined residual solve is sized before the PDE child starts, so
     # a refused request builds no propagation state (over 16 pi, so that
     # n = 200 passes the cap)
     calls = []

@@ -2,7 +2,6 @@
 and the density-distance metric."""
 
 import math
-import threading
 import warnings
 
 import numpy as np
@@ -10,7 +9,6 @@ import pytest
 
 from wavetrains import (
     AliasingRisk,
-    Cancelled,
     ClassicalInit,
     FieldGrid,
     NormDeficitWarning,
@@ -288,18 +286,6 @@ def test_four_step_fft_matches_numpy(q):
     expected = np.fft.ifft(x)
     assert np.max(np.abs(b - expected)) <= 1e-14 * np.max(np.abs(expected))
 
-
-def test_cancel_event_stops_the_propagation(collapse_polar, collapse_spec):
-    psi0 = _collapse_start(collapse_polar, collapse_spec)
-    cfg = PropagatorConfig(psi0.grid, math.pi / 2048)
-    cancel = threading.Event()
-    split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 4 * cfg.dt, cancel=cancel)  # unset: runs
-    cancel.set()
-    with pytest.raises(Cancelled, match="at step 0 of 4"):
-        split_step_evolve(psi0, COLLAPSE_PARAMS, cfg, 4 * cfg.dt, cancel=cancel)
-
-
-# -------------------------------------------------------------- residuals
 
 def _soliton_triplet(soliton_polar, soliton_spec, stride, grid):
     step = soliton_polar.grid.step

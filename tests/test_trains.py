@@ -426,7 +426,7 @@ def test_level_energies_of_a_longer_table_match_mean_energy_levels(collapse_pola
 
 def test_level_energies_do_not_call_blas_dot(collapse_polar, monkeypatch):
     # a BLAS dot wakes OpenBLAS's thread pool, which then spins beside the
-    # verify battery's PDE worker; the weighted sums stay in einsum
+    # verify battery's PDE child process; the weighted sums stay in einsum
     def refuse(*args, **kwargs):
         raise AssertionError("numpy.dot reached")
 
